@@ -3,14 +3,16 @@
 Classes for three qubits: NULL, SEPARABLE (A-B-C), BISEPARABLE (A-BC,
 B-CA, or C-AB), W, and GHZ, decided exactly from single-party flattening
 ranks and the 2x2x2 hyperdeterminant.  Two-qubit states classify as NULL,
-SEPARABLE, or ENTANGLED.  Everything except the display floats (3-tangle,
-entropy) is exact rational arithmetic.
+SEPARABLE, or ENTANGLED.  Everything except the display values (3-tangle,
+entropy) is exact rational arithmetic; the entropy is a Decimal when it is
+too large for a float.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .scalars import GaussianRational, ZERO
@@ -130,7 +132,7 @@ class EntanglementReport:
     size_class: str | None                 # SMALL or LARGE
     attractor: bool
     brane_note: str | None
-    entropy_display: float | None
+    entropy_display: float | Decimal | None
 
     @property
     def label(self) -> str:
@@ -142,6 +144,11 @@ class EntanglementReport:
 
     def to_json(self) -> dict:
         det = self.hyperdeterminant
+        entropy = self.entropy_display
+        if isinstance(entropy, Decimal):
+            entropy = f"{entropy:.12g}"  # past the float range: keep the text
+        elif entropy is not None:
+            entropy = float(f"{entropy:.12g}")
         return {
             "class": self.label,
             "ranks": list(self.flattening_ranks),
@@ -152,7 +159,7 @@ class EntanglementReport:
             "size": None if self.size_class is None else self.size_class.lower(),
             "attractor": self.attractor,
             "brane_note": self.brane_note,
-            "entropy": None if self.entropy_display is None else float(f"{self.entropy_display:.12g}"),
+            "entropy": entropy,
         }
 
 
@@ -189,7 +196,7 @@ def _classify_three(state: Ket, vec: list[GaussianRational]) -> EntanglementRepo
     ranks = tuple(_rank_2xm(*_party_rows(vec, 3, p)) for p in range(3))
     det = _hyperdet(vec)
     det_sq = (det * det.conjugate()).re
-    entropy = math.pi * float(det_sq) ** 0.25
+    entropy = _entropy(det_sq)
     tangle_exact: Fraction | None = None
     tangle: float | None = None
     if not state.is_zero:
@@ -227,6 +234,24 @@ def _classify_three(state: Ket, vec: list[GaussianRational]) -> EntanglementRepo
         susy_fraction=susy, size_class=size, attractor=slocc == "GHZ",
         brane_note=GHZ_BRANE_NOTE if slocc == "GHZ" else None,
         entropy_display=entropy)
+
+
+def _entropy(det_sq: Fraction) -> float | Decimal:
+    """Display value pi * |Det|^(1/2) from the exact |Det|^2.
+
+    A float while |Det|^2 converts to one; past the float range, a Decimal
+    rounded to the 12 significant digits that are shown.
+    """
+    try:
+        return math.pi * float(det_sq) ** 0.25
+    except OverflowError:
+        pass
+    with localcontext() as ctx:
+        ctx.prec = 30
+        root = (Decimal(det_sq.numerator) / det_sq.denominator).sqrt().sqrt()
+        value = Decimal(math.pi) * root
+        ctx.prec = 12
+        return (+value).normalize()
 
 
 @dataclass(frozen=True, slots=True)

@@ -101,6 +101,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not UTF-8 text ({exc.reason} at byte {exc.start})",
+              file=sys.stderr)
+        return 1
     try:
         circuit = parse_circuit(text)
     except DslError as exc:
@@ -220,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser("demo", help="run a canned circuit with classification")
     p_demo.add_argument("name", metavar="{bell,teleport,ghz,class-change}")
     p_demo.add_argument("--json", action="store_true")
-    p_demo.add_argument("--trace", action="store_true")
     p_demo.set_defaults(func=_cmd_demo)
 
     p_classify = sub.add_parser("classify", help="classify an inline 2- or 3-qubit state")

@@ -27,6 +27,10 @@ from .scalars import (GaussianRational, I, ONE, SymbolTable, SymbolicAmplitude,
                       conjugate_name)
 from .states import MAX_QUBITS, Ket
 
+# Largest accepted symbol power: ``alpha^k`` builds a k-name monomial, so an
+# unbounded k lets one short line allocate without limit.
+MAX_EXPONENT = 1024
+
 
 class DslError(ValueError):
     """Parse failure with a 1-based line and column."""
@@ -90,6 +94,8 @@ class _Expr:
             bits, a = self._ket_term()
             if n is None:
                 n = len(bits)
+                if n > MAX_QUBITS:
+                    self.err(f"kets have at most {MAX_QUBITS} qubits", pos=start)
             elif len(bits) != n:
                 self.err(f"expected {n}-qubit kets throughout", pos=start)
             entries.append((bits, a if sign > 0 else -a))
@@ -186,9 +192,12 @@ class _Expr:
             power = 1
             if self.peek() == "^":
                 self.i += 1
+                pstart = self.i
                 power = self._number(integer=True)
                 if power < 1:
                     self.err("exponent must be positive", pos=start)
+                if power > MAX_EXPONENT:
+                    self.err(f"exponent must be at most {MAX_EXPONENT}", pos=pstart)
             return SymbolicAmplitude({(name,) * power: ONE})
         self.err("expected a number, symbol, 'i', or '('")
 
@@ -218,7 +227,7 @@ class _Expr:
             self.i += 1
         if self.i == start:
             self.err("expected a number")
-        num = int(self.s[start:self.i])
+        num = self._int(start)
         if integer:
             return num
         if self.peek() == "/":
@@ -228,11 +237,19 @@ class _Expr:
                 self.i += 1
             if self.i == dstart:
                 self.err("expected a denominator")
-            den = int(self.s[dstart:self.i])
+            den = self._int(dstart)
             if den == 0:
                 self.err("denominator cannot be zero", pos=dstart)
             return Fraction(num, den)
         return Fraction(num)
+
+    def _int(self, start: int) -> int:
+        # str.isdigit admits characters int() rejects (superscripts), and
+        # int() refuses digit strings past the interpreter's length limit
+        try:
+            return int(self.s[start:self.i])
+        except ValueError:
+            self.err("invalid number", pos=start)
 
     def _check_symbol(self, name: str, pos: int) -> None:
         if self.table is None:

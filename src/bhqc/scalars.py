@@ -1,6 +1,15 @@
 """Exact scalars: Gaussian rationals and formal symbolic amplitudes.
 
 Coefficients are complex numbers with arbitrary-precision rational parts.
+A Gaussian rational (a + bi)/d is stored as three Python ints: ``a`` and
+``b``, the numerators of the real and imaginary parts over one shared
+denominator ``d > 0``, with gcd(a, b, d) == 1.  Every operation builds its
+result with integer arithmetic and normalizes it with a single gcd; when
+both operands have ``d == 1`` (almost every value in the gate algebra) it
+skips the gcd altogether.  A pair of ``Fraction`` parts would pay a gcd and
+an object for each part of each partial product instead.  ``.re`` and
+``.im`` still read as ``Fraction``.
+
 Amplitudes are polynomials in commuting formal symbols; a symbol's
 conjugate partner carries a trailing ``~`` (``alpha`` pairs with
 ``alpha~``), so conjugation is an involution on names.  Every value is
@@ -13,6 +22,7 @@ import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 Rational = int | Fraction
@@ -20,33 +30,61 @@ Rational = int | Fraction
 _IDENT_RE = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-def _rat_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _rat_str(num: int, den: int) -> str:
+    if den != 1:
+        g = gcd(num, den)
+        num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 class GaussianRational:
-    """Complex scalar a + bi with exact rational a, b."""
+    """Complex scalar a + bi with exact rational a, b.
 
-    __slots__ = ("re", "im")
+    Stored as ints ``(_a + _b i) / _d`` in lowest terms with ``_d > 0``.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: Rational = 0, im: Rational = 0) -> None:
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        # both parts are already reduced, so the lcm leaves no common factor
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def conjugate(self) -> GaussianRational:
-        return GaussianRational(self.re, -self.im)
+        return _gr(self._a, -self._b, self._d)
 
     def inverse(self) -> GaussianRational:
-        d = self.re * self.re + self.im * self.im
-        if not d:
+        a, b = self._a, self._b
+        n = a * a + b * b
+        if not n:
             raise ZeroDivisionError("inverse of zero")
-        return GaussianRational(self.re / d, -self.im / d)
+        return _reduced(self._d * a, -self._d * b, n)
 
     def __add__(self, other: object) -> GaussianRational:
-        w = _coerce(other)
-        if w is None:
-            return NotImplemented
-        return GaussianRational(self.re + w.re, self.im + w.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == 1 and d2 == 1:
+            return _gr(self._a + other._a, self._b + other._b, 1)
+        if d1 == d2:
+            return _reduced(self._a + other._a, self._b + other._b, d1)
+        return _reduced(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -54,20 +92,24 @@ class GaussianRational:
         w = _coerce(other)
         if w is None:
             return NotImplemented
-        return GaussianRational(self.re - w.re, self.im - w.im)
+        return self + -w
 
     def __rsub__(self, other: object) -> GaussianRational:
         w = _coerce(other)
         if w is None:
             return NotImplemented
-        return GaussianRational(w.re - self.re, w.im - self.im)
+        return w + -self
 
     def __mul__(self, other: object) -> GaussianRational:
-        w = _coerce(other)
-        if w is None:
-            return NotImplemented
-        return GaussianRational(self.re * w.re - self.im * w.im,
-                                self.re * w.im + self.im * w.re)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        re = a1 * a2 - b1 * b2
+        im = a1 * b2 + b1 * a2
+        d = self._d * other._d
+        return _gr(re, im, 1) if d == 1 else _reduced(re, im, d)
 
     __rmul__ = __mul__
 
@@ -78,35 +120,62 @@ class GaussianRational:
         return self * w.inverse()
 
     def __neg__(self) -> GaussianRational:
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self._a, -self._b, self._d)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __eq__(self, other: object) -> bool:
-        w = _coerce(other)
-        if w is None:
-            return NotImplemented
-        return self.re == w.re and self.im == w.im
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self) -> int:
+        # hash(Fraction(n)) == hash(n), so integer parts hash as plain ints
+        if self._d == 1:
+            return hash((self._a, self._b))
         return hash((self.re, self.im))
 
     def __str__(self) -> str:
-        if not self.im:
-            return _rat_str(self.re)
-        if not self.re:
-            if self.im == 1:
-                return "i"
-            if self.im == -1:
-                return "-i"
-            if self.im.denominator == 1 and self.im > 0:
-                return f"{self.im.numerator}i"
-            return f"({_rat_str(self.im)})i"
-        return f"({_rat_str(self.re)})+({_rat_str(self.im)})i"
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _rat_str(a, d)
+        if not a:
+            # lowest terms: with a == 0, gcd(b, d) == 1
+            if d == 1:
+                if b == 1:
+                    return "i"
+                if b == -1:
+                    return "-i"
+                if b > 0:
+                    return f"{b}i"
+            return f"({_rat_str(b, d)})i"
+        return f"({_rat_str(a, d)})+({_rat_str(b, d)})i"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self})"
+
+
+_new = object.__new__
+
+
+def _gr(a: int, b: int, d: int) -> GaussianRational:
+    """Wrap a triple already in lowest terms."""
+    z = _new(GaussianRational)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """Bring ``(a + bi) / d`` with ``d > 0`` to lowest terms with one gcd."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return _gr(a, b, d)
+    return _gr(a // g, b // g, d // g)
 
 
 def _coerce(x: object) -> GaussianRational | None:
@@ -187,13 +256,22 @@ class SymbolicAmplitude:
         self._terms = dict(sorted(canon.items()))
 
     @classmethod
+    def _canonical(cls, terms: dict[Monomial, GaussianRational]) -> SymbolicAmplitude:
+        """Wrap terms whose monomials are sorted tuples and whose coefficients
+        are nonzero, putting them in monomial order.  For results built from
+        canonical operands; outside input goes through ``__init__``."""
+        a = object.__new__(cls)
+        a._terms = dict(sorted(terms.items())) if len(terms) > 1 else terms
+        return a
+
+    @classmethod
     def scalar(cls, value: GaussianRational | Rational) -> SymbolicAmplitude:
         g = value if isinstance(value, GaussianRational) else GaussianRational(value)
-        return cls({(): g} if g else {})
+        return cls._canonical({(): g} if g else {})
 
     @classmethod
     def symbol(cls, name: str) -> SymbolicAmplitude:
-        return cls({(name,): ONE})
+        return cls._canonical({(name,): ONE})
 
     def items(self) -> Iterator[tuple[Monomial, GaussianRational]]:
         return iter(self._terms.items())
@@ -250,12 +328,16 @@ class SymbolicAmplitude:
             return NotImplemented
         merged = dict(self._terms)
         for mono, coeff in w._terms.items():
-            acc = merged.get(mono, ZERO) + coeff
-            if acc:
-                merged[mono] = acc
+            prev = merged.get(mono)
+            if prev is None:
+                merged[mono] = coeff
             else:
-                merged.pop(mono, None)
-        return SymbolicAmplitude(merged)
+                acc = prev + coeff
+                if acc:
+                    merged[mono] = acc
+                else:
+                    del merged[mono]
+        return SymbolicAmplitude._canonical(merged)
 
     __radd__ = __add__
 
@@ -272,29 +354,42 @@ class SymbolicAmplitude:
         return w + (-self)
 
     def __mul__(self, other: object) -> SymbolicAmplitude:
+        g = _coerce(other)
+        if g is not None:
+            # scaling keeps every monomial and, with no zero divisors, every term
+            return SymbolicAmplitude._canonical(
+                {m: c * g for m, c in self._terms.items()} if g else {})
         w = _amp_coerce(other)
         if w is None:
             return NotImplemented
         out: dict[Monomial, GaussianRational] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in w._terms.items():
-                key = tuple(sorted(m1 + m2))
-                acc = out.get(key, ZERO) + c1 * c2
-                if acc:
-                    out[key] = acc
+                key = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
+                prev = out.get(key)
+                if prev is None:
+                    # a product of nonzero Gaussian rationals is nonzero
+                    out[key] = c1 * c2
                 else:
-                    out.pop(key, None)
-        return SymbolicAmplitude(out)
+                    acc = prev + c1 * c2
+                    if acc:
+                        out[key] = acc
+                    else:
+                        del out[key]
+        return SymbolicAmplitude._canonical(out)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> SymbolicAmplitude:
-        return SymbolicAmplitude({m: -c for m, c in self._terms.items()})
+        return SymbolicAmplitude._canonical({m: -c for m, c in self._terms.items()})
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
+        g = _coerce(other)
+        if g is not None:
+            return self._terms == ({(): g} if g else {})
         w = _amp_coerce(other)
         if w is None:
             return NotImplemented

@@ -40,6 +40,15 @@ class TestRun:
         assert code == 1
         assert "error" in err
 
+    def test_non_utf8_file_exits_one_without_traceback(self, tmp_path, capsys):
+        bad = tmp_path / "bad.bhqc"
+        bad.write_bytes(b"\xff\xfe")
+        code, out, err = invoke(capsys, "run", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "UTF-8" in err
+
     def test_teleport_json_contains_matching_claim(self, capsys):
         code, out, _ = invoke(capsys, "run", str(CIRCUITS / "teleport.bhqc"), "--json")
         assert code == 0
@@ -127,6 +136,30 @@ class TestClassify:
         code, _, err = invoke(capsys, "classify", "|0")
         assert code == 1
         assert "expected" in err
+
+    def test_too_wide_ket_exits_one_with_one_line(self, capsys):
+        code, out, err = invoke(capsys, "classify", "|0000000>")
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 1, col 1: kets have at most 6 qubits\n"
+
+    def test_entropy_past_the_float_range(self, capsys):
+        state = f"({'9' * 400})|000>+|111>"
+        code, out, _ = invoke(capsys, "classify", state)
+        assert code == 0
+        # pi * |Det|^(1/2) with Det = (10^400 - 1)^2
+        assert out.splitlines()[-1] == "entropy: 3.14159265359e+400"
+        code, out, _ = invoke(capsys, "classify", state, "--json")
+        assert code == 0
+        assert json.loads(out)["entropy"] == "3.14159265359e+400"
+
+    def test_entropy_within_the_float_range_is_a_number(self, capsys):
+        state = f"({'9' * 70})|000>+|111>"
+        code, out, _ = invoke(capsys, "classify", state)
+        assert code == 0
+        assert out.splitlines()[-1] == "entropy: 3.14159265359e+70"
+        code, out, _ = invoke(capsys, "classify", state, "--json")
+        assert json.loads(out)["entropy"] == 3.14159265359e+70
 
     def test_json_schema(self, capsys):
         code, out, _ = invoke(capsys, "classify", "|000>+|111>", "--json")

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,8 +7,8 @@ import pytest
 from bhqc.builders import (bell_chain, class_change_circuit, ghz_circuit,
                            teleport_circuit)
 from bhqc.circuit import ApplyGate, Circuit, Expect, Project
-from bhqc.dsl import (DslError, parse_amplitude, parse_circuit, parse_ket,
-                      render_circuit)
+from bhqc.dsl import (MAX_EXPONENT, DslError, parse_amplitude, parse_circuit,
+                      parse_ket, render_circuit)
 from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
 
@@ -53,6 +54,17 @@ class TestKetExpressions:
         with pytest.raises(DslError, match="2-qubit"):
             parse_ket("|00> + |1>")
 
+    def test_too_wide_ket_is_a_positioned_parse_error(self):
+        with pytest.raises(DslError, match="at most 6 qubits") as excinfo:
+            parse_ket("2|0000000>")
+        assert excinfo.value.col == 1
+
+    def test_digit_characters_int_cannot_read_are_parse_errors(self):
+        # "\u00b2" (superscript two) passes str.isdigit but not int()
+        with pytest.raises(DslError, match="invalid number") as excinfo:
+            parse_ket("(\u00b2)|0>")
+        assert excinfo.value.col == 2
+
 
 class TestAmplitudeExpressions:
     @pytest.mark.parametrize("text, expected", [
@@ -78,6 +90,23 @@ class TestAmplitudeExpressions:
         ]
         for value in values:
             assert parse_amplitude(str(value)) == value
+
+
+class TestExponentBound:
+    def test_huge_exponent_is_rejected_at_its_position(self):
+        started = time.perf_counter()
+        with pytest.raises(DslError) as excinfo:
+            parse_ket("(a^99999999)|0>")
+        assert time.perf_counter() - started < 1.0
+        assert excinfo.value.col == 4
+        assert f"at most {MAX_EXPONENT}" in excinfo.value.message
+
+    def test_exponents_up_to_the_bound_parse(self):
+        assert parse_amplitude("alpha^2") == amp("alpha") * amp("alpha")
+        top = parse_amplitude(f"a^{MAX_EXPONENT}")
+        assert top.coefficient(("a",) * MAX_EXPONENT) == 1
+        with pytest.raises(DslError):
+            parse_amplitude(f"a^{MAX_EXPONENT + 1}")
 
 
 class TestCircuitParsing:

@@ -1,0 +1,44 @@
+"""Byte-for-byte CLI output, pinned against files captured before the
+integer scalar core replaced the ``Fraction`` pair.
+
+Each file in ``tests/golden`` is the exact stdout of one command.  A change
+to the scalar layer, the operators, or rendering that alters a single
+character of a verdict, a state, or a JSON field fails here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from bhqc.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CIRCUITS = sorted((ROOT / "circuits").glob("*.bhqc"))
+
+
+def _stdout(capsys, argv, code):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return captured.out
+
+
+@pytest.mark.parametrize("flags, name", [
+    ([], "verify-paper.txt"),
+    (["--json"], "verify-paper.json"),
+])
+def test_verify_paper(capsys, flags, name):
+    expected = (GOLDEN / name).read_text(encoding="utf-8")
+    assert _stdout(capsys, ["verify-paper", *flags], 2) == expected
+
+
+@pytest.mark.parametrize("path", CIRCUITS, ids=lambda p: p.stem)
+def test_run_json(capsys, path):
+    expected = (GOLDEN / f"run-{path.stem}.json").read_text(encoding="utf-8")
+    assert _stdout(capsys, ["run", str(path), "--json"], 0) == expected
+
+
+def test_every_circuit_has_a_golden_file():
+    pinned = {p.name for p in GOLDEN.glob("run-*.json")}
+    assert pinned == {f"run-{p.stem}.json" for p in CIRCUITS}

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bhqc.scalars import (GaussianRational, I, MINUS_ONE, ONE, Symbol,
@@ -155,3 +155,87 @@ def test_symbol_free_modulus_is_real_and_nonnegative(z):
     m = (amp(z) * amp(z).conjugate()).as_scalar()
     assert m.im == 0
     assert m.re >= 0
+
+
+@settings(max_examples=80)
+@given(_amps, _amps)
+def test_results_of_amplitude_arithmetic_are_canonical(a, b):
+    for r in (a + b, a - b, a * b, -a, a * I, SymbolicAmplitude.scalar(a.coefficient(()))):
+        monos = [m for m, _ in r.items()]
+        assert monos == sorted(monos)
+        assert all(m == tuple(sorted(m)) for m in monos)
+        assert all(c for _, c in r.items())
+        assert r == SymbolicAmplitude(dict(r.items()))
+
+
+# -- differential test against a plain (Fraction, Fraction) reference -------
+
+_parts = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.builds(Fraction, st.integers(-99, 99), st.integers(2, 30)),
+)
+_pairs = st.tuples(_parts, _parts)
+
+
+def _ref_mul(p, q):
+    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+
+def _ref_inverse(p):
+    d = p[0] * p[0] + p[1] * p[1]
+    return (p[0] / d, -p[1] / d)
+
+
+def _ref_str(p):
+    re, im = p
+    if not im:
+        return str(re)
+    if not re:
+        if im == 1:
+            return "i"
+        if im == -1:
+            return "-i"
+        if im.denominator == 1 and im > 0:
+            return f"{im.numerator}i"
+        return f"({im})i"
+    return f"({re})+({im})i"
+
+
+def _check(z, p):
+    """``z`` has the value of the reference pair ``p``, in canonical form."""
+    assert (z.re, z.im) == p
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert z == GaussianRational(*p)
+    assert hash(z) == hash(p)
+    assert str(z) == _ref_str(p)
+
+
+@settings(max_examples=300)
+@given(_pairs, _pairs)
+@example((Fraction(1, 2), Fraction(-3)), (Fraction(0), Fraction(0)))
+def test_arithmetic_matches_a_fraction_pair_reference(p, q):
+    z, w = GaussianRational(*p), GaussianRational(*q)
+    _check(z, p)
+    _check(z + w, (p[0] + q[0], p[1] + q[1]))
+    _check(z - w, (p[0] - q[0], p[1] - q[1]))
+    _check(z * w, _ref_mul(p, q))
+    _check(-z, (-p[0], -p[1]))
+    _check(z.conjugate(), (p[0], -p[1]))
+    _check(z + q[0], (p[0] + q[0], p[1]))
+    _check(q[0] - z, (q[0] - p[0], -p[1]))
+    _check(z * q[1], (p[0] * q[1], p[1] * q[1]))
+    if any(q):
+        _check(w.inverse(), _ref_inverse(q))
+        _check(z / w, _ref_mul(p, _ref_inverse(q)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            w.inverse()
+        with pytest.raises(ZeroDivisionError):
+            z / w
+    assert (z == w) == (p == q)
+    assert bool(z) == any(p)
+    if not p[1]:
+        assert z == p[0] and p[0] == z
+        if p[0].denominator == 1:
+            assert z == int(p[0])
