@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 
 from .scalars import GaussianRational, ZERO
@@ -246,9 +246,15 @@ def _entropy(det_sq: Fraction) -> float | Decimal:
         return math.pi * float(det_sq) ** 0.25
     except OverflowError:
         pass
+    # |Det|^2 ~ m * 2^e with a 128-bit m: turning the whole numerator into a
+    # Decimal would take time quadratic in its digits
+    num, den = det_sq.numerator, det_sq.denominator
+    e = num.bit_length() - den.bit_length() - 128
+    m = num // (den << e)
     with localcontext() as ctx:
         ctx.prec = 30
-        root = (Decimal(det_sq.numerator) / det_sq.denominator).sqrt().sqrt()
+        ctx.Emax, ctx.Emin = MAX_EMAX, MIN_EMIN
+        root = (Decimal(m) * Decimal(2) ** e).sqrt().sqrt()
         value = Decimal(math.pi) * root
         ctx.prec = 12
         return (+value).normalize()

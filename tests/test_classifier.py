@@ -4,9 +4,9 @@ from itertools import permutations, product
 
 import pytest
 
-from bhqc.classify import (COSET_CHAIN, SymbolicStateError, classify,
-                           flattening_ranks, hyperdeterminant, three_tangle,
-                           transition_report)
+from bhqc.classify import (COSET_CHAIN, SymbolicStateError, _entropy,
+                           classify, flattening_ranks, hyperdeterminant,
+                           three_tangle, transition_report)
 from bhqc.operators import GATES, apply, embed
 from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
@@ -261,3 +261,9 @@ class TestOracleAgreement:
                 assert not det and ranks == (1, 1, 1) and r.fts_rank == "1"
             else:
                 assert r.slocc_class == "NULL" and ranks == (0, 0, 0)
+
+
+def test_entropy_past_the_decimal_default_exponent_range():
+    # |Det|^2 = 10^1000004 overflows a float and the default Decimal Emax
+    assert f"{_entropy(Fraction(10**1000004)):.12g}" == "3.14159265359e+250001"
+    assert f"{_entropy(Fraction(16 * 10**1000004, 81)):.12g}" == "2.09439510239e+250001"
