@@ -3,9 +3,8 @@
 from .scalars import (GaussianRational, Symbol, SymbolTable, SymbolicAmplitude,
                       amp, conjugate_name)
 from .states import MAX_QUBITS, Ket
-from .operators import (GATES, Generator, Operator, apply, big_lambda_op, cnot,
-                        embed, gate_named, generator, hadamard_minus,
-                        hadamard_plus, lambda_op, sigma2_gate)
+from .operators import (GATES, Operator, apply, big_lambda_op, cnot, gate_named,
+                        hadamard_minus, hadamard_plus, lambda_op, sigma2_gate)
 from .circuit import (MATCH, MATCH_UP_TO_SCALAR, MISMATCH, ApplyGate, Circuit,
                       ClaimRecord, Expect, Instruction, Project, RunResult,
                       TraceStep, compare_kets, instruction_text, run)
@@ -24,11 +23,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GaussianRational", "Symbol", "SymbolTable", "SymbolicAmplitude", "amp",
-    "conjugate_name", "MAX_QUBITS", "Ket", "GATES", "Generator", "Operator",
-    "apply", "big_lambda_op", "cnot", "embed", "gate_named", "generator",
-    "hadamard_minus", "hadamard_plus", "lambda_op", "sigma2_gate", "MATCH",
-    "MATCH_UP_TO_SCALAR", "MISMATCH", "ApplyGate", "Circuit", "ClaimRecord",
-    "Expect", "Instruction", "Project", "RunResult", "TraceStep",
+    "conjugate_name", "MAX_QUBITS", "Ket", "GATES", "Operator", "apply",
+    "big_lambda_op", "cnot", "gate_named", "hadamard_minus", "hadamard_plus",
+    "lambda_op", "sigma2_gate", "MATCH", "MATCH_UP_TO_SCALAR", "MISMATCH",
+    "ApplyGate", "Circuit", "ClaimRecord", "Expect", "Instruction", "Project", "RunResult", "TraceStep",
     "compare_kets", "instruction_text", "run", "DslError", "parse_amplitude",
     "parse_circuit", "parse_ket", "render_circuit", "bell_chain",
     "class_change_circuit", "ghz_circuit", "teleport_circuit", "CLAIMS",

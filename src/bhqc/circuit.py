@@ -1,13 +1,17 @@
-"""Circuit IR, the deterministic executor, and claim verdicts."""
+"""Circuit IR, the deterministic executor, and claim verdicts.
+
+``check_instruction`` is the one check of an instruction, for ``run`` and
+``parse_circuit`` alike.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Union
 
-from .operators import apply, embed, gate_named
+from .operators import apply, gate_named
 from .scalars import GaussianRational
-from .states import Ket
+from .states import Ket, check_projection, check_targets
 
 MATCH = "MATCH"
 MATCH_UP_TO_SCALAR = "MATCH_UP_TO_SCALAR"
@@ -37,26 +41,14 @@ class Expect:
 Instruction = Union[ApplyGate, Project, Expect]
 
 
-def _validate_targets(targets: tuple[int, ...], n_qubits: int) -> None:
-    if len(set(targets)) != len(targets):
-        raise ValueError("duplicate target qubit")
-    for t in targets:
-        if not 0 <= t < n_qubits:
-            raise ValueError(f"target qubit {t} out of range")
-
-
-def validate_instruction(ins: Instruction, n_qubits: int) -> None:
+def check_instruction(ins: Instruction, n_qubits: int) -> None:
+    """Raise OperandError (a ValueError) for a bad gate, projection or target."""
     if isinstance(ins, ApplyGate):
         op = gate_named(ins.gate)
-        if len(ins.targets) != op.arity:
-            raise ValueError(f"gate {ins.gate} needs {op.arity} targets")
-        _validate_targets(ins.targets, n_qubits)
+        check_targets(ins.targets, n_qubits, op.arity,
+                      f"gate {ins.gate} needs {op.arity} targets")
     elif isinstance(ins, Project):
-        if not ins.bits or any(c not in "01" for c in ins.bits):
-            raise ValueError("projection bits must be 0/1")
-        if len(ins.bits) != len(ins.targets):
-            raise ValueError(f"expected {len(ins.bits)} targets for {len(ins.bits)} projection bits")
-        _validate_targets(ins.targets, n_qubits)
+        check_projection(ins.bits, ins.targets, n_qubits)
     elif isinstance(ins, Expect):
         if ins.expected.n_qubits != n_qubits:
             raise ValueError("expected state has the wrong qubit count")
@@ -88,7 +80,7 @@ class Circuit:
         if self.mode_labels is not None and len(self.mode_labels) != self.n_qubits:
             raise ValueError("label count must match qubit count")
         for ins in self.instructions:
-            validate_instruction(ins, self.n_qubits)
+            check_instruction(ins, self.n_qubits)
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,8 +162,7 @@ def run(circuit: Circuit) -> RunResult:
     n_expect = 0
     for ins in circuit.instructions:
         if isinstance(ins, ApplyGate):
-            op = embed(gate_named(ins.gate), ins.targets, circuit.n_qubits)
-            state = apply(op, state)
+            state = apply(gate_named(ins.gate), state, ins.targets)
             steps.append(TraceStep(len(steps), ins, state))
         elif isinstance(ins, Project):
             state = state.project(ins.targets, ins.bits)

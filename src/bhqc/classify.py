@@ -11,11 +11,12 @@ too large for a float.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 
-from .scalars import GaussianRational, ZERO
+from .scalars import GaussianRational, ZERO, rat_str
 from .states import Ket
 
 
@@ -60,24 +61,32 @@ def _party_rows(vec: list[GaussianRational], n: int,
 
 
 def _rank_2xm(row0: list[GaussianRational], row1: list[GaussianRational]) -> int:
-    nz0 = any(row0)
-    nz1 = any(row1)
-    if not nz0 and not nz1:
-        return 0
-    if nz0 and nz1:
-        for j in range(len(row0)):
-            for k in range(j + 1, len(row0)):
-                if row0[j] * row1[k] != row0[k] * row1[j]:
-                    return 2
+    """Exact rank of the 2 x m matrix with rows ``row0`` and ``row1``."""
+    for j, p in enumerate(row0):
+        if p:
+            break
+    else:
+        return 1 if any(row1) else 0
+    # rank 1 iff row1 is a multiple of row0: every minor through the pivot
+    # column j vanishes (left of j, where row0 is zero, that means row1 is)
+    q = row1[j]
+    if any(row1[:j]):
+        return 2
+    for x, y in zip(row0[j + 1:], row1[j + 1:]):
+        if p * y != q * x:
+            return 2
     return 1
+
+
+def _ranks(vec: list[GaussianRational]) -> tuple[int, int, int]:
+    return tuple(_rank_2xm(*_party_rows(vec, 3, p)) for p in range(3))  # type: ignore[return-value]
 
 
 def flattening_ranks(state: Ket) -> tuple[int, int, int]:
     """Exact rank (0/1/2) of the 2x4 flattening along each party."""
     if state.n_qubits != 3:
         raise ValueError("flattening ranks are defined for 3-qubit states")
-    vec = _scalar_amplitudes(state)
-    return tuple(_rank_2xm(*_party_rows(vec, 3, p)) for p in range(3))  # type: ignore[return-value]
+    return _ranks(_scalar_amplitudes(state))
 
 
 def _hyperdet(a: list[GaussianRational]) -> GaussianRational:
@@ -103,8 +112,8 @@ def hyperdeterminant(state: Ket) -> GaussianRational:
     return _hyperdet(_scalar_amplitudes(state))
 
 
-def three_tangle(state: Ket) -> tuple[Fraction, float]:
-    """Squared normalized 3-tangle (exact rational) and its sqrt as a float.
+def three_tangle(state: Ket) -> tuple[Fraction, float | Decimal]:
+    """Squared normalized 3-tangle (exact rational) and its square root.
 
     The exact part is 16|Det|^2 / <x|x>^4, invariant under rescaling; the
     display value is the usual tau3 = 4|Det| of the normalized amplitudes.
@@ -112,10 +121,13 @@ def three_tangle(state: Ket) -> tuple[Fraction, float]:
     if state.is_zero:
         raise ValueError("the 3-tangle of the zero state is undefined")
     det = hyperdeterminant(state)
+    return _tangle(state, (det * det.conjugate()).re)
+
+
+def _tangle(state: Ket, det_sq: Fraction) -> tuple[Fraction, float | Decimal]:
     norm_sq = state.inner(state).as_scalar().re
-    det_sq = (det * det.conjugate()).re
     exact = 16 * det_sq / norm_sq**4
-    return exact, math.sqrt(exact)
+    return exact, _display_root(exact, 2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,7 +138,7 @@ class EntanglementReport:
     separated_party: str | None
     hyperdeterminant: GaussianRational | None
     three_tangle_exact: Fraction | None
-    three_tangle: float | None
+    three_tangle: float | Decimal | None
     fts_rank: str | None
     susy_fraction: str | None
     size_class: str | None                 # SMALL or LARGE
@@ -144,23 +156,25 @@ class EntanglementReport:
 
     def to_json(self) -> dict:
         det = self.hyperdeterminant
-        entropy = self.entropy_display
-        if isinstance(entropy, Decimal):
-            entropy = f"{entropy:.12g}"  # past the float range: keep the text
-        elif entropy is not None:
-            entropy = float(f"{entropy:.12g}")
         return {
             "class": self.label,
             "ranks": list(self.flattening_ranks),
             "fts_rank": self.fts_rank,
-            "det": None if det is None else {"re": str(det.re), "im": str(det.im)},
-            "tau3": None if self.three_tangle is None else float(f"{self.three_tangle:.12g}"),
+            "det": None if det is None else {"re": rat_str(*det.re.as_integer_ratio()),
+                                             "im": rat_str(*det.im.as_integer_ratio())},
+            "tau3": _display_json(self.three_tangle),
             "susy": self.susy_fraction,
             "size": None if self.size_class is None else self.size_class.lower(),
             "attractor": self.attractor,
             "brane_note": self.brane_note,
-            "entropy": entropy,
+            "entropy": _display_json(self.entropy_display),
         }
+
+
+def _display_json(value: float | Decimal | None) -> float | str | None:
+    if isinstance(value, Decimal):
+        return f"{value:.12g}"  # outside the float range: keep the text
+    return None if value is None else float(f"{value:.12g}")
 
 
 def classify(state: Ket) -> EntanglementReport:
@@ -193,16 +207,10 @@ def _classify_two(vec: list[GaussianRational]) -> EntanglementReport:
 
 
 def _classify_three(state: Ket, vec: list[GaussianRational]) -> EntanglementReport:
-    ranks = tuple(_rank_2xm(*_party_rows(vec, 3, p)) for p in range(3))
+    ranks = _ranks(vec)
     det = _hyperdet(vec)
     det_sq = (det * det.conjugate()).re
-    entropy = _entropy(det_sq)
-    tangle_exact: Fraction | None = None
-    tangle: float | None = None
-    if not state.is_zero:
-        norm_sq = state.inner(state).as_scalar().re
-        tangle_exact = 16 * det_sq / norm_sq**4
-        tangle = math.sqrt(tangle_exact)
+    tangle_exact, tangle = (None, None) if state.is_zero else _tangle(state, det_sq)
 
     if ranks == (0, 0, 0):
         slocc, party, fts = "NULL", None, "0"
@@ -233,29 +241,40 @@ def _classify_three(state: Ket, vec: list[GaussianRational]) -> EntanglementRepo
         three_tangle_exact=tangle_exact, three_tangle=tangle, fts_rank=fts,
         susy_fraction=susy, size_class=size, attractor=slocc == "GHZ",
         brane_note=GHZ_BRANE_NOTE if slocc == "GHZ" else None,
-        entropy_display=entropy)
+        entropy_display=_entropy(det_sq))
 
 
 def _entropy(det_sq: Fraction) -> float | Decimal:
-    """Display value pi * |Det|^(1/2) from the exact |Det|^2.
+    """Display value pi * |Det|^(1/2) from the exact |Det|^2."""
+    return _display_root(det_sq, 4, math.pi)
 
-    A float while |Det|^2 converts to one; past the float range, a Decimal
-    rounded to the 12 significant digits that are shown.
+
+def _display_root(x: Fraction, k: int, factor: float = 1.0) -> float | Decimal:
+    """``factor * x^(1/k)`` for display, k = 2 or 4, from an exact x >= 0.
+
+    A float while x is zero or converts to a normal float; otherwise a
+    Decimal rounded to the 12 significant digits that are shown, since a
+    float would overflow or lose the digits to underflow.
     """
     try:
-        return math.pi * float(det_sq) ** 0.25
+        f = float(x)
     except OverflowError:
-        pass
-    # |Det|^2 ~ m * 2^e with a 128-bit m: turning the whole numerator into a
+        f = math.inf
+    if not x or sys.float_info.min <= f < math.inf:
+        # the expressions these values have always been printed from
+        return factor * (math.sqrt(f) if k == 2 else f ** 0.25)
+    # x ~ m * 2^e with a 128-bit m: turning the whole numerator into a
     # Decimal would take time quadratic in its digits
-    num, den = det_sq.numerator, det_sq.denominator
+    num, den = x.numerator, x.denominator
     e = num.bit_length() - den.bit_length() - 128
-    m = num // (den << e)
+    m = num // (den << e) if e >= 0 else (num << -e) // den
     with localcontext() as ctx:
         ctx.prec = 30
         ctx.Emax, ctx.Emin = MAX_EMAX, MIN_EMIN
-        root = (Decimal(m) * Decimal(2) ** e).sqrt().sqrt()
-        value = Decimal(math.pi) * root
+        root = Decimal(m) * Decimal(2) ** e
+        for _ in range(k.bit_length() - 1):
+            root = root.sqrt()
+        value = Decimal(factor) * root
         ctx.prec = 12
         return (+value).normalize()
 

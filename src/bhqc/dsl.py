@@ -21,11 +21,11 @@ import re as _re
 from fractions import Fraction
 from typing import NoReturn
 
-from .circuit import ApplyGate, Circuit, Expect, Instruction, Project, instruction_text
-from .operators import GATES
+from .circuit import (ApplyGate, Circuit, Expect, Instruction, Project,
+                      check_instruction, instruction_text)
 from .scalars import (GaussianRational, I, ONE, SymbolTable, SymbolicAmplitude,
                       conjugate_name)
-from .states import MAX_QUBITS, Ket
+from .states import MAX_QUBITS, Ket, OperandError
 
 # Largest accepted symbol power: ``alpha^k`` builds a k-name monomial, so an
 # unbounded k lets one short line allocate without limit.
@@ -41,6 +41,10 @@ class DslError(ValueError):
         self.col = col
         self.message = message
 
+
+# directive -> (instruction type, fewest tokens after it, usage line)
+_INSTRUCTIONS = {"apply": (ApplyGate, 1, "usage: apply GATE q [q ...]"),
+                 "project": (Project, 2, "usage: project BITS q [q ...]")}
 
 _IDENT = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*~?")
 _TOKEN = _re.compile(r"\S+")
@@ -352,29 +356,19 @@ def parse_circuit(text: str) -> Circuit:
             state = _parse_line_ket(body[expr_start:], lineno, expr_start + 1,
                                     table, n_qubits)
 
-        elif word == "apply":
-            if not args:
-                raise DslError(lineno, col, "usage: apply GATE q [q ...]")
-            (gate, gcol), targets = args[0], args[1:]
-            if gate not in GATES:
-                raise DslError(lineno, gcol, f"unknown gate '{gate}'")
-            arity = GATES[gate].arity
-            if len(targets) != arity:
-                raise DslError(lineno, gcol, f"gate {gate} needs {arity} targets")
-            qubits = _parse_targets(targets, lineno, n_qubits)
-            instructions.append(ApplyGate(gate, qubits, line=lineno))
-
-        elif word == "project":
-            if len(args) < 2:
-                raise DslError(lineno, col, "usage: project BITS q [q ...]")
-            (bits, bcol), targets = args[0], args[1:]
-            if any(c not in "01" for c in bits):
-                raise DslError(lineno, bcol, "projection bits must be 0/1")
-            if len(targets) != len(bits):
-                raise DslError(lineno, bcol,
-                               f"expected {len(bits)} targets for {len(bits)} projection bits")
-            qubits = _parse_targets(targets, lineno, n_qubits)
-            instructions.append(Project(bits, qubits, line=lineno))
+        elif word in _INSTRUCTIONS:
+            kind, min_args, usage = _INSTRUCTIONS[word]
+            if len(args) < min_args:
+                raise DslError(lineno, col, usage)
+            (head, hcol), targets = args[0], args[1:]
+            qubits = tuple(_parse_int(t, lineno, tcol, "target") for t, tcol in targets)
+            ins = kind(head, qubits, line=lineno)
+            try:
+                check_instruction(ins, n_qubits)
+            except OperandError as exc:
+                at = hcol if exc.index is None else targets[exc.index][1]
+                raise DslError(lineno, at, str(exc)) from None
+            instructions.append(ins)
 
         elif word == "expect":
             expr_start = body.index(word, col - 1) + len(word)
@@ -398,21 +392,6 @@ def _parse_line_ket(src: str, line: int, col_base: int,
     ket = p.ket_expr(n_qubits)
     p.expect_end()
     return ket
-
-
-def _parse_targets(tokens: list[tuple[str, int]], line: int,
-                   n_qubits: int) -> tuple[int, ...]:
-    qubits = []
-    seen = set()
-    for token, col in tokens:
-        q = _parse_int(token, line, col, "target")
-        if not 0 <= q < n_qubits:
-            raise DslError(line, col, f"target qubit {q} out of range")
-        if q in seen:
-            raise DslError(line, col, f"duplicate target qubit {q}")
-        seen.add(q)
-        qubits.append(q)
-    return tuple(qubits)
 
 
 def render_circuit(circuit: Circuit) -> str:

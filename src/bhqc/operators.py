@@ -4,29 +4,28 @@ Operators are exact sparse matrices over Gaussian rationals.  They are not
 unitary in general (raise and lower are nilpotent) and carry no
 normalization factors.  All derived gates are built *from* the generators;
 their stated action tables are checked elsewhere, never hard-coded here.
+
+A k-qubit gate acts in place: ``apply`` rewrites each basis term's bits at
+the gate's targets through the gate's by-column table; no 2^n x 2^n matrix
+is built.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-from itertools import product as _iproduct
 from typing import Mapping, Sequence
 
 from .scalars import GaussianRational, SymbolicAmplitude, ZERO
-from .states import MAX_QUBITS, Ket
-
-
-class Generator(Enum):
-    IDENTITY = "I"
-    STAR = "STAR"
-    RAISE = "RAISE"
-    LOWER = "LOWER"
+from .states import MAX_QUBITS, Ket, OperandError, check_targets
 
 
 class Operator:
-    """Sparse 2^k x 2^k linear map with exact scalar entries."""
+    """Sparse 2^k x 2^k linear map with exact scalar entries.
 
-    __slots__ = ("arity", "entries")
+    ``by_column`` maps each column's k-bit string to its nonzero entries as
+    (row bits, value) pairs.
+    """
+
+    __slots__ = ("arity", "entries", "by_column")
 
     def __init__(self, arity: int,
                  entries: Mapping[tuple[int, int], object] | None = None) -> None:
@@ -38,13 +37,14 @@ class Operator:
             if not (0 <= r < dim and 0 <= c < dim):
                 raise ValueError(f"entry ({r}, {c}) out of range for arity {arity}")
             g = value if isinstance(value, GaussianRational) else GaussianRational(value)
-            acc = canon.get((r, c), ZERO) + g
-            if acc:
-                canon[(r, c)] = acc
-            else:
-                canon.pop((r, c), None)
+            if g:
+                canon[(r, c)] = g
         self.arity = arity
         self.entries = canon
+        self.by_column: dict[str, list[tuple[str, GaussianRational]]] = {}
+        for (r, c), v in canon.items():
+            self.by_column.setdefault(format(c, f"0{arity}b"), []).append(
+                (format(r, f"0{arity}b"), v))
 
     @classmethod
     def identity(cls, arity: int) -> Operator:
@@ -130,16 +130,6 @@ _RAISE = Operator(1, {(1, 0): 1})
 _LOWER = Operator(1, {(0, 1): 1})
 
 
-def generator(kind: Generator) -> Operator:
-    """Fixed single-mode generator matrix."""
-    return {
-        Generator.IDENTITY: _ID,
-        Generator.STAR: _STAR,
-        Generator.RAISE: _RAISE,
-        Generator.LOWER: _LOWER,
-    }[kind]
-
-
 def lambda_op(k: int) -> Operator:
     """One-mode operators 1..4, each a sum of star/derivative compositions."""
     s, up, dn = _STAR, _RAISE, _LOWER
@@ -191,50 +181,24 @@ def cnot() -> Operator:
     return p0.tensor(_ID) + p1.tensor(lambda_op(4))
 
 
-def embed(op: Operator, targets: Sequence[int], n_qubits: int) -> Operator:
-    """Extend ``op`` to ``n_qubits`` qubits, acting on ``targets`` in order.
+def apply(op: Operator, state: Ket, targets: Sequence[int] | None = None) -> Ket:
+    """``op`` acting on the qubits ``targets`` of ``state`` (default: all, in order).
 
-    ``targets[j]`` receives qubit j of ``op``, so ``embed(cnot(), [2, 1], 3)``
-    has qubit 2 as control and qubit 1 as target.
+    ``targets[j]`` receives qubit j of ``op``, so ``apply(cnot(), s, [2, 1])``
+    uses qubit 2 as control and qubit 1 as target.
     """
-    targets = tuple(targets)
-    if len(targets) != op.arity:
-        raise ValueError("target count must equal operator arity")
-    if len(set(targets)) != len(targets):
-        raise ValueError("duplicate target qubit")
-    if any(not 0 <= t < n_qubits for t in targets):
-        raise ValueError("target qubit out of range")
-    if op.arity == n_qubits and targets == tuple(range(n_qubits)):
-        return op
-    rest = [q for q in range(n_qubits) if q not in targets]
-    out = {}
-    for (r, c), v in op.entries.items():
-        rbits = format(r, f"0{op.arity}b")
-        cbits = format(c, f"0{op.arity}b")
-        for fill in _iproduct("01", repeat=len(rest)):
-            row = [""] * n_qubits
-            col = [""] * n_qubits
-            for j, t in enumerate(targets):
-                row[t] = rbits[j]
-                col[t] = cbits[j]
-            for m, q in enumerate(rest):
-                row[q] = col[q] = fill[m]
-            out[(int("".join(row), 2), int("".join(col), 2))] = v
-    return Operator(n_qubits, out)
-
-
-def apply(op: Operator, state: Ket) -> Ket:
-    """Exact sparse matrix-vector product."""
-    if op.arity != state.n_qubits:
-        raise ValueError("operator arity does not match the state's qubit count")
-    n = op.arity
-    by_col: dict[int, list[tuple[int, GaussianRational]]] = {}
-    for (r, c), v in op.entries.items():
-        by_col.setdefault(c, []).append((r, v))
+    n = state.n_qubits
+    targets = tuple(range(n)) if targets is None else tuple(targets)
+    check_targets(targets, n, op.arity,
+                  f"an arity-{op.arity} operator needs {op.arity} targets")
     out: dict[str, SymbolicAmplitude] = {}
     for bits, a in state.terms.items():
-        for r, v in by_col.get(int(bits, 2), ()):
-            key = format(r, f"0{n}b")
+        column = "".join([bits[t] for t in targets])
+        for row, v in op.by_column.get(column, ()):
+            chars = list(bits)
+            for t, c in zip(targets, row):
+                chars[t] = c
+            key = "".join(chars)
             prev = out.get(key)
             out[key] = a * v if prev is None else prev + a * v
     return Ket(n, out, state.labels)
@@ -265,4 +229,4 @@ def gate_named(name: str) -> Operator:
     try:
         return GATES[name]
     except KeyError:
-        raise ValueError(f"unknown gate {name!r}") from None
+        raise OperandError(f"unknown gate '{name}'") from None

@@ -19,6 +19,7 @@ canonical on construction and equality is structural.
 from __future__ import annotations
 
 import re as _re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -30,11 +31,29 @@ Rational = int | Fraction
 _IDENT_RE = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-def _rat_str(num: int, den: int) -> str:
+def _int_str(n: int) -> str:
+    """Decimal text of ``n``, also past the interpreter's int-to-str limit.
+
+    The limit guards parsing untrusted text; it is lifted for this one
+    conversion of a computed integer and put back.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+def rat_str(num: int, den: int = 1) -> str:
+    """``num/den`` in lowest terms, or the bare numerator when it is whole."""
     if den != 1:
         g = gcd(num, den)
         num, den = num // g, den // g
-    return str(num) if den == 1 else f"{num}/{den}"
+    return _int_str(num) if den == 1 else f"{_int_str(num)}/{_int_str(den)}"
 
 
 class GaussianRational:
@@ -139,7 +158,7 @@ class GaussianRational:
     def __str__(self) -> str:
         a, b, d = self._a, self._b, self._d
         if not b:
-            return _rat_str(a, d)
+            return rat_str(a, d)
         if not a:
             # lowest terms: with a == 0, gcd(b, d) == 1
             if d == 1:
@@ -149,8 +168,8 @@ class GaussianRational:
                     return "-i"
                 if b > 0:
                     return f"{b}i"
-            return f"({_rat_str(b, d)})i"
-        return f"({_rat_str(a, d)})+({_rat_str(b, d)})i"
+            return f"({rat_str(b, d)})i"
+        return f"({rat_str(a, d)})+({rat_str(b, d)})i"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self})"

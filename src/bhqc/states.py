@@ -21,6 +21,37 @@ def _check_bits(bits: str, n: int) -> None:
         raise ValueError(f"bitstring {bits!r} must be {n} characters over {{0,1}}")
 
 
+class OperandError(ValueError):
+    """A bad gate, projection or target list.
+
+    ``index`` is the position of the target at fault, or None.
+    """
+
+    def __init__(self, message: str, index: int | None = None) -> None:
+        super().__init__(message)
+        self.index = index
+
+
+def check_targets(targets: Sequence[int], n_qubits: int, count: int,
+                  count_error: str) -> None:
+    """The one target check: ``count`` distinct qubits of an ``n_qubits`` register."""
+    if len(targets) != count:
+        raise OperandError(count_error)
+    for k, t in enumerate(targets):
+        if not 0 <= t < n_qubits:
+            raise OperandError(f"target qubit {t} out of range", k)
+        if t in targets[:k]:
+            raise OperandError(f"duplicate target qubit {t}", k)
+
+
+def check_projection(bits: str, targets: Sequence[int], n_qubits: int) -> None:
+    """Nonempty 0/1 ``bits``, one for each of ``targets``."""
+    if not bits or any(c not in "01" for c in bits):
+        raise OperandError("projection bits must be 0/1")
+    check_targets(targets, n_qubits, len(bits),
+                  f"expected {len(bits)} targets for {len(bits)} projection bits")
+
+
 class Ket:
     """Sparse ket: map from basis bitstring to amplitude."""
 
@@ -125,12 +156,7 @@ class Ket:
     def project(self, targets: Sequence[int], bits: str) -> Ket:
         """Keep exactly the terms whose restriction to ``targets`` equals ``bits``."""
         targets = tuple(targets)
-        if len(set(targets)) != len(targets):
-            raise ValueError("duplicate target qubit")
-        if any(not 0 <= t < self.n_qubits for t in targets):
-            raise ValueError("target qubit out of range")
-        if len(bits) != len(targets) or any(c not in "01" for c in bits):
-            raise ValueError("projection bits must be 0/1 and match the target count")
+        check_projection(bits, targets, self.n_qubits)
         kept = {b: a for b, a in self.terms.items()
                 if all(b[t] == bits[k] for k, t in enumerate(targets))}
         return Ket(self.n_qubits, kept, self.labels)

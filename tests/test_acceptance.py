@@ -18,8 +18,8 @@ from bhqc.circuit import MATCH, MATCH_UP_TO_SCALAR, MISMATCH, run
 from bhqc.claims import verify_claims
 from bhqc.classify import classify, hyperdeterminant, transition_report
 from bhqc.dsl import DslError, parse_circuit, render_circuit
-from bhqc.operators import (GATES, Generator, Operator, apply, big_lambda_op,
-                            cnot, embed, generator, lambda_op)
+from bhqc.operators import (GATES, Operator, apply, big_lambda_op, cnot,
+                            lambda_op)
 from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
 
@@ -28,9 +28,9 @@ from _oracle import brute_classify
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 
 K0, K1 = Ket.basis("0"), Ket.basis("1")
-STAR = generator(Generator.STAR)
-RAISE = generator(Generator.RAISE)
-LOWER = generator(Generator.LOWER)
+STAR = GATES["STAR"]
+RAISE = GATES["RAISE"]
+LOWER = GATES["LOWER"]
 
 
 @contextmanager
@@ -199,7 +199,7 @@ def test_criterion_10_invariance_suite():
             base = classify(state)
             gate = rng.choice(("NOT", "STAR"))
             qubit = rng.randrange(3)
-            moved = apply(embed(GATES[gate], [qubit], 3), state)
+            moved = apply(GATES[gate], state, [qubit])
             report = classify(moved)
             assert report.slocc_class == base.slocc_class
             assert report.fts_rank == base.fts_rank

@@ -3,11 +3,13 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bhqc.classify import (COSET_CHAIN, SymbolicStateError, _entropy,
+from bhqc.classify import (COSET_CHAIN, SymbolicStateError, _entropy, _rank_2xm,
                            classify, flattening_ranks, hyperdeterminant,
                            three_tangle, transition_report)
-from bhqc.operators import GATES, apply, embed
+from bhqc.operators import GATES, apply
 from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
 
@@ -222,7 +224,7 @@ class TestInvarianceSpotChecks:
             base = classify(state)
             for gate in ("NOT", "STAR"):
                 for qubit in range(3):
-                    moved = apply(embed(GATES[gate], [qubit], 3), state)
+                    moved = apply(GATES[gate], state, [qubit])
                     report = classify(moved)
                     assert report.slocc_class == base.slocc_class
                     assert report.fts_rank == base.fts_rank
@@ -267,3 +269,31 @@ def test_entropy_past_the_decimal_default_exponent_range():
     # |Det|^2 = 10^1000004 overflows a float and the default Decimal Emax
     assert f"{_entropy(Fraction(10**1000004)):.12g}" == "3.14159265359e+250001"
     assert f"{_entropy(Fraction(16 * 10**1000004, 81)):.12g}" == "2.09439510239e+250001"
+
+
+def _pairwise_rank(row0, row1):
+    """Rank of a 2 x m matrix from all of its 1x1 and 2x2 minors."""
+    m = len(row0)
+    if any(row0[j] * row1[k] != row0[k] * row1[j]
+           for j in range(m) for k in range(j + 1, m)):
+        return 2
+    return 1 if any(row0) or any(row1) else 0
+
+
+_q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_entries = (st.sampled_from([0, 0, 0, 1, -1, 2]).map(GaussianRational)
+            | st.builds(GaussianRational, _q, _q))
+_Z, _1 = GaussianRational(0), GaussianRational(1)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(_entries, _entries), min_size=1, max_size=8),
+       st.none() | _entries)
+@example([(_Z, _Z), (_1, _Z), (_Z, _1)], None)
+@example([(_Z, _Z), (_Z, _1)], None)
+def test_rank_2xm_matches_the_pairwise_minors(columns, scale):
+    row0 = [x for x, _ in columns]
+    # with a scale, row1 is a multiple of row0, so rank 1 is common
+    row1 = [y for _, y in columns] if scale is None else [scale * x for x in row0]
+    assert _rank_2xm(row0, row1) == _pairwise_rank(row0, row1)
+    assert _rank_2xm(row1, row0) == _pairwise_rank(row1, row0)

@@ -161,6 +161,42 @@ class TestClassify:
         code, out, _ = invoke(capsys, "classify", state, "--json")
         assert json.loads(out)["entropy"] == 3.14159265359e+70
 
+    def test_tau3_below_the_float_range(self, capsys):
+        state = f"({'9' * 400})|000>+|111>"
+        code, out, err = invoke(capsys, "classify", state)
+        assert (code, err) == (0, "")
+        # tau3 = 4|Det| / <x|x>^2 = 4N^2 / (N^2 + 1)^2 with N = 10^400 - 1;
+        # its square is below the smallest float
+        assert "tau3: 4e-800" in out.splitlines()
+        code, out, err = invoke(capsys, "classify", state, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["tau3"] == "4e-800"
+
+    def test_tau3_within_the_float_range_is_a_number(self, capsys):
+        state = f"({'9' * 70})|000>+|111>"
+        code, out, _ = invoke(capsys, "classify", state)
+        assert "tau3: 4e-140" in out.splitlines()
+        code, out, _ = invoke(capsys, "classify", state, "--json")
+        assert json.loads(out)["tau3"] == 4e-140
+
+    def test_integers_past_the_str_digit_limit(self, capsys):
+        n = 2200
+        state = f"({'9' * n})|000>+|111>"
+        # Det = (10^n - 1)^2 = 10^2n - 2*10^n + 1 has 2n = 4400 digits,
+        # past the interpreter's default 4300-digit int-to-str limit
+        det = "9" * (n - 1) + "8" + "0" * (n - 1) + "1"
+        limit = sys.get_int_max_str_digits()
+        code, out, err = invoke(capsys, "classify", state)
+        assert (code, err) == (0, "")
+        assert f"det: {det}" in out.splitlines()
+        assert "tau3: 4e-4400" in out.splitlines()
+        code, out, err = invoke(capsys, "classify", state, "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["det"] == {"re": det, "im": "0"}
+        assert payload["entropy"] == "3.14159265359e+2200"
+        assert sys.get_int_max_str_digits() == limit
+
     def test_json_schema(self, capsys):
         code, out, _ = invoke(capsys, "classify", "|000>+|111>", "--json")
         assert code == 0

@@ -160,6 +160,36 @@ class TestCircuitParsing:
         assert excinfo.value.col >= 1
         assert fragment in excinfo.value.message
 
+    @pytest.mark.parametrize("text, where", [
+        ("state |00>\n", (1, 1, "first directive must be 'qubits'")),
+        ("qubits 7\n", (1, 8, "qubit count must be between 1 and 6")),
+        ("qubits two\n", (1, 8, "qubit count must be an integer")),
+        ("qubits 2\napply LX 0\n", (2, 7, "unknown gate 'LX'")),
+        ("qubits 1\nstate |0>\napply CNOT 0\n", (3, 7, "gate CNOT needs 2 targets")),
+        ("qubits 2\napply STAR 5\n", (2, 12, "target qubit 5 out of range")),
+        ("qubits 2\nproject 00 0\n", (2, 9, "expected 2 targets for 2 projection bits")),
+        ("qubits 2\nstate (alpha)|00>\n", (2, 8, "undeclared symbol 'alpha'")),
+        ("qubits 2\nstate |01\n", (2, 10, "expected '>'")),
+        ("qubits 2\nstate |02>\n", (2, 9, "bitstring may only contain 0 and 1")),
+        ("qubits 2\napply CNOT 0 0\n", (2, 14, "duplicate target qubit 0")),
+        ("qubits 2\nlabels a\n", (2, 1, "expected 2 labels")),
+        ("qubits 2\nwiggle 1\n", (2, 1, "unknown directive 'wiggle'")),
+        ("qubits 2\nstate |00>\nstate |11>\n", (3, 1, "duplicate 'state' directive")),
+        ("qubits 2\nsymbols i\n", (2, 9, "'i' is reserved for the imaginary unit")),
+        ("qubits 2\nstate |00> + |1>\n", (2, 13, "expected 2-qubit kets throughout")),
+        ("qubits 2\nproject 2 0\n", (2, 9, "projection bits must be 0/1")),
+        ("qubits 2\nproject 01 0 7\n", (2, 14, "target qubit 7 out of range")),
+        ("qubits 3\napply CNOT 2 2\n", (2, 14, "duplicate target qubit 2")),
+        ("qubits 2\napply STAR\n", (2, 7, "gate STAR needs 1 targets")),
+        ("qubits 2\napply CNOT 0 x\n", (2, 14, "target must be an integer")),
+    ])
+    def test_exact_error_positions(self, text, where):
+        # (line, col, message) of each single-fault input, as the parser has
+        # always reported them
+        with pytest.raises(DslError) as excinfo:
+            parse_circuit(text)
+        assert (excinfo.value.line, excinfo.value.col, excinfo.value.message) == where
+
     def test_error_columns_point_at_the_offending_token(self):
         with pytest.raises(DslError) as excinfo:
             parse_circuit("qubits 2\napply LX 0\n")

@@ -2,19 +2,19 @@ from itertools import permutations, product
 
 import pytest
 
-from bhqc.operators import (GATES, Generator, Operator, apply, big_lambda_op,
-                            cnot, embed, gate_named, generator, hadamard_minus,
-                            hadamard_plus, lambda_op, sigma2_gate)
+from bhqc.operators import (GATES, Operator, apply, big_lambda_op, cnot,
+                            gate_named, hadamard_minus, hadamard_plus,
+                            lambda_op, sigma2_gate)
 from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
 
 from _dense import dense_embed, dense_gate, dense_matvec, ket_to_vec, vec_to_ket
 
 K0, K1 = Ket.basis("0"), Ket.basis("1")
-STAR = generator(Generator.STAR)
-RAISE = generator(Generator.RAISE)
-LOWER = generator(Generator.LOWER)
-ID1 = generator(Generator.IDENTITY)
+STAR = GATES["STAR"]
+RAISE = GATES["RAISE"]
+LOWER = GATES["LOWER"]
+ID1 = Operator.identity(1)
 
 
 class TestGenerators:
@@ -180,59 +180,62 @@ class TestCnot:
             assert apply(cnot(), Ket.basis(i + j)) == apply(sector, Ket.basis(i + j))
 
 
+def symbolic_ket(n):
+    """Every basis term with its own symbol, so equal results mean equal maps."""
+    return Ket(n, {format(k, f"0{n}b"): amp(f"a{k}") for k in range(1 << n)})
+
+
 class TestEmbedAndApply:
+    """A gate applied in place at its target qubits, i.e. embedded in the register."""
+
     def test_star_on_second_qubit(self):
-        op = embed(STAR, [1], 2)
-        assert apply(op, Ket.basis("01")) == Ket.basis("01")
-        assert apply(op, Ket.basis("00")) == -Ket.basis("00")
+        assert apply(STAR, Ket.basis("01"), [1]) == Ket.basis("01")
+        assert apply(STAR, Ket.basis("00"), [1]) == -Ket.basis("00")
 
     def test_identity_embedding(self):
-        assert embed(lambda_op(4), [0], 1) == lambda_op(4)
+        for state in (K0, K1, symbolic_ket(1)):
+            assert apply(lambda_op(4), state, [0]) == apply(lambda_op(4), state)
 
     def test_cnot_embedded_in_three_qubits(self):
-        op = embed(cnot(), [0, 1], 3)
-        assert apply(op, Ket.basis("110")) == Ket.basis("100")
+        assert apply(cnot(), Ket.basis("110"), [0, 1]) == Ket.basis("100")
 
     def test_target_order_selects_control(self):
-        op = embed(cnot(), [2, 1], 3)
-        assert apply(op, Ket.basis("001")) == Ket.basis("011")
-        assert apply(op, Ket.basis("010")) == Ket.basis("010")
+        assert apply(cnot(), Ket.basis("001"), [2, 1]) == Ket.basis("011")
+        assert apply(cnot(), Ket.basis("010"), [2, 1]) == Ket.basis("010")
 
     def test_embed_against_dense_oracle(self):
-        for name in ("STAR", "L4", "HPLUS"):
-            for target in range(3):
-                sparse = embed(GATES[name], [target], 3)
-                dense = dense_embed(dense_gate(name), (target,), 3)
-                for idx in range(8):
-                    bits = format(idx, "03b")
-                    got = apply(sparse, Ket.basis(bits))
-                    want = vec_to_ket(3, dense_matvec(dense, ket_to_vec(Ket.basis(bits))))
-                    assert got == want
-        for targets in permutations(range(3), 2):
-            sparse = embed(cnot(), targets, 3)
-            dense = dense_embed(dense_gate("CNOT"), targets, 3)
-            for idx in range(8):
-                bits = format(idx, "03b")
-                got = apply(sparse, Ket.basis(bits))
-                want = vec_to_ket(3, dense_matvec(dense, ket_to_vec(Ket.basis(bits))))
-                assert got == want
+        state = symbolic_ket(4)
+        vec = ket_to_vec(state)
+        for name, op in GATES.items():
+            for targets in permutations(range(4), op.arity):
+                dense = dense_embed(dense_gate(name), targets, 4)
+                want = vec_to_ket(4, dense_matvec(dense, vec))
+                assert apply(op, state, targets) == want, (name, targets)
+
+    def test_non_adjacent_cnot_on_six_qubits(self):
+        state = symbolic_ket(6)
+        dense = dense_embed(dense_gate("CNOT"), (4, 1), 6)
+        want = vec_to_ket(6, dense_matvec(dense, ket_to_vec(state)))
+        assert apply(cnot(), state, [4, 1]) == want
 
     def test_embed_commutes_with_composition(self):
         pairs = [(STAR, RAISE), (lambda_op(4), hadamard_plus()),
                  (sigma2_gate("A"), LOWER)]
+        state = symbolic_ket(3)
         for a, b in pairs:
             for target in range(3):
-                lhs = embed(a @ b, [target], 3)
-                rhs = embed(a, [target], 3) @ embed(b, [target], 3)
+                lhs = apply(a @ b, state, [target])
+                rhs = apply(a, apply(b, state, [target]), [target])
                 assert lhs == rhs
 
     def test_embed_errors(self):
+        state = Ket.basis("000")
         with pytest.raises(ValueError, match="arity"):
-            embed(cnot(), [0], 3)
+            apply(cnot(), state, [0])
         with pytest.raises(ValueError, match="duplicate"):
-            embed(cnot(), [1, 1], 3)
+            apply(cnot(), state, [1, 1])
         with pytest.raises(ValueError, match="out of range"):
-            embed(STAR, [3], 3)
+            apply(STAR, state, [3])
 
     def test_apply_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -241,8 +244,9 @@ class TestEmbedAndApply:
     def test_apply_is_linear(self):
         x, y = Ket.basis("01"), Ket.basis("10")
         combo = amp("alpha") * x + amp("beta") * y
-        h = embed(hadamard_plus(), [0], 2)
-        assert apply(h, combo) == amp("alpha") * apply(h, x) + amp("beta") * apply(h, y)
+        h = hadamard_plus()
+        assert apply(h, combo, [0]) == \
+            amp("alpha") * apply(h, x, [0]) + amp("beta") * apply(h, y, [0])
 
 
 class TestRegistry:
