@@ -1,7 +1,7 @@
 """Exact gate-algebra simulator, identity verifier, and SLOCC classifier."""
 
-from .scalars import (GaussianRational, Symbol, SymbolTable, SymbolicAmplitude,
-                      amp, conjugate_name)
+from .scalars import (GaussianRational, SymbolTable, SymbolicAmplitude, amp,
+                      conjugate_name)
 from .states import MAX_QUBITS, Ket
 from .operators import (GATES, Operator, apply, big_lambda_op, cnot, gate_named,
                         hadamard_minus, hadamard_plus, lambda_op, sigma2_gate)
@@ -22,7 +22,7 @@ from .classify import (COSET_CHAIN, GHZ_BRANE_NOTE, SUSY_PHRASE,
 __version__ = "0.1.0"
 
 __all__ = [
-    "GaussianRational", "Symbol", "SymbolTable", "SymbolicAmplitude", "amp",
+    "GaussianRational", "SymbolTable", "SymbolicAmplitude", "amp",
     "conjugate_name", "MAX_QUBITS", "Ket", "GATES", "Operator", "apply",
     "big_lambda_op", "cnot", "gate_named", "hadamard_minus", "hadamard_plus",
     "lambda_op", "sigma2_gate", "MATCH", "MATCH_UP_TO_SCALAR", "MISMATCH",

@@ -37,8 +37,8 @@ def teleport_circuit() -> Circuit:
     renormalization.
     """
     alpha, beta = amp("alpha"), amp("beta")
-    carrier = Ket(1, {"0": alpha, "1": beta}, labels=("a",))
-    pair = Ket(2, {"00": 1, "11": 1}, labels=("b1", "b2"))
+    carrier = Ket(1, {"0": alpha, "1": beta})
+    pair = Ket(2, {"00": 1, "11": 1})
     instructions = (
         ApplyGate("CNOT", (0, 1)),
         ApplyGate("HPLUS", (0,)),
@@ -54,7 +54,7 @@ def ghz_circuit(control: int = 2) -> Circuit:
     """Extend the Bell pair a1,a2 by mode b; ``control`` picks a1 or a2."""
     if control not in (1, 2):
         raise ValueError("control must be 1 or 2")
-    initial = Ket(3, {"000": 1, "110": 1}, labels=("a1", "a2", "b"))
+    initial = Ket(3, {"000": 1, "110": 1})
     instructions = (
         ApplyGate("CNOT", (control - 1, 2)),
         Expect(Ket(3, {"000": 1, "111": 1})),

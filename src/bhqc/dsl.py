@@ -30,6 +30,9 @@ from .states import MAX_QUBITS, Ket, OperandError
 # Largest accepted symbol power: ``alpha^k`` builds a k-name monomial, so an
 # unbounded k lets one short line allocate without limit.
 MAX_EXPONENT = 1024
+# Largest accepted product of two operands' term counts at one ``*``: a
+# product of k symbol sums expands to exponentially many terms in k.
+MAX_PRODUCT_TERMS = 4096
 
 
 class DslError(ValueError):
@@ -170,8 +173,12 @@ class _Expr:
         while True:
             self.ws()
             if self.peek() == "*":
+                star = self.i
                 self.i += 1
-                acc = acc * self._factor()
+                rhs = self._factor()
+                if len(acc) * len(rhs) > MAX_PRODUCT_TERMS:
+                    self.err(f"product expands past {MAX_PRODUCT_TERMS} terms", pos=star)
+                acc = acc * rhs
             else:
                 return acc
 
@@ -277,8 +284,6 @@ def parse_ket(text: str, *, n_qubits: int | None = None,
     p = _Expr(text, line, col_base, symbols, auto_symbols)
     ket = p.ket_expr(n_qubits)
     p.expect_end()
-    if n_qubits is not None and ket.n_qubits != n_qubits:
-        raise DslError(line, col_base, f"expected a {n_qubits}-qubit state")
     return ket
 
 
@@ -353,8 +358,8 @@ def parse_circuit(text: str) -> Circuit:
             if instructions:
                 raise DslError(lineno, col, "'state' must come before instructions")
             expr_start = body.index(word, col - 1) + len(word)
-            state = _parse_line_ket(body[expr_start:], lineno, expr_start + 1,
-                                    table, n_qubits)
+            state = parse_ket(body[expr_start:], n_qubits=n_qubits, symbols=table,
+                              auto_symbols=False, line=lineno, col_base=expr_start + 1)
 
         elif word in _INSTRUCTIONS:
             kind, min_args, usage = _INSTRUCTIONS[word]
@@ -372,8 +377,8 @@ def parse_circuit(text: str) -> Circuit:
 
         elif word == "expect":
             expr_start = body.index(word, col - 1) + len(word)
-            expected = _parse_line_ket(body[expr_start:], lineno, expr_start + 1,
-                                       table, n_qubits)
+            expected = parse_ket(body[expr_start:], n_qubits=n_qubits, symbols=table,
+                                 auto_symbols=False, line=lineno, col_base=expr_start + 1)
             instructions.append(Expect(expected, line=lineno))
 
         else:
@@ -384,14 +389,6 @@ def parse_circuit(text: str) -> Circuit:
     if state is None:
         state = Ket.basis("0" * n_qubits)
     return Circuit(n_qubits, state, tuple(instructions), labels, tuple(symbol_order))
-
-
-def _parse_line_ket(src: str, line: int, col_base: int,
-                    table: SymbolTable, n_qubits: int) -> Ket:
-    p = _Expr(src, line, col_base, table, auto_symbols=False)
-    ket = p.ket_expr(n_qubits)
-    p.expect_end()
-    return ket
 
 
 def render_circuit(circuit: Circuit) -> str:

@@ -1,63 +1,64 @@
 """The gate algebra: star/raise/lower generators and every derived operator.
 
-Operators are exact sparse matrices over Gaussian rationals.  They are not
-unitary in general (raise and lower are nilpotent) and carry no
-normalization factors.  All derived gates are built *from* the generators;
-their stated action tables are checked elsewhere, never hard-coded here.
+An operator is stored as its action table: the ket each basis ket goes to,
+in the same sparse format as states.  The generators are written that way,
+as the paper defines them (star|0> = -|0>, star|1> = |1>, raise|0> = |1>,
+lower|1> = |0>).  Operators are exact, not unitary in general (raise and
+lower are nilpotent) and carry no normalization factors.  All derived gates
+are built *from* the generators; their stated action tables are checked
+elsewhere, never hard-coded here.
 
 A k-qubit gate acts in place: ``apply`` rewrites each basis term's bits at
 the gate's targets through the gate's by-column table; no 2^n x 2^n matrix
-is built.
+is built.  Composition ``a @ b`` is ``apply`` of ``a`` to each column of ``b``.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Mapping, Sequence
 
-from .scalars import GaussianRational, SymbolicAmplitude, ZERO
-from .states import MAX_QUBITS, Ket, OperandError, check_targets
+from .scalars import GaussianRational, SymbolicAmplitude
+from .states import MAX_QUBITS, Ket, OperandError, check_bits, check_targets
 
 
 class Operator:
-    """Sparse 2^k x 2^k linear map with exact scalar entries.
+    """Sparse linear map on k qubits, stored as its action table.
 
-    ``by_column`` maps each column's k-bit string to its nonzero entries as
-    (row bits, value) pairs.
+    ``columns`` maps each basis bitstring c to the nonzero ket that |c>
+    goes to.  ``by_column`` holds the same table as (row bits, value) pairs
+    per column, the index ``apply`` reads.
     """
 
-    __slots__ = ("arity", "entries", "by_column")
+    __slots__ = ("arity", "columns", "by_column")
 
-    def __init__(self, arity: int,
-                 entries: Mapping[tuple[int, int], object] | None = None) -> None:
+    def __init__(self, arity: int, columns: Mapping[str, Ket] | None = None) -> None:
         if not 1 <= arity <= MAX_QUBITS:
             raise ValueError(f"operator arity must be between 1 and {MAX_QUBITS}")
-        dim = 1 << arity
-        canon: dict[tuple[int, int], GaussianRational] = {}
-        for (r, c), value in (entries or {}).items():
-            if not (0 <= r < dim and 0 <= c < dim):
-                raise ValueError(f"entry ({r}, {c}) out of range for arity {arity}")
-            g = value if isinstance(value, GaussianRational) else GaussianRational(value)
-            if g:
-                canon[(r, c)] = g
         self.arity = arity
-        self.entries = canon
+        self.columns: dict[str, Ket] = {}
         self.by_column: dict[str, list[tuple[str, GaussianRational]]] = {}
-        for (r, c), v in canon.items():
-            self.by_column.setdefault(format(c, f"0{arity}b"), []).append(
-                (format(r, f"0{arity}b"), v))
+        for c, image in (columns or {}).items():
+            check_bits(c, arity)
+            if image.n_qubits != arity:
+                raise ValueError(f"the image of |{c}> must be a {arity}-qubit ket")
+            if image.terms:
+                # as_scalar rejects images with formal symbols
+                self.by_column[c] = [(r, a.as_scalar()) for r, a in image.terms.items()]
+                self.columns[c] = image
 
     @classmethod
     def identity(cls, arity: int) -> Operator:
-        return cls(arity, {(k, k): 1 for k in range(1 << arity)})
+        return cls(arity, {c: Ket.basis(c) for c in map("".join, product("01", repeat=arity))})
 
     def __add__(self, other: object) -> Operator:
         if not isinstance(other, Operator):
             return NotImplemented
         if other.arity != self.arity:
             raise ValueError("operator arity mismatch")
-        merged = dict(self.entries)
-        for key, v in other.entries.items():
-            merged[key] = merged.get(key, ZERO) + v
+        merged = dict(self.columns)
+        for c, image in other.columns.items():
+            merged[c] = merged[c] + image if c in merged else image
         return Operator(self.arity, merged)
 
     def __sub__(self, other: object) -> Operator:
@@ -66,11 +67,10 @@ class Operator:
         return self + (-other)
 
     def __neg__(self) -> Operator:
-        return Operator(self.arity, {k: -v for k, v in self.entries.items()})
+        return Operator(self.arity, {c: -image for c, image in self.columns.items()})
 
     def __mul__(self, scalar: object) -> Operator:
-        g = scalar if isinstance(scalar, GaussianRational) else GaussianRational(scalar)
-        return Operator(self.arity, {k: v * g for k, v in self.entries.items()})
+        return Operator(self.arity, {c: image * scalar for c, image in self.columns.items()})
 
     __rmul__ = __mul__
 
@@ -80,18 +80,7 @@ class Operator:
             return NotImplemented
         if other.arity != self.arity:
             raise ValueError("operator arity mismatch")
-        rows_of: dict[int, list[tuple[int, GaussianRational]]] = {}
-        for (r, k), v in self.entries.items():
-            rows_of.setdefault(k, []).append((r, v))
-        out: dict[tuple[int, int], GaussianRational] = {}
-        for (k, c), w in other.entries.items():
-            for r, v in rows_of.get(k, ()):
-                acc = out.get((r, c), ZERO) + v * w
-                if acc:
-                    out[(r, c)] = acc
-                else:
-                    out.pop((r, c), None)
-        return Operator(self.arity, out)
+        return Operator(self.arity, {c: apply(self, image) for c, image in other.columns.items()})
 
     def __pow__(self, k: int) -> Operator:
         if not isinstance(k, int) or k < 0:
@@ -105,29 +94,26 @@ class Operator:
         arity = self.arity + other.arity
         if arity > MAX_QUBITS:
             raise ValueError(f"tensor product exceeds {MAX_QUBITS} qubits")
-        dim_b = 1 << other.arity
-        out = {}
-        for (ra, ca), va in self.entries.items():
-            for (rb, cb), vb in other.entries.items():
-                out[(ra * dim_b + rb, ca * dim_b + cb)] = va * vb
-        return Operator(arity, out)
+        return Operator(arity, {ca + cb: ia.tensor(ib)
+                                for ca, ia in self.columns.items()
+                                for cb, ib in other.columns.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Operator):
             return NotImplemented
-        return self.arity == other.arity and self.entries == other.entries
+        return self.arity == other.arity and self.columns == other.columns
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        body = ", ".join(f"({r},{c})={v}" for (r, c), v in sorted(self.entries.items()))
+        body = ", ".join(f"|{c}> -> {image}" for c, image in sorted(self.columns.items()))
         return f"Operator(arity={self.arity}, {{{body}}})"
 
 
 _ID = Operator.identity(1)
-_STAR = Operator(1, {(0, 0): -1, (1, 1): 1})
-_RAISE = Operator(1, {(1, 0): 1})
-_LOWER = Operator(1, {(0, 1): 1})
+_STAR = Operator(1, {"0": -Ket.basis("0"), "1": Ket.basis("1")})
+_RAISE = Operator(1, {"0": Ket.basis("1")})
+_LOWER = Operator(1, {"1": Ket.basis("0")})
 
 
 def lambda_op(k: int) -> Operator:
@@ -176,8 +162,8 @@ def big_lambda_op(k: int) -> Operator:
 
 def cnot() -> Operator:
     """Controlled flip |ij> -> |i>|i xor j>; qubit 0 is the control."""
-    p0 = Operator(1, {(0, 0): 1})
-    p1 = Operator(1, {(1, 1): 1})
+    p0 = Operator(1, {"0": Ket.basis("0")})
+    p1 = Operator(1, {"1": Ket.basis("1")})
     return p0.tensor(_ID) + p1.tensor(lambda_op(4))
 
 
@@ -201,7 +187,7 @@ def apply(op: Operator, state: Ket, targets: Sequence[int] | None = None) -> Ket
             key = "".join(chars)
             prev = out.get(key)
             out[key] = a * v if prev is None else prev + a * v
-    return Ket(n, out, state.labels)
+    return Ket(n, out)
 
 
 GATES: dict[str, Operator] = {

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re as _re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from math import gcd, lcm
@@ -214,38 +213,23 @@ def conjugate_name(name: str) -> str:
     return name[:-1] if name.endswith("~") else name + "~"
 
 
-@dataclass(frozen=True, slots=True)
-class Symbol:
-    name: str
-    conjugate: str
-
-
 class SymbolTable:
     """Declared formal symbols, each paired with an auto-generated conjugate."""
 
     def __init__(self) -> None:
-        self._symbols: dict[str, Symbol] = {}
+        self._names: set[str] = set()
 
-    def declare(self, base: str) -> Symbol:
+    def declare(self, base: str) -> None:
         if not _IDENT_RE.match(base):
             raise ValueError(f"invalid symbol name {base!r}")
         if base == "i":
             raise ValueError("'i' is reserved for the imaginary unit")
-        if base in self._symbols:
+        if base in self._names:
             raise ValueError(f"symbol {base!r} already declared")
-        bar = conjugate_name(base)
-        self._symbols[base] = Symbol(base, bar)
-        self._symbols[bar] = Symbol(bar, base)
-        return self._symbols[base]
+        self._names.update((base, conjugate_name(base)))
 
     def __contains__(self, name: str) -> bool:
-        return name in self._symbols
-
-    def __getitem__(self, name: str) -> Symbol:
-        return self._symbols[name]
-
-    def base_names(self) -> tuple[str, ...]:
-        return tuple(n for n in self._symbols if not n.endswith("~"))
+        return name in self._names
 
 
 # A monomial is the sorted tuple of symbol names it contains, with repetition.
@@ -297,15 +281,8 @@ class SymbolicAmplitude:
         return self._terms.get(tuple(sorted(mono)), ZERO)
 
     @property
-    def is_scalar(self) -> bool:
-        return all(not m for m in self._terms)
-
-    @property
     def has_symbols(self) -> bool:
         return any(m for m in self._terms)
-
-    def symbol_names(self) -> set[str]:
-        return {name for mono in self._terms for name in mono}
 
     def as_scalar(self) -> GaussianRational:
         if not self._terms:
@@ -400,8 +377,9 @@ class SymbolicAmplitude:
     def __neg__(self) -> SymbolicAmplitude:
         return SymbolicAmplitude._canonical({m: -c for m, c in self._terms.items()})
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
+    def __len__(self) -> int:
+        """The number of terms; zero only for the zero amplitude."""
+        return len(self._terms)
 
     def __eq__(self, other: object) -> bool:
         g = _coerce(other)
@@ -450,14 +428,17 @@ def _mono_str(mono: Monomial) -> str:
 
 
 def _term_str(mono: Monomial, coeff: GaussianRational) -> str:
-    if not mono:
-        return str(coeff)
-    body = _mono_str(mono)
-    if coeff == ONE:
+    return scaled_str(coeff, _mono_str(mono), "*") if mono else str(coeff)
+
+
+def scaled_str(coeff: object, body: str, sep: str = "") -> str:
+    """``body`` times ``coeff``: bare for 1, ``-body`` for -1, else ``(coeff)`` sep body."""
+    text = str(coeff)
+    if text == "1":
         return body
-    if coeff == MINUS_ONE:
+    if text == "-1":
         return f"-{body}"
-    return f"({coeff})*{body}"
+    return f"({text}){sep}{body}"
 
 
 def join_terms(parts: Iterable[str]) -> str:

@@ -2,21 +2,23 @@
 
 Qubit 0 is the leftmost character of a basis bitstring.  States are never
 normalized; the zero vector (empty term map) is a legal value.  Kets are
-value objects: treat them as immutable and share them freely.
+value objects: treat them as immutable and share them freely.  Operators
+use the same format: a gate is the table of kets its basis kets go to.
+Mode labels belong to circuits, not to kets.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import SymbolicAmplitude, amp, join_terms
+from .scalars import SymbolicAmplitude, amp, join_terms, scaled_str
 
 MAX_QUBITS = 6
 
 _ZERO_AMP = SymbolicAmplitude()
 
 
-def _check_bits(bits: str, n: int) -> None:
+def check_bits(bits: str, n: int) -> None:
     if len(bits) != n or any(c not in "01" for c in bits):
         raise ValueError(f"bitstring {bits!r} must be {n} characters over {{0,1}}")
 
@@ -55,42 +57,35 @@ def check_projection(bits: str, targets: Sequence[int], n_qubits: int) -> None:
 class Ket:
     """Sparse ket: map from basis bitstring to amplitude."""
 
-    __slots__ = ("n_qubits", "terms", "labels")
+    __slots__ = ("n_qubits", "terms")
 
-    def __init__(self, n_qubits: int, terms: Mapping[str, object] | None = None,
-                 labels: Sequence[str] | None = None) -> None:
+    def __init__(self, n_qubits: int, terms: Mapping[str, object] | None = None) -> None:
         if not 1 <= n_qubits <= MAX_QUBITS:
             raise ValueError(f"qubit count must be between 1 and {MAX_QUBITS}, got {n_qubits}")
         canon: dict[str, SymbolicAmplitude] = {}
         for bits, value in (terms or {}).items():
-            _check_bits(bits, n_qubits)
+            check_bits(bits, n_qubits)
             a = amp(value)
             if a:
                 canon[bits] = a
         self.n_qubits = n_qubits
         self.terms = dict(sorted(canon.items()))
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n_qubits:
-                raise ValueError("label count must match qubit count")
-        self.labels = labels
 
     @classmethod
     def zero(cls, n_qubits: int) -> Ket:
         return cls(n_qubits)
 
     @classmethod
-    def basis(cls, bits: str, labels: Sequence[str] | None = None) -> Ket:
-        return cls(len(bits), {bits: 1}, labels)
+    def basis(cls, bits: str) -> Ket:
+        return cls(len(bits), {bits: 1})
 
     @classmethod
-    def from_terms(cls, n_qubits: int, entries: Iterable[tuple[str, object]],
-                   labels: Sequence[str] | None = None) -> Ket:
+    def from_terms(cls, n_qubits: int, entries: Iterable[tuple[str, object]]) -> Ket:
         """Build a ket from (bitstring, amplitude) pairs; duplicates are summed."""
         acc: dict[str, SymbolicAmplitude] = {}
         for bits, value in entries:
             acc[bits] = acc.get(bits, _ZERO_AMP) + amp(value)
-        return cls(n_qubits, acc, labels)
+        return cls(n_qubits, acc)
 
     @property
     def is_zero(self) -> bool:
@@ -101,7 +96,7 @@ class Ket:
         return any(a.has_symbols for a in self.terms.values())
 
     def amplitude(self, bits: str) -> SymbolicAmplitude:
-        _check_bits(bits, self.n_qubits)
+        check_bits(bits, self.n_qubits)
         return self.terms.get(bits, _ZERO_AMP)
 
     def __add__(self, other: object) -> Ket:
@@ -112,7 +107,7 @@ class Ket:
         merged = dict(self.terms)
         for bits, a in other.terms.items():
             merged[bits] = merged.get(bits, _ZERO_AMP) + a
-        return Ket(self.n_qubits, merged, self.labels or other.labels)
+        return Ket(self.n_qubits, merged)
 
     def __sub__(self, other: object) -> Ket:
         if not isinstance(other, Ket):
@@ -120,16 +115,16 @@ class Ket:
         return self + (-other)
 
     def __neg__(self) -> Ket:
-        return Ket(self.n_qubits, {b: -a for b, a in self.terms.items()}, self.labels)
+        return Ket(self.n_qubits, {b: -a for b, a in self.terms.items()})
 
     def __mul__(self, value: object) -> Ket:
         a = amp(value)
-        return Ket(self.n_qubits, {b: x * a for b, x in self.terms.items()}, self.labels)
+        return Ket(self.n_qubits, {b: x * a for b, x in self.terms.items()})
 
     __rmul__ = __mul__
 
     def tensor(self, other: Ket) -> Ket:
-        """Bilinear tensor product; bitstrings and labels concatenate."""
+        """Bilinear tensor product; bitstrings concatenate."""
         n = self.n_qubits + other.n_qubits
         if n > MAX_QUBITS:
             raise ValueError(f"tensor product exceeds {MAX_QUBITS} qubits")
@@ -137,10 +132,7 @@ class Ket:
         for b1, a1 in self.terms.items():
             for b2, a2 in other.terms.items():
                 out[b1 + b2] = a1 * a2
-        labels = None
-        if self.labels is not None and other.labels is not None:
-            labels = self.labels + other.labels
-        return Ket(n, out, labels)
+        return Ket(n, out)
 
     def inner(self, other: Ket) -> SymbolicAmplitude:
         """<self|other>: conjugate-linear in self, linear in other."""
@@ -159,26 +151,23 @@ class Ket:
         check_projection(bits, targets, self.n_qubits)
         kept = {b: a for b, a in self.terms.items()
                 if all(b[t] == bits[k] for k, t in enumerate(targets))}
-        return Ket(self.n_qubits, kept, self.labels)
+        return Ket(self.n_qubits, kept)
 
     def substitute(self, values: Mapping[str, object]) -> Ket:
         vals = {k: amp(v).as_scalar() for k, v in values.items()}
         return Ket(self.n_qubits,
-                   {b: a.substitute(vals) for b, a in self.terms.items()},
-                   self.labels)
+                   {b: a.substitute(vals) for b, a in self.terms.items()})
 
     def permute(self, order: Sequence[int]) -> Ket:
         """Reorder qubits: output qubit i is input qubit order[i]."""
         if sorted(order) != list(range(self.n_qubits)):
             raise ValueError("order must be a permutation of the qubit indices")
         out = {"".join(b[q] for q in order): a for b, a in self.terms.items()}
-        labels = tuple(self.labels[q] for q in order) if self.labels else None
-        return Ket(self.n_qubits, out, labels)
+        return Ket(self.n_qubits, out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Ket):
             return NotImplemented
-        # labels are presentation metadata, not part of the value
         return self.n_qubits == other.n_qubits and self.terms == other.terms
 
     __hash__ = None
@@ -186,15 +175,7 @@ class Ket:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for bits, a in self.terms.items():
-            if a == 1:
-                parts.append(f"|{bits}>")
-            elif a == -1:
-                parts.append(f"-|{bits}>")
-            else:
-                parts.append(f"({a})|{bits}>")
-        return join_terms(parts)
+        return join_terms(scaled_str(a, f"|{bits}>") for bits, a in self.terms.items())
 
     def __repr__(self) -> str:
         return f"Ket({self})"

@@ -1,0 +1,99 @@
+"""The CLI contract: every input ends with exit 0, 1 or 2, never an exception.
+
+Hypothesis mutates the shipped circuit files and a set of ``classify``
+arguments and sends each mutant through ``main`` in process, under a
+per-example deadline.  One explicit case pins a one-line input whose
+product of symbol sums would expand to millions of terms.
+"""
+
+import contextlib
+import io
+import time
+from datetime import timedelta
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bhqc.cli import main
+from bhqc.dsl import MAX_PRODUCT_TERMS
+
+ROOT = Path(__file__).resolve().parent.parent
+CIRCUIT_TEXTS = [p.read_text(encoding="utf-8")
+                 for p in sorted((ROOT / "circuits").glob("*.bhqc"))]
+STATES = ["|000>+|111>", "|001>+|010>+|100>", "(1/2)|00>-(i)|11>",
+          "(alpha)|0>+(beta)|1>", "((1/2)+(-3)i)|01>+(a^2*b~)|10>",
+          "(2)|000>+(3/4)|011>-|101>", "0"]
+# characters the grammar gives meaning to, plus a few it rejects
+ALPHABET = "01|<>()+-*/^~i abq\n\t#23456789" + "α⁹é"
+CONTRACT = settings(max_examples=150, deadline=timedelta(seconds=2))
+
+
+@st.composite
+def mutants(draw, seeds):
+    """A seed text after one to four character-level edits."""
+    text = draw(st.sampled_from(seeds))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace", "duplicate"]))
+        if edit == "insert":
+            text = text[:i] + draw(st.text(ALPHABET, min_size=1, max_size=8)) + text[i:]
+        elif edit == "delete":
+            text = text[:i] + text[j:]
+        elif edit == "replace":
+            text = text[:i] + draw(st.text(ALPHABET, min_size=1, max_size=3)) + text[j:]
+        else:
+            text = text[:j] + text[i:j] + text[j:]
+    return text
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def work_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@CONTRACT
+@given(text=mutants(CIRCUIT_TEXTS),
+       junk=st.none() | st.tuples(st.integers(0, 400), st.binary(min_size=1, max_size=2)),
+       flags=st.sampled_from([[], ["--trace"], ["--json"]]))
+def test_mutated_circuit_files(work_dir, text, junk, flags):
+    data = text.encode("utf-8")
+    if junk is not None:  # raw bytes, often not UTF-8
+        at, raw = junk
+        data = data[:at] + raw + data[at:]
+    path = work_dir / "mutant.bhqc"
+    path.write_bytes(data)
+    code, _, err = _call(["run", str(path), *flags])
+    assert code in (0, 1)
+    if code:
+        assert err.count("\n") == 1
+    else:
+        assert err == ""
+
+
+@CONTRACT
+@given(state=mutants(STATES), flags=st.sampled_from([[], ["--json"]]))
+def test_mutated_classify_arguments(state, flags):
+    code, _, err = _call(["classify", state, *flags])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+def test_long_product_of_symbol_sums_exits_one_within_a_second():
+    factor = "(a+b+c+d+e+f+g+h+j+k)"
+    state = "(" + "*".join([factor] * 20) + ")|000>+|111>"
+    started = time.perf_counter()
+    code, out, err = _call(["classify", state])
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 1, col ") and err.count("\n") == 1
+    assert f"past {MAX_PRODUCT_TERMS} terms" in err

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -7,8 +8,8 @@ import pytest
 from bhqc.builders import (bell_chain, class_change_circuit, ghz_circuit,
                            teleport_circuit)
 from bhqc.circuit import ApplyGate, Circuit, Expect, Project
-from bhqc.dsl import (MAX_EXPONENT, DslError, parse_amplitude, parse_circuit,
-                      parse_ket, render_circuit)
+from bhqc.dsl import (MAX_EXPONENT, MAX_PRODUCT_TERMS, DslError, parse_amplitude,
+                      parse_circuit, parse_ket, render_circuit)
 from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
 
@@ -107,6 +108,31 @@ class TestExponentBound:
         assert top.coefficient(("a",) * MAX_EXPONENT) == 1
         with pytest.raises(DslError):
             parse_amplitude(f"a^{MAX_EXPONENT + 1}")
+
+
+class TestProductBound:
+    SUM = "(a+b+c+d+e+f+g+h+j+k)"
+
+    def test_long_product_is_rejected_at_the_star_that_passes_the_bound(self):
+        text = "(" + "*".join([self.SUM] * 20) + ")|000>+|111>"
+        started = time.perf_counter()
+        with pytest.raises(DslError) as excinfo:
+            parse_ket(text)
+        assert time.perf_counter() - started < 1.0
+        # three factors expand to 220 terms; 220 * 10 passes no bound, but
+        # the four-factor product (715 terms) times 10 does, at the fourth '*'
+        stars = [k + 1 for k, ch in enumerate(text) if ch == "*"]
+        assert excinfo.value.col == stars[3]
+        assert f"past {MAX_PRODUCT_TERMS} terms" in excinfo.value.message
+
+    def test_products_up_to_the_bound_parse(self):
+        four = parse_amplitude("*".join([self.SUM] * 4))
+        assert four.coefficient("abcd") == 24
+        width = math.isqrt(MAX_PRODUCT_TERMS)
+        wide = "(" + "+".join(f"s{k}" for k in range(width)) + ")"
+        assert parse_amplitude(f"{wide}*{wide}").coefficient(("s0", "s1")) == 2
+        with pytest.raises(DslError, match="past"):
+            parse_amplitude(f"{wide}*{wide}*{wide}")
 
 
 class TestCircuitParsing:

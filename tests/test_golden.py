@@ -1,5 +1,5 @@
 """Byte-for-byte CLI output, pinned against files captured before the
-integer scalar core replaced the ``Fraction`` pair.
+refactors of the code that computes and prints it.
 
 Each file in ``tests/golden`` is the exact stdout of one command.  A change
 to the scalar layer, the operators, or rendering that alters a single
@@ -31,6 +31,13 @@ def _stdout(capsys, argv, code):
 def test_verify_paper(capsys, flags, name):
     expected = (GOLDEN / name).read_text(encoding="utf-8")
     assert _stdout(capsys, ["verify-paper", *flags], 2) == expected
+
+
+@pytest.mark.parametrize("name", ["bell", "teleport", "ghz", "class-change"])
+@pytest.mark.parametrize("flags, suffix", [([], "txt"), (["--json"], "json")])
+def test_demo(capsys, name, flags, suffix):
+    expected = (GOLDEN / f"demo-{name}.{suffix}").read_text(encoding="utf-8")
+    assert _stdout(capsys, ["demo", name, *flags], 0) == expected
 
 
 @pytest.mark.parametrize("path", CIRCUITS, ids=lambda p: p.stem)

@@ -5,7 +5,7 @@ import pytest
 from bhqc.operators import (GATES, Operator, apply, big_lambda_op, cnot,
                             gate_named, hadamard_minus, hadamard_plus,
                             lambda_op, sigma2_gate)
-from bhqc.scalars import GaussianRational, amp
+from bhqc.scalars import amp
 from bhqc.states import Ket
 
 from _dense import dense_embed, dense_gate, dense_matvec, ket_to_vec, vec_to_ket
@@ -249,6 +249,29 @@ class TestEmbedAndApply:
             amp("alpha") * apply(h, x, [0]) + amp("beta") * apply(h, y, [0])
 
 
+class TestActionTables:
+    def test_generators_are_their_action_tables(self):
+        assert STAR.columns == {"0": -K0, "1": K1}
+        assert RAISE.columns == {"0": K1}
+        assert LOWER.columns == {"1": K0}
+        assert ID1.columns == {"0": K0, "1": K1}
+
+    def test_zero_images_are_dropped(self):
+        assert Operator(1, {"0": Ket.zero(1)}).columns == {}
+        assert (RAISE - RAISE).columns == {}
+        assert (RAISE @ RAISE).by_column == {}
+
+    @pytest.mark.parametrize("columns, match", [
+        ({"2": K0}, "bitstring '2'"),
+        ({"00": Ket.basis("00")}, "bitstring '00'"),
+        ({"0": Ket.basis("00")}, "1-qubit ket"),
+        ({"0": amp("alpha") * K0}, "formal symbols"),
+    ])
+    def test_bad_tables_are_rejected(self, columns, match):
+        with pytest.raises(ValueError, match=match):
+            Operator(1, columns)
+
+
 class TestRegistry:
     def test_names(self):
         assert set(GATES) == {"STAR", "RAISE", "LOWER", "L1", "L2", "L3", "L4",
@@ -264,6 +287,7 @@ class TestRegistry:
         for name, op in GATES.items():
             dense = dense_gate(name)
             dim = 1 << op.arity
-            for r in range(dim):
-                for c in range(dim):
-                    assert op.entries.get((r, c), GaussianRational(0)) == dense[r][c]
+            for c in range(dim):
+                column = apply(op, Ket.basis(format(c, f"0{op.arity}b")))
+                for r in range(dim):
+                    assert column.amplitude(format(r, f"0{op.arity}b")) == dense[r][c]

@@ -62,11 +62,6 @@ class TestTensor:
         a, b, c = Ket.basis("0"), Ket(1, {"0": 1, "1": 1}), Ket.basis("1")
         assert a.tensor(b).tensor(c) == a.tensor(b.tensor(c))
 
-    def test_labels_concatenate(self):
-        left = Ket.basis("0", labels=("a",))
-        right = Ket.basis("10", labels=("b1", "b2"))
-        assert left.tensor(right).labels == ("a", "b1", "b2")
-
     def test_size_overflow(self):
         with pytest.raises(ValueError, match="exceeds"):
             Ket.zero(4).tensor(Ket.zero(3))
@@ -160,9 +155,6 @@ class TestAlgebraAndRendering:
         k = Ket(1, {"0": amp("alpha"), "1": amp("beta")})
         result = k.substitute({"alpha": 1, "beta": 0})
         assert result == Ket.basis("0")
-
-    def test_equality_ignores_labels(self):
-        assert Ket.basis("00", labels=("a", "b")) == Ket.basis("00")
 
     @pytest.mark.parametrize("ket, text", [
         (Ket(2, {"01": 1, "10": 1}), "|01> + |10>"),
