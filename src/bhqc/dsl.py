@@ -27,8 +27,10 @@ from .scalars import (GaussianRational, I, ONE, SymbolTable, SymbolicAmplitude,
                       conjugate_name)
 from .states import MAX_QUBITS, Ket, OperandError
 
-# Largest accepted symbol power: ``alpha^k`` builds a k-name monomial, so an
-# unbounded k lets one short line allocate without limit.
+# Largest accepted total degree of a monomial, for a power ``alpha^k`` and
+# for a product alike: a monomial of degree k is a k-name tuple, so unbounded
+# powers let one short line allocate without limit, and a chain of products
+# re-sorts ever longer tuples, in time quadratic in the line's length.
 MAX_EXPONENT = 1024
 # Largest accepted product of two operands' term counts at one ``*``: a
 # product of k symbol sums expands to exponentially many terms in k.
@@ -170,17 +172,24 @@ class _Expr:
 
     def _aterm(self) -> SymbolicAmplitude:
         acc = self._factor()
+        degree = None  # acc.degree(), found at the first '*' and kept after
         while True:
             self.ws()
-            if self.peek() == "*":
-                star = self.i
-                self.i += 1
-                rhs = self._factor()
-                if len(acc) * len(rhs) > MAX_PRODUCT_TERMS:
-                    self.err(f"product expands past {MAX_PRODUCT_TERMS} terms", pos=star)
-                acc = acc * rhs
-            else:
+            if self.peek() != "*":
                 return acc
+            star = self.i
+            self.i += 1
+            rhs = self._factor()
+            if len(acc) * len(rhs) > MAX_PRODUCT_TERMS:
+                self.err(f"product expands past {MAX_PRODUCT_TERMS} terms", pos=star)
+            if degree is None:
+                degree = acc.degree()
+            # with no zero divisors, degrees add under a product of nonzero
+            # operands; a product with a zero operand is zero, of degree 0
+            degree = degree + rhs.degree() if acc and rhs else 0
+            if degree > MAX_EXPONENT:
+                self.err(f"degree must be at most {MAX_EXPONENT}", pos=star)
+            acc = acc * rhs
 
     def _factor(self) -> SymbolicAmplitude:
         self.ws()
@@ -209,7 +218,7 @@ class _Expr:
                     self.err("exponent must be positive", pos=start)
                 if power > MAX_EXPONENT:
                     self.err(f"exponent must be at most {MAX_EXPONENT}", pos=pstart)
-            return SymbolicAmplitude({(name,) * power: ONE})
+            return SymbolicAmplitude._canonical({(name,) * power: ONE})
         self.err("expected a number, symbol, 'i', or '('")
 
     def _paren_amp(self) -> SymbolicAmplitude:
@@ -232,7 +241,7 @@ class _Expr:
         self.i += 1
         return True
 
-    def _number(self, integer: bool = False):
+    def _number(self, integer: bool = False) -> int | Fraction:
         start = self.i
         while self.peek().isdigit():
             self.i += 1
@@ -252,7 +261,7 @@ class _Expr:
             if den == 0:
                 self.err("denominator cannot be zero", pos=dstart)
             return Fraction(num, den)
-        return Fraction(num)
+        return num
 
     def _int(self, start: int) -> int:
         # str.isdigit admits characters int() rejects (superscripts), and

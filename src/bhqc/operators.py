@@ -187,7 +187,7 @@ def apply(op: Operator, state: Ket, targets: Sequence[int] | None = None) -> Ket
             key = "".join(chars)
             prev = out.get(key)
             out[key] = a * v if prev is None else prev + a * v
-    return Ket(n, out)
+    return Ket._canonical(n, out)
 
 
 GATES: dict[str, Operator] = {

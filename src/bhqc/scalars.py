@@ -14,6 +14,13 @@ Amplitudes are polynomials in commuting formal symbols; a symbol's
 conjugate partner carries a trailing ``~`` (``alpha`` pairs with
 ``alpha~``), so conjugation is an involution on names.  Every value is
 canonical on construction and equality is structural.
+
+Scalars and amplitudes are immutable, so results share them freely: an
+amplitude scaled by 1 is the same object, one scaled by -1 is its negation
+with no coefficient multiply, and one added to zero is the other operand.
+Every entry of the registry's gates is +1 or -1, so amplitudes pass from
+one circuit step to the next unchanged or negated.  An amplitude caches its
+text on the first ``str``, so a shared amplitude renders once per run.
 """
 
 from __future__ import annotations
@@ -240,10 +247,11 @@ class SymbolicAmplitude:
     """Polynomial over formal symbols with Gaussian-rational coefficients.
 
     Canonical form: monomials are sorted name tuples, zero coefficients are
-    dropped, and terms iterate in lexicographic monomial order.
+    dropped, and terms iterate in lexicographic monomial order.  Immutable;
+    ``_text`` caches the rendering.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_text")
 
     def __init__(self, terms: Mapping[Iterable[str], GaussianRational] | None = None) -> None:
         canon: dict[Monomial, GaussianRational] = {}
@@ -255,6 +263,7 @@ class SymbolicAmplitude:
             else:
                 canon.pop(key, None)
         self._terms = dict(sorted(canon.items()))
+        self._text = None
 
     @classmethod
     def _canonical(cls, terms: dict[Monomial, GaussianRational]) -> SymbolicAmplitude:
@@ -263,6 +272,7 @@ class SymbolicAmplitude:
         canonical operands; outside input goes through ``__init__``."""
         a = object.__new__(cls)
         a._terms = dict(sorted(terms.items())) if len(terms) > 1 else terms
+        a._text = None
         return a
 
     @classmethod
@@ -279,6 +289,10 @@ class SymbolicAmplitude:
 
     def coefficient(self, mono: Iterable[str]) -> GaussianRational:
         return self._terms.get(tuple(sorted(mono)), ZERO)
+
+    def degree(self) -> int:
+        """The largest total degree of a monomial; 0 for scalars and zero."""
+        return max(map(len, self._terms), default=0)
 
     @property
     def has_symbols(self) -> bool:
@@ -320,6 +334,10 @@ class SymbolicAmplitude:
         w = _amp_coerce(other)
         if w is None:
             return NotImplemented
+        if not w._terms:
+            return self
+        if not self._terms:
+            return w
         merged = dict(self._terms)
         for mono, coeff in w._terms.items():
             prev = merged.get(mono)
@@ -350,6 +368,11 @@ class SymbolicAmplitude:
     def __mul__(self, other: object) -> SymbolicAmplitude:
         g = _coerce(other)
         if g is not None:
+            if g._d == 1 and not g._b:
+                if g._a == 1:
+                    return self
+                if g._a == -1:
+                    return -self
             # scaling keeps every monomial and, with no zero divisors, every term
             return SymbolicAmplitude._canonical(
                 {m: c * g for m, c in self._terms.items()} if g else {})
@@ -393,9 +416,9 @@ class SymbolicAmplitude:
     __hash__ = None  # mutable-adjacent container; structural eq only
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        return join_terms(_term_str(m, c) for m, c in self._terms.items())
+        if self._text is None:
+            self._text = join_terms(_term_str(m, c) for m, c in self._terms.items())
+        return self._text
 
     def __repr__(self) -> str:
         return f"SymbolicAmplitude({self})"

@@ -2,7 +2,10 @@
 
 Qubit 0 is the leftmost character of a basis bitstring.  States are never
 normalized; the zero vector (empty term map) is a legal value.  Kets are
-value objects: treat them as immutable and share them freely.  Operators
+immutable value objects, shared freely: a circuit step holds the amplitude
+objects the gate passed through unchanged, and each ket and each amplitude
+caches its text the first time it is rendered.  ``Ket(...)`` validates
+outside input; the results of ket operations skip that check.  Operators
 use the same format: a gate is the table of kets its basis kets go to.
 Mode labels belong to circuits, not to kets.
 """
@@ -55,9 +58,12 @@ def check_projection(bits: str, targets: Sequence[int], n_qubits: int) -> None:
 
 
 class Ket:
-    """Sparse ket: map from basis bitstring to amplitude."""
+    """Sparse ket: map from basis bitstring to amplitude, in bit order.
 
-    __slots__ = ("n_qubits", "terms")
+    Immutable; ``_text`` caches the rendering.
+    """
+
+    __slots__ = ("n_qubits", "terms", "_text")
 
     def __init__(self, n_qubits: int, terms: Mapping[str, object] | None = None) -> None:
         if not 1 <= n_qubits <= MAX_QUBITS:
@@ -70,6 +76,18 @@ class Ket:
                 canon[bits] = a
         self.n_qubits = n_qubits
         self.terms = dict(sorted(canon.items()))
+        self._text = None
+
+    @classmethod
+    def _canonical(cls, n_qubits: int, terms: Mapping[str, SymbolicAmplitude]) -> Ket:
+        """Wrap valid ``n_qubits``-bit keys and canonical amplitudes, dropping
+        zeros and putting the bits in order.  For results built from kets;
+        outside input goes through ``__init__``."""
+        k = object.__new__(cls)
+        k.n_qubits = n_qubits
+        k.terms = {b: a for b, a in sorted(terms.items()) if a}
+        k._text = None
+        return k
 
     @classmethod
     def zero(cls, n_qubits: int) -> Ket:
@@ -107,7 +125,7 @@ class Ket:
         merged = dict(self.terms)
         for bits, a in other.terms.items():
             merged[bits] = merged.get(bits, _ZERO_AMP) + a
-        return Ket(self.n_qubits, merged)
+        return Ket._canonical(self.n_qubits, merged)
 
     def __sub__(self, other: object) -> Ket:
         if not isinstance(other, Ket):
@@ -115,11 +133,11 @@ class Ket:
         return self + (-other)
 
     def __neg__(self) -> Ket:
-        return Ket(self.n_qubits, {b: -a for b, a in self.terms.items()})
+        return Ket._canonical(self.n_qubits, {b: -a for b, a in self.terms.items()})
 
     def __mul__(self, value: object) -> Ket:
         a = amp(value)
-        return Ket(self.n_qubits, {b: x * a for b, x in self.terms.items()})
+        return Ket._canonical(self.n_qubits, {b: x * a for b, x in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -132,7 +150,7 @@ class Ket:
         for b1, a1 in self.terms.items():
             for b2, a2 in other.terms.items():
                 out[b1 + b2] = a1 * a2
-        return Ket(n, out)
+        return Ket._canonical(n, out)
 
     def inner(self, other: Ket) -> SymbolicAmplitude:
         """<self|other>: conjugate-linear in self, linear in other."""
@@ -151,19 +169,19 @@ class Ket:
         check_projection(bits, targets, self.n_qubits)
         kept = {b: a for b, a in self.terms.items()
                 if all(b[t] == bits[k] for k, t in enumerate(targets))}
-        return Ket(self.n_qubits, kept)
+        return Ket._canonical(self.n_qubits, kept)
 
     def substitute(self, values: Mapping[str, object]) -> Ket:
         vals = {k: amp(v).as_scalar() for k, v in values.items()}
-        return Ket(self.n_qubits,
-                   {b: a.substitute(vals) for b, a in self.terms.items()})
+        return Ket._canonical(self.n_qubits,
+                              {b: a.substitute(vals) for b, a in self.terms.items()})
 
     def permute(self, order: Sequence[int]) -> Ket:
         """Reorder qubits: output qubit i is input qubit order[i]."""
         if sorted(order) != list(range(self.n_qubits)):
             raise ValueError("order must be a permutation of the qubit indices")
         out = {"".join(b[q] for q in order): a for b, a in self.terms.items()}
-        return Ket(self.n_qubits, out)
+        return Ket._canonical(self.n_qubits, out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Ket):
@@ -173,9 +191,10 @@ class Ket:
     __hash__ = None
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return join_terms(scaled_str(a, f"|{bits}>") for bits, a in self.terms.items())
+        if self._text is None:
+            self._text = join_terms(scaled_str(a, f"|{bits}>")
+                                    for bits, a in self.terms.items())
+        return self._text
 
     def __repr__(self) -> str:
         return f"Ket({self})"

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -261,9 +262,12 @@ class TestDeterminismAndUsage:
         capsys.readouterr()
 
     def test_module_entry_point(self):
+        root = Path(__file__).resolve().parent.parent
+        # the child finds the package where this process does, installed or not
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "bhqc", "classify", "|00>"],
-            capture_output=True, text=True,
-            cwd=Path(__file__).resolve().parent.parent)
+            capture_output=True, text=True, cwd=root,
+            env={**os.environ, "PYTHONPATH": path})
         assert result.returncode == 0
         assert "class: SEPARABLE" in result.stdout

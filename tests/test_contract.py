@@ -2,8 +2,9 @@
 
 Hypothesis mutates the shipped circuit files and a set of ``classify``
 arguments and sends each mutant through ``main`` in process, under a
-per-example deadline.  One explicit case pins a one-line input whose
-product of symbol sums would expand to millions of terms.
+per-example deadline.  Two explicit cases pin one-line inputs that used to
+run for seconds or hours: a product of symbol sums that would expand to
+millions of terms, and a long chain of top-degree powers.
 """
 
 import contextlib
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bhqc.cli import main
-from bhqc.dsl import MAX_PRODUCT_TERMS
+from bhqc.dsl import MAX_EXPONENT, MAX_PRODUCT_TERMS
 
 ROOT = Path(__file__).resolve().parent.parent
 CIRCUIT_TEXTS = [p.read_text(encoding="utf-8")
@@ -97,3 +98,14 @@ def test_long_product_of_symbol_sums_exits_one_within_a_second():
     assert (code, out) == (1, "")
     assert err.startswith("error: line 1, col ") and err.count("\n") == 1
     assert f"past {MAX_PRODUCT_TERMS} terms" in err
+
+
+def test_long_chain_of_top_powers_exits_one_within_a_second():
+    state = "(" + "*".join([f"a^{MAX_EXPONENT}"] * 800) + ")|000>+|111>"
+    started = time.perf_counter()
+    code, out, err = _call(["classify", state])
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (1, "")
+    # rejected at the first '*', before any product is formed
+    col = state.index("*") + 1
+    assert err == f"error: line 1, col {col}: degree must be at most {MAX_EXPONENT}\n"

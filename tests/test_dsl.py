@@ -106,8 +106,30 @@ class TestExponentBound:
         assert parse_amplitude("alpha^2") == amp("alpha") * amp("alpha")
         top = parse_amplitude(f"a^{MAX_EXPONENT}")
         assert top.coefficient(("a",) * MAX_EXPONENT) == 1
+        assert parse_amplitude("*".join(["a"] * MAX_EXPONENT)) == top
+        half = MAX_EXPONENT // 2
+        mixed = parse_amplitude(f"(a^{half} + 3)*b^{half}")
+        assert mixed.coefficient(("a",) * half + ("b",) * half) == 1
+        assert mixed.coefficient(("b",) * half) == 3
+        for zero in (f"0*a^{MAX_EXPONENT}*a", f"a^{MAX_EXPONENT}*0*a^{MAX_EXPONENT}"):
+            assert len(parse_amplitude(zero)) == 0
         with pytest.raises(DslError):
             parse_amplitude(f"a^{MAX_EXPONENT + 1}")
+
+    def test_product_degree_is_bounded_at_the_star_that_passes_it(self):
+        chain = "*".join(["a"] * (MAX_EXPONENT + 1))
+        with pytest.raises(DslError) as excinfo:
+            parse_amplitude(chain)
+        assert excinfo.value.col == len(chain) - 1
+        assert f"degree must be at most {MAX_EXPONENT}" in excinfo.value.message
+        # (text, which '*' passes the bound): degrees add through sums and parens
+        for text, k in [(f"a^{MAX_EXPONENT}*b", 0),
+                        (f"2*(a^{MAX_EXPONENT - 1}+b)*c^2", 1),
+                        (f"(a^{MAX_EXPONENT}+b)i*b", 0)]:
+            with pytest.raises(DslError, match="degree must be at most") as excinfo:
+                parse_amplitude(text)
+            stars = [j + 1 for j, ch in enumerate(text) if ch == "*"]
+            assert excinfo.value.col == stars[k]
 
 
 class TestProductBound:

@@ -46,6 +46,15 @@ def test_run_json(capsys, path):
     assert _stdout(capsys, ["run", str(path), "--json"], 0) == expected
 
 
+@pytest.mark.parametrize("path", CIRCUITS, ids=lambda p: p.stem)
+@pytest.mark.parametrize("flags, suffix", [([], "txt"), (["--trace"], "trace.txt")])
+def test_run_text(capsys, path, flags, suffix):
+    expected = (GOLDEN / f"run-{path.stem}.{suffix}").read_text(encoding="utf-8")
+    assert _stdout(capsys, ["run", str(path), *flags], 0) == expected
+
+
 def test_every_circuit_has_a_golden_file():
-    pinned = {p.name for p in GOLDEN.glob("run-*.json")}
-    assert pinned == {f"run-{p.stem}.json" for p in CIRCUITS}
+    for suffix in ("json", "txt", "trace.txt"):
+        pinned = {p.name for p in GOLDEN.glob(f"run-*.{suffix}")
+                  if p.name.count(".") == suffix.count(".") + 1}
+        assert pinned == {f"run-{p.stem}.{suffix}" for p in CIRCUITS}, suffix

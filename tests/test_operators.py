@@ -241,6 +241,19 @@ class TestEmbedAndApply:
         with pytest.raises(ValueError):
             apply(cnot(), Ket.basis("0"))
 
+    def test_cancelling_contributions_leave_sorted_nonzero_terms(self):
+        # HPLUS sends |0> to |0> + |1> and |1> to |1> - |0>, so a|0> + a|1>
+        # on qubit 0 loses its |0...> terms and doubles its |1...> terms
+        rest = ["00", "01", "11"]
+        symbols = [amp(s) for s in ("alpha", "beta", "gamma~")]
+        state = Ket(3, {q + r: a for r, a in zip(rest, symbols) for q in "01"})
+        out = apply(hadamard_plus(), state, [0])
+        assert list(out.terms) == sorted(out.terms) == ["100", "101", "111"]
+        assert all(out.terms.values())
+        dense = dense_embed(dense_gate("HPLUS"), (0,), 3)
+        assert out == vec_to_ket(3, dense_matvec(dense, ket_to_vec(state)))
+        assert str(out) == "((2)*alpha)|100> + ((2)*beta)|101> + ((2)*gamma~)|111>"
+
     def test_apply_is_linear(self):
         x, y = Ket.basis("01"), Ket.basis("10")
         combo = amp("alpha") * x + amp("beta") * y

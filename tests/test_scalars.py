@@ -238,3 +238,34 @@ def test_arithmetic_matches_a_fraction_pair_reference(p, q):
         assert z == p[0] and p[0] == z
         if p[0].denominator == 1:
             assert z == int(p[0])
+
+
+# -- sharing: results may be their operands, and text is cached ------------
+
+_factors = st.one_of(st.sampled_from([1, -1, ONE, MINUS_ONE, Fraction(-1), I, -I, ZERO, 0]),
+                     _scalars, st.integers(-3, 3))
+
+
+@settings(max_examples=120)
+@given(_amps, _factors, st.booleans())
+def test_scaling_matches_the_public_constructor_term_by_term(x, g, rendered):
+    if rendered:
+        str(x)  # fill x's text cache before it is shared
+    want = SymbolicAmplitude({m: c * g for m, c in x.items()})
+    for got in (x * g, g * x):
+        assert got == want
+        assert str(got) == str(want)
+
+
+@settings(max_examples=80)
+@given(_amps, st.booleans())
+def test_sharing_leaves_the_operand_and_its_text_unchanged(x, rendered):
+    fresh = SymbolicAmplitude(dict(x.items()))
+    if rendered:
+        str(x)
+    assert x * 1 is x and x * ONE is x
+    assert x + 0 is x and 0 + x is x
+    neg = -x
+    assert str(x) == str(fresh)
+    assert str(neg) == str(-fresh)
+    assert -neg == x and str(-neg) == str(x)

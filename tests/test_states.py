@@ -166,3 +166,24 @@ class TestAlgebraAndRendering:
     ])
     def test_rendering(self, ket, text):
         assert str(ket) == text
+
+
+_symbolic_kets = st.dictionaries(
+    st.sampled_from(["000", "011", "101", "110", "111"]),
+    st.sampled_from([amp("a"), -amp("a"), amp("b~") * 2, amp(1), amp(-1),
+                     amp("a") + amp("b")]),
+    max_size=5).map(lambda terms: Ket(3, terms))
+
+
+@settings(max_examples=60)
+@given(_symbolic_kets, _symbolic_kets)
+def test_results_of_ket_operations_are_canonical(x, y):
+    """Sorted bits, no zero amplitude, and the ket the validating constructor builds."""
+    results = [x + y, x - y, -x, x * -1, x * 1, x * 0, amp("a") * x,
+               x.project([1], "1"), x.permute([2, 0, 1]),
+               x.substitute({"a": 0}), x.tensor(Ket.basis("0") + Ket.basis("1"))]
+    for r in results:
+        assert list(r.terms) == sorted(r.terms)
+        assert all(r.terms.values())
+        assert r == Ket(r.n_qubits, dict(r.terms))
+        assert str(r) == str(Ket(r.n_qubits, dict(r.terms)))
