@@ -1,37 +1,57 @@
-"""Exact gate-algebra simulator, identity verifier, and SLOCC classifier."""
+"""Exact gate-algebra simulator, identity verifier, and SLOCC classifier.
 
-from .scalars import (GaussianRational, SymbolTable, SymbolicAmplitude, amp,
-                      conjugate_name)
-from .states import MAX_QUBITS, Ket
-from .operators import (GATES, Operator, apply, big_lambda_op, cnot, gate_named,
-                        hadamard_minus, hadamard_plus, lambda_op, sigma2_gate)
-from .circuit import (MATCH, MATCH_UP_TO_SCALAR, MISMATCH, ApplyGate, Circuit,
-                      ClaimRecord, Expect, Instruction, Project, RunResult,
-                      TraceStep, compare_kets, instruction_text, run)
-from .dsl import (DslError, parse_amplitude, parse_circuit, parse_ket,
-                  render_circuit)
-from .builders import (bell_chain, class_change_circuit, ghz_circuit,
-                       teleport_circuit)
-from .claims import (CLAIMS, KNOWN_MISMATCHES, KNOWN_SCALAR_MATCHES, ClaimSpec,
-                     verify_claims)
-from .classify import (COSET_CHAIN, GHZ_BRANE_NOTE, SUSY_PHRASE,
-                       EntanglementReport, SymbolicStateError, TransitionReport,
-                       classify, flattening_ranks, hyperdeterminant,
-                       three_tangle, transition_report)
+``import bhqc`` loads none of the modules below: each name in ``__all__``
+imports its module on first access (PEP 562), so a caller pays only for the
+modules it uses.
+"""
+
+import sys
+from importlib import import_module
+from types import ModuleType
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GaussianRational", "SymbolTable", "SymbolicAmplitude", "amp",
-    "conjugate_name", "MAX_QUBITS", "Ket", "GATES", "Operator", "apply",
-    "big_lambda_op", "cnot", "gate_named", "hadamard_minus", "hadamard_plus",
-    "lambda_op", "sigma2_gate", "MATCH", "MATCH_UP_TO_SCALAR", "MISMATCH",
-    "ApplyGate", "Circuit", "ClaimRecord", "Expect", "Instruction", "Project", "RunResult", "TraceStep",
-    "compare_kets", "instruction_text", "run", "DslError", "parse_amplitude",
-    "parse_circuit", "parse_ket", "render_circuit", "bell_chain",
-    "class_change_circuit", "ghz_circuit", "teleport_circuit", "CLAIMS",
-    "KNOWN_MISMATCHES", "KNOWN_SCALAR_MATCHES", "ClaimSpec", "verify_claims",
-    "COSET_CHAIN", "GHZ_BRANE_NOTE", "SUSY_PHRASE", "EntanglementReport",
-    "SymbolicStateError", "TransitionReport", "classify", "flattening_ranks",
-    "hyperdeterminant", "three_tangle", "transition_report",
-]
+# module -> the names it exports through the package
+_EXPORTS = {
+    "scalars": ("GaussianRational", "SymbolTable", "SymbolicAmplitude", "amp",
+                "conjugate_name"),
+    "states": ("MAX_QUBITS", "Ket"),
+    "operators": ("GATES", "Operator", "apply", "big_lambda_op", "cnot", "gate_named",
+                  "hadamard_minus", "hadamard_plus", "lambda_op", "sigma2_gate"),
+    "circuit": ("MATCH", "MATCH_UP_TO_SCALAR", "MISMATCH", "ApplyGate", "Circuit",
+                "ClaimRecord", "Expect", "Instruction", "Project", "RunResult", "TraceStep",
+                "compare_kets", "instruction_text", "run"),
+    "dsl": ("DslError", "parse_amplitude", "parse_circuit", "parse_ket", "render_circuit"),
+    "builders": ("bell_chain", "class_change_circuit", "ghz_circuit", "teleport_circuit"),
+    "claims": ("CLAIMS", "KNOWN_MISMATCHES", "KNOWN_SCALAR_MATCHES", "ClaimSpec",
+               "verify_claims"),
+    "classify": ("COSET_CHAIN", "GHZ_BRANE_NOTE", "SUSY_PHRASE", "EntanglementReport",
+                 "SymbolicStateError", "TransitionReport", "classify", "flattening_ranks",
+                 "hyperdeterminant", "three_tangle", "transition_report"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
+
+class _Package(ModuleType):
+    def __setattr__(self, name: str, value: object) -> None:
+        # Importing a submodule binds it on the package; bhqc.classify must
+        # stay the function, not become the module of the same name.
+        if not (name in _HOME and isinstance(value, ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

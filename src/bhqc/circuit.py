@@ -6,7 +6,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Union
 
 from .operators import apply, gate_named
@@ -18,24 +17,50 @@ MATCH_UP_TO_SCALAR = "MATCH_UP_TO_SCALAR"
 MISMATCH = "MISMATCH"
 
 
-@dataclass(frozen=True, slots=True)
-class ApplyGate:
-    gate: str
-    targets: tuple[int, ...]
-    line: int | None = field(default=None, compare=False)
+class _Record:
+    """Base of the records compared by value: every slot but ``line`` counts."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__ if name != "line")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True, slots=True)
-class Project:
-    bits: str
-    targets: tuple[int, ...]
-    line: int | None = field(default=None, compare=False)
+class ApplyGate(_Record):
+    __slots__ = ("gate", "targets", "line")
+
+    def __init__(self, gate: str, targets: tuple[int, ...], line: int | None = None) -> None:
+        self.gate = gate
+        self.targets = targets
+        self.line = line
 
 
-@dataclass(frozen=True, slots=True, eq=True)
-class Expect:
-    expected: Ket
-    line: int | None = field(default=None, compare=False)
+class Project(_Record):
+    __slots__ = ("bits", "targets", "line")
+
+    def __init__(self, bits: str, targets: tuple[int, ...], line: int | None = None) -> None:
+        self.bits = bits
+        self.targets = targets
+        self.line = line
+
+
+class Expect(_Record):
+    __slots__ = ("expected", "line")
+
+    def __init__(self, expected: Ket, line: int | None = None) -> None:
+        self.expected = expected
+        self.line = line
 
 
 Instruction = Union[ApplyGate, Project, Expect]
@@ -66,13 +91,18 @@ def instruction_text(ins: Instruction | None) -> str:
     return f"expect {ins.expected}"
 
 
-@dataclass(slots=True)
-class Circuit:
-    n_qubits: int
-    initial_state: Ket
-    instructions: tuple[Instruction, ...] = ()
-    mode_labels: tuple[str, ...] | None = None
-    symbols: tuple[str, ...] = ()
+class Circuit(_Record):
+    __slots__ = ("n_qubits", "initial_state", "instructions", "mode_labels", "symbols")
+
+    def __init__(self, n_qubits: int, initial_state: Ket,
+                 instructions: tuple[Instruction, ...] = (),
+                 mode_labels: tuple[str, ...] | None = None,
+                 symbols: tuple[str, ...] = ()) -> None:
+        self.n_qubits = n_qubits
+        self.initial_state = initial_state
+        self.instructions = instructions
+        self.mode_labels = mode_labels
+        self.symbols = symbols
 
     def validate(self) -> None:
         if self.initial_state.n_qubits != self.n_qubits:
@@ -83,16 +113,19 @@ class Circuit:
             check_instruction(ins, self.n_qubits)
 
 
-@dataclass(frozen=True, slots=True)
 class ClaimRecord:
     """One re-derived identity: the stated state versus the computed one."""
 
-    claim_id: str
-    location: str
-    expected: Ket
-    computed: Ket
-    verdict: str
-    scalar: GaussianRational | None = None
+    __slots__ = ("claim_id", "location", "expected", "computed", "verdict", "scalar")
+
+    def __init__(self, claim_id: str, location: str, expected: Ket, computed: Ket,
+                 verdict: str, scalar: GaussianRational | None = None) -> None:
+        self.claim_id = claim_id
+        self.location = location
+        self.expected = expected
+        self.computed = computed
+        self.verdict = verdict
+        self.scalar = scalar
 
     def summary(self) -> str:
         head = f"{self.location} {self.claim_id}: {self.verdict}"
@@ -132,17 +165,21 @@ def compare_kets(expected: Ket, computed: Ket) -> tuple[str, GaussianRational | 
     return MISMATCH, None
 
 
-@dataclass(slots=True)
 class TraceStep:
-    index: int
-    instruction: Instruction | None
-    state: Ket
+    __slots__ = ("index", "instruction", "state")
+
+    def __init__(self, index: int, instruction: Instruction | None, state: Ket) -> None:
+        self.index = index
+        self.instruction = instruction
+        self.state = state
 
 
-@dataclass(slots=True)
 class RunResult:
-    steps: list[TraceStep]
-    claims: list[ClaimRecord]
+    __slots__ = ("steps", "claims")
+
+    def __init__(self, steps: list[TraceStep], claims: list[ClaimRecord]) -> None:
+        self.steps = steps
+        self.claims = claims
 
     @property
     def final_state(self) -> Ket:

@@ -16,23 +16,25 @@ not follow from its stated gates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .circuit import (ApplyGate, Circuit, ClaimRecord, Instruction, Project,
                       compare_kets, run)
 from .scalars import amp
 from .states import Ket
 
 
-@dataclass(frozen=True, slots=True)
 class ClaimSpec:
-    claim_id: str
-    location: str
-    section: str
-    input_state: Ket
-    steps: tuple[Instruction, ...]
-    expected: Ket
-    in_demo: bool = True
+    __slots__ = ("claim_id", "location", "section", "input_state", "steps", "expected",
+                 "in_demo")
+
+    def __init__(self, claim_id: str, location: str, section: str, input_state: Ket,
+                 steps: tuple[Instruction, ...], expected: Ket, in_demo: bool = True) -> None:
+        self.claim_id = claim_id
+        self.location = location
+        self.section = section
+        self.input_state = input_state
+        self.steps = steps
+        self.expected = expected
+        self.in_demo = in_demo
 
 
 KNOWN_MISMATCHES = frozenset({

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 
@@ -130,21 +129,31 @@ def _tangle(state: Ket, det_sq: Fraction) -> tuple[Fraction, float | Decimal]:
     return exact, _display_root(exact, 2)
 
 
-@dataclass(frozen=True, slots=True)
 class EntanglementReport:
-    n_qubits: int
-    flattening_ranks: tuple[int, ...]
-    slocc_class: str                       # NULL/SEPARABLE/BISEPARABLE/W/GHZ/ENTANGLED
-    separated_party: str | None
-    hyperdeterminant: GaussianRational | None
-    three_tangle_exact: Fraction | None
-    three_tangle: float | Decimal | None
-    fts_rank: str | None
-    susy_fraction: str | None
-    size_class: str | None                 # SMALL or LARGE
-    attractor: bool
-    brane_note: str | None
-    entropy_display: float | Decimal | None
+    __slots__ = ("n_qubits", "flattening_ranks", "slocc_class", "separated_party",
+                 "hyperdeterminant", "three_tangle_exact", "three_tangle", "fts_rank",
+                 "susy_fraction", "size_class", "attractor", "brane_note", "entropy_display")
+
+    def __init__(self, n_qubits: int, flattening_ranks: tuple[int, ...],
+                 slocc_class: str, separated_party: str | None,
+                 hyperdeterminant: GaussianRational | None,
+                 three_tangle_exact: Fraction | None, three_tangle: float | Decimal | None,
+                 fts_rank: str | None, susy_fraction: str | None, size_class: str | None,
+                 attractor: bool, brane_note: str | None,
+                 entropy_display: float | Decimal | None) -> None:
+        self.n_qubits = n_qubits
+        self.flattening_ranks = flattening_ranks
+        self.slocc_class = slocc_class          # NULL/SEPARABLE/BISEPARABLE/W/GHZ/ENTANGLED
+        self.separated_party = separated_party
+        self.hyperdeterminant = hyperdeterminant
+        self.three_tangle_exact = three_tangle_exact
+        self.three_tangle = three_tangle
+        self.fts_rank = fts_rank
+        self.susy_fraction = susy_fraction
+        self.size_class = size_class            # SMALL or LARGE
+        self.attractor = attractor
+        self.brane_note = brane_note
+        self.entropy_display = entropy_display
 
     @property
     def label(self) -> str:
@@ -279,13 +288,16 @@ def _display_root(x: Fraction, k: int, factor: float = 1.0) -> float | Decimal:
         return (+value).normalize()
 
 
-@dataclass(frozen=True, slots=True)
 class TransitionReport:
-    before: EntanglementReport
-    after: EntanglementReport
-    susy_change: str
-    size_change: str
-    rank_change: str
+    __slots__ = ("before", "after", "susy_change", "size_change", "rank_change")
+
+    def __init__(self, before: EntanglementReport, after: EntanglementReport,
+                 susy_change: str, size_change: str, rank_change: str) -> None:
+        self.before = before
+        self.after = after
+        self.susy_change = susy_change
+        self.size_change = size_change
+        self.rank_change = rank_change
 
     @property
     def rank_increased(self) -> bool:

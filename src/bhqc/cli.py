@@ -10,33 +10,61 @@ deterministic (there is no randomness anywhere in the tool).  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from importlib import import_module
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .builders import bell_chain, class_change_circuit, ghz_circuit, teleport_circuit
-from .circuit import MATCH, MATCH_UP_TO_SCALAR, MISMATCH, RunResult, instruction_text, run
-from .claims import verify_claims
-from .classify import (COSET_CHAIN, SUSY_PHRASE, EntanglementReport,
-                       SymbolicStateError, TransitionReport, classify,
-                       transition_report)
-from .dsl import DslError, parse_circuit, parse_ket
+if TYPE_CHECKING:
+    from .circuit import RunResult
+    from .classify import EntanglementReport, TransitionReport
 
-_DEMOS = {
-    "bell": bell_chain,
-    "teleport": teleport_circuit,
-    "ghz": ghz_circuit,
-    "class-change": class_change_circuit,
+# command -> module -> the names the command calls, bound into this module on
+# the command's first call, so a process imports only what its command runs
+_IMPORTS = {
+    "run": {"dsl": ("DslError", "parse_circuit"),
+            "circuit": ("MATCH_UP_TO_SCALAR", "instruction_text", "run")},
+    "demo": {"builders": ("bell_chain", "class_change_circuit", "ghz_circuit",
+                          "teleport_circuit"),
+             "circuit": ("MATCH_UP_TO_SCALAR", "instruction_text", "run"),
+             "claims": ("verify_claims",),
+             "classify": ("COSET_CHAIN", "SUSY_PHRASE", "classify", "transition_report")},
+    "classify": {"dsl": ("DslError", "parse_ket"),
+                 "classify": ("SUSY_PHRASE", "SymbolicStateError", "classify")},
+    "verify-paper": {"circuit": ("MATCH", "MATCH_UP_TO_SCALAR", "MISMATCH"),
+                     "claims": ("verify_claims",)},
 }
-_DEMO_SECTIONS = {
-    "bell": "bell",
-    "teleport": "teleport",
-    "ghz": "ghz",
-    "class-change": "interchange",
+_loaded: set[str] = set()
+
+
+def _load(command: str) -> None:
+    """Import the modules ``command`` runs and bind their names here, once.
+
+    Commands call these names as globals of this module.  A name already
+    bound is left alone, so a wrapper put in its place (a tracer's, say)
+    survives a later command that needs the same name.
+    """
+    if command in _loaded:
+        return
+    for module, names in _IMPORTS[command].items():
+        source = import_module(f"{__package__}.{module}")
+        for name in names:
+            globals().setdefault(name, getattr(source, name))
+    _loaded.add(command)
+
+
+# demo name -> (builder, claim-catalog section)
+_DEMOS = {
+    "bell": ("bell_chain", "bell"),
+    "teleport": ("teleport_circuit", "teleport"),
+    "ghz": ("ghz_circuit", "ghz"),
+    "class-change": ("class_change_circuit", "interchange"),
 }
 
 
 def _print_json(obj: object) -> None:
+    import json
+
     print(json.dumps(obj, indent=2, ensure_ascii=False))
 
 
@@ -125,9 +153,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         print(f"error: unknown demo name '{args.name}' (choose from {known})",
               file=sys.stderr)
         return 1
-    circuit = _DEMOS[args.name]()
+    builder, section = _DEMOS[args.name]
+    circuit = globals()[builder]()
     result = run(circuit)
-    claims = verify_claims(section=_DEMO_SECTIONS[args.name], demo_only=True)
+    claims = verify_claims(section=section, demo_only=True)
 
     initial = circuit.initial_state
     final = result.final_state
@@ -239,12 +268,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    _load(args.command)
     return args.func(args)
 
 

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
-from .circuit import (ApplyGate, Circuit, Expect, Instruction, Project,
-                      check_instruction, instruction_text)
 from .scalars import (GaussianRational, I, ONE, SymbolTable, SymbolicAmplitude,
                       conjugate_name)
 from .states import MAX_QUBITS, Ket, OperandError
+
+if TYPE_CHECKING:  # parse_circuit and render_circuit import circuit when called
+    from .circuit import Circuit, Instruction
 
 # Largest accepted total degree of a monomial, for a power ``alpha^k`` and
 # for a product alike: a monomial of degree k is a k-name tuple, so unbounded
@@ -47,9 +48,9 @@ class DslError(ValueError):
         self.message = message
 
 
-# directive -> (instruction type, fewest tokens after it, usage line)
-_INSTRUCTIONS = {"apply": (ApplyGate, 1, "usage: apply GATE q [q ...]"),
-                 "project": (Project, 2, "usage: project BITS q [q ...]")}
+# directive -> (fewest tokens after it, usage line)
+_INSTRUCTIONS = {"apply": (1, "usage: apply GATE q [q ...]"),
+                 "project": (2, "usage: project BITS q [q ...]")}
 
 _IDENT = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*~?")
 _TOKEN = _re.compile(r"\S+")
@@ -314,6 +315,8 @@ def _parse_int(token: str, line: int, col: int, what: str) -> int:
 
 def parse_circuit(text: str) -> Circuit:
     """Parse DSL text into a validated circuit."""
+    from .circuit import ApplyGate, Circuit, Expect, Project, check_instruction
+
     table = SymbolTable()
     n_qubits: int | None = None
     labels: tuple[str, ...] | None = None
@@ -371,11 +374,12 @@ def parse_circuit(text: str) -> Circuit:
                               auto_symbols=False, line=lineno, col_base=expr_start + 1)
 
         elif word in _INSTRUCTIONS:
-            kind, min_args, usage = _INSTRUCTIONS[word]
+            min_args, usage = _INSTRUCTIONS[word]
             if len(args) < min_args:
                 raise DslError(lineno, col, usage)
             (head, hcol), targets = args[0], args[1:]
             qubits = tuple(_parse_int(t, lineno, tcol, "target") for t, tcol in targets)
+            kind = ApplyGate if word == "apply" else Project
             ins = kind(head, qubits, line=lineno)
             try:
                 check_instruction(ins, n_qubits)
@@ -402,6 +406,8 @@ def parse_circuit(text: str) -> Circuit:
 
 def render_circuit(circuit: Circuit) -> str:
     """Canonical DSL text; parse(render(c)) == c."""
+    from .circuit import instruction_text
+
     lines = [f"qubits {circuit.n_qubits}"]
     if circuit.mode_labels:
         lines.append("labels " + " ".join(circuit.mode_labels))

@@ -82,14 +82,6 @@ class Operator:
             raise ValueError("operator arity mismatch")
         return Operator(self.arity, {c: apply(self, image) for c, image in other.columns.items()})
 
-    def __pow__(self, k: int) -> Operator:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("operator powers must be nonnegative integers")
-        result = Operator.identity(self.arity)
-        for _ in range(k):
-            result = result @ self
-        return result
-
     def tensor(self, other: Operator) -> Operator:
         arity = self.arity + other.arity
         if arity > MAX_QUBITS:

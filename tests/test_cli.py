@@ -1,13 +1,26 @@
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import bhqc
+import bhqc.cli
 from bhqc.cli import main
 from bhqc.dsl import parse_ket
 
-CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
+ROOT = Path(__file__).resolve().parent.parent
+CIRCUITS = ROOT / "circuits"
+
+
+def child_env() -> dict:
+    """The environment for a child interpreter that finds bhqc where this process does."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def invoke(capsys, *argv):
@@ -262,12 +275,94 @@ class TestDeterminismAndUsage:
         capsys.readouterr()
 
     def test_module_entry_point(self):
-        root = Path(__file__).resolve().parent.parent
-        # the child finds the package where this process does, installed or not
-        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "bhqc", "classify", "|00>"],
-            capture_output=True, text=True, cwd=root,
-            env={**os.environ, "PYTHONPATH": path})
+            capture_output=True, text=True, cwd=ROOT, env=child_env())
         assert result.returncode == 0
         assert "class: SEPARABLE" in result.stdout
+
+
+# Runs one command in a fresh interpreter and prints the modules it added.
+_FOOTPRINT = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from bhqc.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - before)}))
+"""
+
+COMMANDS = {
+    "classify": ["classify", "|000> + |111>"],
+    "run": ["run", str(CIRCUITS / "ghz.bhqc")],
+    "verify-paper": ["verify-paper"],
+    "demo": ["demo", "ghz"],
+}
+
+
+class TestImports:
+    @pytest.mark.parametrize("command, used, unused", [
+        ("classify", {"bhqc.dsl", "bhqc.classify"},
+         {"bhqc.operators", "bhqc.circuit", "bhqc.claims", "bhqc.builders"}),
+        ("run", {"bhqc.dsl", "bhqc.circuit", "bhqc.operators"},
+         {"bhqc.claims", "bhqc.classify"}),
+        ("verify-paper", {"bhqc.claims", "bhqc.circuit", "bhqc.operators"},
+         {"bhqc.dsl", "bhqc.classify"}),
+        ("demo", {"bhqc.builders", "bhqc.claims", "bhqc.classify"}, set()),
+    ])
+    def test_a_command_imports_only_the_modules_it_runs(self, command, used, unused):
+        result = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT, *COMMANDS[command]],
+            capture_output=True, text=True, cwd=ROOT, env=child_env(), check=True)
+        report = json.loads(result.stdout)
+        loaded = set(report["loaded"])
+        assert report["code"] in (0, 2)
+        assert "dataclasses" not in loaded
+        assert used <= loaded
+        assert not unused & loaded
+
+    def test_names_the_tracer_wraps_are_bound_after_each_command_ran(self, capsys,
+                                                                      monkeypatch):
+        for argv in COMMANDS.values():
+            assert main(argv) in (0, 2)
+        capsys.readouterr()
+        spec = importlib.util.spec_from_file_location("bench_probes", ROOT / "bench" / "probes.py")
+        probes = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, probes)  # its dataclasses look it up
+        spec.loader.exec_module(probes)
+        wanted = {p.attr for p in probes.PROBES if p.owner == "bhqc.cli"}
+        assert {"main", "build_parser", "parse_ket", "classify"} <= wanted
+        assert wanted <= set(vars(bhqc.cli))
+
+    def test_a_later_command_keeps_a_wrapper_around_a_bound_name(self, capsys, monkeypatch):
+        assert main(COMMANDS["run"]) == 0
+        calls = []
+        original = bhqc.cli.run
+        monkeypatch.setattr(bhqc.cli, "run", lambda c: calls.append(c) or original(c))
+        monkeypatch.setattr(bhqc.cli, "_loaded", set())  # demo binds its names afresh
+        assert main(COMMANDS["demo"]) == 0
+        assert main(COMMANDS["run"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 2
+
+    def test_every_exported_name_resolves_to_its_module_object(self):
+        assert set(bhqc.__all__) <= set(dir(bhqc))
+        for name in bhqc.__all__:
+            home = importlib.import_module(f"bhqc.{bhqc._HOME[name]}")
+            assert getattr(bhqc, name) is getattr(home, name), name
+        with pytest.raises(AttributeError):
+            bhqc.no_such_name
+
+    def test_importing_the_classify_module_first_leaves_the_classify_export(self):
+        code = ("import sys, bhqc.classify\n"
+                "from bhqc import classify\n"
+                "assert classify is sys.modules['bhqc.classify'].classify, classify\n")
+        subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=child_env(), check=True)
+
+    def test_the_readme_import_line(self):
+        from bhqc import GATES, Ket, amp, apply, classify, run, teleport_circuit
+
+        assert classify(Ket(3, {"000": 1, "111": 1})).label == "GHZ"
+        final = run(teleport_circuit()).final_state
+        assert final == Ket(3, {"000": amp("alpha"), "001": amp("beta")})
+        assert str(apply(GATES["HPLUS"], Ket.basis("1"))) == "-|0> + |1>"
