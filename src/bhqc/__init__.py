@@ -13,21 +13,18 @@ __version__ = "0.1.0"
 
 # module -> the names it exports through the package
 _EXPORTS = {
-    "scalars": ("GaussianRational", "SymbolTable", "SymbolicAmplitude", "amp",
-                "conjugate_name"),
+    "scalars": ("GaussianRational", "SymbolTable", "SymbolicAmplitude", "amp"),
     "states": ("MAX_QUBITS", "Ket"),
-    "operators": ("GATES", "Operator", "apply", "big_lambda_op", "cnot", "gate_named",
-                  "hadamard_minus", "hadamard_plus", "lambda_op", "sigma2_gate"),
+    "operators": ("GATES", "Operator", "apply", "gate_named"),
     "circuit": ("MATCH", "MATCH_UP_TO_SCALAR", "MISMATCH", "ApplyGate", "Circuit",
                 "ClaimRecord", "Expect", "Instruction", "Project", "RunResult", "TraceStep",
                 "compare_kets", "instruction_text", "run"),
-    "dsl": ("DslError", "parse_amplitude", "parse_circuit", "parse_ket", "render_circuit"),
+    "dsl": ("DslError", "parse_circuit", "parse_ket"),
     "builders": ("bell_chain", "class_change_circuit", "ghz_circuit", "teleport_circuit"),
     "claims": ("CLAIMS", "KNOWN_MISMATCHES", "KNOWN_SCALAR_MATCHES", "ClaimSpec",
                "verify_claims"),
     "classify": ("COSET_CHAIN", "GHZ_BRANE_NOTE", "SUSY_PHRASE", "EntanglementReport",
-                 "SymbolicStateError", "TransitionReport", "classify", "flattening_ranks",
-                 "hyperdeterminant", "three_tangle", "transition_report"),
+                 "SymbolicStateError", "TransitionReport", "classify", "transition_report"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -28,7 +28,18 @@ COSET_CHAIN = "SL(2,C)×SL(2,C)×SL(2,C) → SL(2,C)×SL(4,C) → SL(6,C)"
 
 _PARTIES = ("A", "B", "C")
 _BIPARTITION = {"A": "A-BC", "B": "B-CA", "C": "C-AB"}
-_BISEP_RANK = {"A": "2a", "B": "2b", "C": "2c"}
+
+# The black-hole/qubit dictionary: SLOCC class -> (FTS rank, preserved SUSY
+# fraction, black-hole size).  A biseparable state's rank "2" gets the
+# letter of its separated party: 2a, 2b or 2c.
+_DICTIONARY = {
+    "NULL": ("0", None, None),
+    "SEPARABLE": ("1", "1/2", "SMALL"),
+    "BISEPARABLE": ("2", "1/4", "SMALL"),
+    "W": ("3", "1/8", "SMALL"),
+    "GHZ": ("4", "1/8-or-broken", "LARGE"),
+    "ENTANGLED": (None, None, None),
+}
 
 SUSY_PHRASE = {
     "1/2": "1/2 preserved",
@@ -36,9 +47,6 @@ SUSY_PHRASE = {
     "1/8": "1/8 preserved",
     "1/8-or-broken": "1/8 preserved or completely broken",
 }
-
-_RANK_LEVEL = {"0": 0, "1": 1, "2a": 2, "2b": 2, "2c": 2, "3": 3, "4": 4}
-
 
 def _scalar_amplitudes(state: Ket) -> list[GaussianRational]:
     if state.has_symbols:
@@ -81,13 +89,6 @@ def _ranks(vec: list[GaussianRational]) -> tuple[int, int, int]:
     return tuple(_rank_2xm(*_party_rows(vec, 3, p)) for p in range(3))  # type: ignore[return-value]
 
 
-def flattening_ranks(state: Ket) -> tuple[int, int, int]:
-    """Exact rank (0/1/2) of the 2x4 flattening along each party."""
-    if state.n_qubits != 3:
-        raise ValueError("flattening ranks are defined for 3-qubit states")
-    return _ranks(_scalar_amplitudes(state))
-
-
 def _hyperdet(a: list[GaussianRational]) -> GaussianRational:
     sq = (a[0b000] * a[0b000] * a[0b111] * a[0b111]
           + a[0b001] * a[0b001] * a[0b110] * a[0b110]
@@ -104,31 +105,6 @@ def _hyperdet(a: list[GaussianRational]) -> GaussianRational:
     return sq - 2 * pairs + 4 * quads
 
 
-def hyperdeterminant(state: Ket) -> GaussianRational:
-    """Cayley's 2x2x2 hyperdeterminant of the amplitude tensor, exact."""
-    if state.n_qubits != 3:
-        raise ValueError("the hyperdeterminant is defined for 3-qubit states")
-    return _hyperdet(_scalar_amplitudes(state))
-
-
-def three_tangle(state: Ket) -> tuple[Fraction, float | Decimal]:
-    """Squared normalized 3-tangle (exact rational) and its square root.
-
-    The exact part is 16|Det|^2 / <x|x>^4, invariant under rescaling; the
-    display value is the usual tau3 = 4|Det| of the normalized amplitudes.
-    """
-    if state.is_zero:
-        raise ValueError("the 3-tangle of the zero state is undefined")
-    det = hyperdeterminant(state)
-    return _tangle(state, (det * det.conjugate()).re)
-
-
-def _tangle(state: Ket, det_sq: Fraction) -> tuple[Fraction, float | Decimal]:
-    norm_sq = state.inner(state).as_scalar().re
-    exact = 16 * det_sq / norm_sq**4
-    return exact, _display_root(exact, 2)
-
-
 class EntanglementReport:
     __slots__ = ("n_qubits", "flattening_ranks", "slocc_class", "separated_party",
                  "hyperdeterminant", "three_tangle_exact", "three_tangle", "fts_rank",
@@ -138,8 +114,6 @@ class EntanglementReport:
                  slocc_class: str, separated_party: str | None,
                  hyperdeterminant: GaussianRational | None,
                  three_tangle_exact: Fraction | None, three_tangle: float | Decimal | None,
-                 fts_rank: str | None, susy_fraction: str | None, size_class: str | None,
-                 attractor: bool, brane_note: str | None,
                  entropy_display: float | Decimal | None) -> None:
         self.n_qubits = n_qubits
         self.flattening_ranks = flattening_ranks
@@ -148,12 +122,11 @@ class EntanglementReport:
         self.hyperdeterminant = hyperdeterminant
         self.three_tangle_exact = three_tangle_exact
         self.three_tangle = three_tangle
-        self.fts_rank = fts_rank
-        self.susy_fraction = susy_fraction
-        self.size_class = size_class            # SMALL or LARGE
-        self.attractor = attractor
-        self.brane_note = brane_note
         self.entropy_display = entropy_display
+        fts, self.susy_fraction, self.size_class = _DICTIONARY[slocc_class]
+        self.fts_rank = fts + separated_party.lower() if separated_party else fts
+        self.attractor = slocc_class == "GHZ"
+        self.brane_note = GHZ_BRANE_NOTE if slocc_class == "GHZ" else None
 
     @property
     def label(self) -> str:
@@ -198,58 +171,41 @@ def classify(state: Ket) -> EntanglementReport:
 
 
 def _classify_two(vec: list[GaussianRational]) -> EntanglementReport:
+    # a 2x2 matrix has rank 2 exactly when its determinant is nonzero
     rank = _rank_2xm(vec[:2], vec[2:])
-    det2 = vec[0] * vec[3] - vec[1] * vec[2]
-    if rank == 0:
-        slocc, fts = "NULL", "0"
-    elif det2:
-        slocc, fts = "ENTANGLED", None
-    else:
-        slocc, fts = "SEPARABLE", "1"
-    susy = "1/2" if slocc == "SEPARABLE" else None
-    size = "SMALL" if slocc == "SEPARABLE" else None
+    slocc = ("NULL", "SEPARABLE", "ENTANGLED")[rank]
     return EntanglementReport(
         n_qubits=2, flattening_ranks=(rank, rank), slocc_class=slocc,
         separated_party=None, hyperdeterminant=None, three_tangle_exact=None,
-        three_tangle=None, fts_rank=fts, susy_fraction=susy, size_class=size,
-        attractor=False, brane_note=None, entropy_display=None)
+        three_tangle=None, entropy_display=None)
 
 
 def _classify_three(state: Ket, vec: list[GaussianRational]) -> EntanglementReport:
     ranks = _ranks(vec)
     det = _hyperdet(vec)
     det_sq = (det * det.conjugate()).re
-    tangle_exact, tangle = (None, None) if state.is_zero else _tangle(state, det_sq)
-
+    party = None
     if ranks == (0, 0, 0):
-        slocc, party, fts = "NULL", None, "0"
+        slocc = "NULL"
     elif ranks == (1, 1, 1):
-        slocc, party, fts = "SEPARABLE", None, "1"
+        slocc = "SEPARABLE"
     elif ranks.count(1) == 1:
-        party = _PARTIES[ranks.index(1)]
-        slocc, fts = "BISEPARABLE", _BISEP_RANK[party]
+        slocc, party = "BISEPARABLE", _PARTIES[ranks.index(1)]
     elif ranks == (2, 2, 2):
-        party = None
-        if det:
-            slocc, fts = "GHZ", "4"
-        else:
-            slocc, fts = "W", "3"
+        slocc = "GHZ" if det else "W"
     else:  # a rank pattern like (1, 1, 2) cannot occur for a valid tensor
         raise AssertionError(f"impossible flattening ranks {ranks}")
 
-    susy = {"SEPARABLE": "1/2", "BISEPARABLE": "1/4", "W": "1/8",
-            "GHZ": "1/8-or-broken"}.get(slocc)
-    size = None
-    if slocc == "GHZ":
-        size = "LARGE"
-    elif slocc in ("SEPARABLE", "BISEPARABLE", "W"):
-        size = "SMALL"
+    # the squared normalized 3-tangle 16|Det|^2 / <x|x>^4, invariant under
+    # rescaling, and its display value tau3 = 4|Det| of the normalized state
+    tangle_exact = tangle = None
+    if not state.is_zero:
+        tangle_exact = 16 * det_sq / state.inner(state).as_scalar().re ** 4
+        tangle = _display_root(tangle_exact, 2)
     return EntanglementReport(
         n_qubits=3, flattening_ranks=ranks, slocc_class=slocc,
         separated_party=party, hyperdeterminant=det,
-        three_tangle_exact=tangle_exact, three_tangle=tangle, fts_rank=fts,
-        susy_fraction=susy, size_class=size, attractor=slocc == "GHZ",
-        brane_note=GHZ_BRANE_NOTE if slocc == "GHZ" else None,
+        three_tangle_exact=tangle_exact, three_tangle=tangle,
         entropy_display=_entropy(det_sq))
 
 
@@ -301,9 +257,8 @@ class TransitionReport:
 
     @property
     def rank_increased(self) -> bool:
-        b = _RANK_LEVEL.get(self.before.fts_rank, -1)
-        a = _RANK_LEVEL.get(self.after.fts_rank, -1)
-        return b >= 0 and a >= 0 and a > b
+        b, a = self.before.fts_rank, self.after.fts_rank
+        return b is not None and a is not None and a[0] > b[0]  # "2a" has level 2
 
 
 def transition_report(before: Ket, after: Ket) -> TransitionReport:

@@ -30,7 +30,7 @@ _IMPORTS = {
              "claims": ("verify_claims",),
              "classify": ("COSET_CHAIN", "SUSY_PHRASE", "classify", "transition_report")},
     "classify": {"dsl": ("DslError", "parse_ket"),
-                 "classify": ("SUSY_PHRASE", "SymbolicStateError", "classify")},
+                 "classify": ("SUSY_PHRASE", "classify")},
     "verify-paper": {"circuit": ("MATCH", "MATCH_UP_TO_SCALAR", "MISMATCH"),
                      "claims": ("verify_claims",)},
 }
@@ -207,7 +207,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         return 1
     try:
         report = classify(state)
-    except (SymbolicStateError, ValueError) as exc:
+    except ValueError as exc:  # also SymbolicStateError, a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:

@@ -21,11 +21,10 @@ import re as _re
 from fractions import Fraction
 from typing import TYPE_CHECKING, NoReturn
 
-from .scalars import (GaussianRational, I, ONE, SymbolTable, SymbolicAmplitude,
-                      conjugate_name)
+from .scalars import GaussianRational, I, ONE, SymbolTable, SymbolicAmplitude
 from .states import MAX_QUBITS, Ket, OperandError
 
-if TYPE_CHECKING:  # parse_circuit and render_circuit import circuit when called
+if TYPE_CHECKING:  # parse_circuit imports circuit when called
     from .circuit import Circuit, Instruction
 
 # Largest accepted total degree of a monomial, for a power ``alpha^k`` and
@@ -60,13 +59,12 @@ class _Expr:
     """Recursive-descent parser for ket and amplitude expressions."""
 
     def __init__(self, src: str, line: int, col_base: int,
-                 table: SymbolTable | None, auto_symbols: bool) -> None:
+                 table: SymbolTable | None) -> None:
         self.s = src
         self.i = 0
         self.line = line
         self.col_base = col_base
         self.table = table
-        self.auto = auto_symbols
 
     def err(self, message: str, pos: int | None = None) -> NoReturn:
         at = self.i if pos is None else pos
@@ -78,11 +76,6 @@ class _Expr:
     def ws(self) -> None:
         while self.i < len(self.s) and self.s[self.i] in " \t":
             self.i += 1
-
-    def expect_end(self) -> None:
-        self.ws()
-        if self.i < len(self.s):
-            self.err("unexpected trailing input")
 
     # -- ket grammar ------------------------------------------------
 
@@ -118,6 +111,8 @@ class _Expr:
             else:
                 break
             self.i += 1
+        if self.i < len(self.s):
+            self.err("unexpected trailing input")
         return Ket.from_terms(n, entries)
 
     def _ket_term(self) -> tuple[str, SymbolicAmplitude]:
@@ -273,37 +268,13 @@ class _Expr:
             self.err("invalid number", pos=start)
 
     def _check_symbol(self, name: str, pos: int) -> None:
-        if self.table is None:
-            return
-        if name in self.table:
-            return
-        if self.auto:
-            base = conjugate_name(name) if name.endswith("~") else name
-            try:
-                self.table.declare(base)
-            except ValueError as exc:
-                self.err(str(exc), pos=pos)
-        else:
+        if self.table is not None and name not in self.table:
             self.err(f"undeclared symbol '{name}'", pos=pos)
 
 
-def parse_ket(text: str, *, n_qubits: int | None = None,
-              symbols: SymbolTable | None = None, auto_symbols: bool = True,
-              line: int = 1, col_base: int = 1) -> Ket:
+def parse_ket(text: str, *, n_qubits: int | None = None) -> Ket:
     """Parse a standalone ket expression."""
-    p = _Expr(text, line, col_base, symbols, auto_symbols)
-    ket = p.ket_expr(n_qubits)
-    p.expect_end()
-    return ket
-
-
-def parse_amplitude(text: str, *, symbols: SymbolTable | None = None,
-                    auto_symbols: bool = True) -> SymbolicAmplitude:
-    """Parse a standalone amplitude expression."""
-    p = _Expr(text, 1, 1, symbols, auto_symbols)
-    a = p.amplitude()
-    p.expect_end()
-    return a
+    return _Expr(text, 1, 1, None).ket_expr(n_qubits)
 
 
 def _parse_int(token: str, line: int, col: int, what: str) -> int:
@@ -370,8 +341,7 @@ def parse_circuit(text: str) -> Circuit:
             if instructions:
                 raise DslError(lineno, col, "'state' must come before instructions")
             expr_start = body.index(word, col - 1) + len(word)
-            state = parse_ket(body[expr_start:], n_qubits=n_qubits, symbols=table,
-                              auto_symbols=False, line=lineno, col_base=expr_start + 1)
+            state = _Expr(body[expr_start:], lineno, expr_start + 1, table).ket_expr(n_qubits)
 
         elif word in _INSTRUCTIONS:
             min_args, usage = _INSTRUCTIONS[word]
@@ -390,8 +360,7 @@ def parse_circuit(text: str) -> Circuit:
 
         elif word == "expect":
             expr_start = body.index(word, col - 1) + len(word)
-            expected = parse_ket(body[expr_start:], n_qubits=n_qubits, symbols=table,
-                                 auto_symbols=False, line=lineno, col_base=expr_start + 1)
+            expected = _Expr(body[expr_start:], lineno, expr_start + 1, table).ket_expr(n_qubits)
             instructions.append(Expect(expected, line=lineno))
 
         else:
@@ -402,18 +371,3 @@ def parse_circuit(text: str) -> Circuit:
     if state is None:
         state = Ket.basis("0" * n_qubits)
     return Circuit(n_qubits, state, tuple(instructions), labels, tuple(symbol_order))
-
-
-def render_circuit(circuit: Circuit) -> str:
-    """Canonical DSL text; parse(render(c)) == c."""
-    from .circuit import instruction_text
-
-    lines = [f"qubits {circuit.n_qubits}"]
-    if circuit.mode_labels:
-        lines.append("labels " + " ".join(circuit.mode_labels))
-    if circuit.symbols:
-        lines.append("symbols " + " ".join(circuit.symbols))
-    lines.append(f"state {circuit.initial_state}")
-    for ins in circuit.instructions:
-        lines.append(instruction_text(ins))
-    return "\n".join(lines) + "\n"

@@ -61,19 +61,6 @@ class Operator:
             merged[c] = merged[c] + image if c in merged else image
         return Operator(self.arity, merged)
 
-    def __sub__(self, other: object) -> Operator:
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> Operator:
-        return Operator(self.arity, {c: -image for c, image in self.columns.items()})
-
-    def __mul__(self, scalar: object) -> Operator:
-        return Operator(self.arity, {c: image * scalar for c, image in self.columns.items()})
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: object) -> Operator:
         """Composition self . other: ``other`` acts first."""
         if not isinstance(other, Operator):
@@ -102,67 +89,10 @@ class Operator:
         return f"Operator(arity={self.arity}, {{{body}}})"
 
 
-_ID = Operator.identity(1)
-_STAR = Operator(1, {"0": -Ket.basis("0"), "1": Ket.basis("1")})
-_RAISE = Operator(1, {"0": Ket.basis("1")})
-_LOWER = Operator(1, {"1": Ket.basis("0")})
-
-
-def lambda_op(k: int) -> Operator:
-    """One-mode operators 1..4, each a sum of star/derivative compositions."""
-    s, up, dn = _STAR, _RAISE, _LOWER
-    table = {
-        1: s @ up + up @ s,
-        2: s @ dn + dn @ s,
-        3: s @ dn + up @ s,
-        4: s @ up + dn @ s,
-    }
-    if k not in table:
-        raise ValueError("index must be 1..4")
-    return table[k]
-
-
-def hadamard_plus() -> Operator:
-    return _ID + _STAR @ lambda_op(4)
-
-
-def hadamard_minus() -> Operator:
-    return lambda_op(4) @ hadamard_plus()
-
-
-def sigma2_gate(variant: str) -> Operator:
-    if variant == "A":
-        return lambda_op(4) @ _STAR
-    if variant == "B":
-        return lambda_op(3) @ _STAR
-    raise ValueError("variant must be 'A' or 'B'")
-
-
-def big_lambda_op(k: int) -> Operator:
-    """Two-mode operators 1..4 built from generator tensor products."""
-    s, up, dn = _STAR, _RAISE, _LOWER
-    table = {
-        1: s.tensor(up) + up.tensor(s),
-        2: s.tensor(dn) + dn.tensor(s),
-        3: s.tensor(up) + dn.tensor(s),
-        4: s.tensor(dn) + up.tensor(s),
-    }
-    if k not in table:
-        raise ValueError("index must be 1..4")
-    return table[k]
-
-
-def cnot() -> Operator:
-    """Controlled flip |ij> -> |i>|i xor j>; qubit 0 is the control."""
-    p0 = Operator(1, {"0": Ket.basis("0")})
-    p1 = Operator(1, {"1": Ket.basis("1")})
-    return p0.tensor(_ID) + p1.tensor(lambda_op(4))
-
-
 def apply(op: Operator, state: Ket, targets: Sequence[int] | None = None) -> Ket:
     """``op`` acting on the qubits ``targets`` of ``state`` (default: all, in order).
 
-    ``targets[j]`` receives qubit j of ``op``, so ``apply(cnot(), s, [2, 1])``
+    ``targets[j]`` receives qubit j of ``op``, so ``apply(GATES["CNOT"], s, [2, 1])``
     uses qubit 2 as control and qubit 1 as target.
     """
     n = state.n_qubits
@@ -182,24 +112,36 @@ def apply(op: Operator, state: Ket, targets: Sequence[int] | None = None) -> Ket
     return Ket._canonical(n, out)
 
 
+_ID = Operator.identity(1)
+_STAR = Operator(1, {"0": -Ket.basis("0"), "1": Ket.basis("1")})
+_RAISE = Operator(1, {"0": Ket.basis("1")})
+_LOWER = Operator(1, {"1": Ket.basis("0")})
+_L3 = _STAR @ _LOWER + _RAISE @ _STAR
+_L4 = _STAR @ _RAISE + _LOWER @ _STAR
+_HPLUS = _ID + _STAR @ _L4
+
 GATES: dict[str, Operator] = {
     "STAR": _STAR,
     "RAISE": _RAISE,
     "LOWER": _LOWER,
-    "L1": lambda_op(1),
-    "L2": lambda_op(2),
-    "L3": lambda_op(3),
-    "L4": lambda_op(4),
-    "NOT": lambda_op(4),
-    "LL1": big_lambda_op(1),
-    "LL2": big_lambda_op(2),
-    "LL3": big_lambda_op(3),
-    "LL4": big_lambda_op(4),
-    "HPLUS": hadamard_plus(),
-    "HMINUS": hadamard_minus(),
-    "SIG2A": sigma2_gate("A"),
-    "SIG2B": sigma2_gate("B"),
-    "CNOT": cnot(),
+    # one-mode operators: sums of star/derivative compositions
+    "L1": _STAR @ _RAISE + _RAISE @ _STAR,
+    "L2": _STAR @ _LOWER + _LOWER @ _STAR,
+    "L3": _L3,
+    "L4": _L4,
+    "NOT": _L4,
+    # two-mode operators: sums of generator tensor products
+    "LL1": _STAR.tensor(_RAISE) + _RAISE.tensor(_STAR),
+    "LL2": _STAR.tensor(_LOWER) + _LOWER.tensor(_STAR),
+    "LL3": _STAR.tensor(_RAISE) + _LOWER.tensor(_STAR),
+    "LL4": _STAR.tensor(_LOWER) + _RAISE.tensor(_STAR),
+    "HPLUS": _HPLUS,
+    "HMINUS": _L4 @ _HPLUS,
+    "SIG2A": _L4 @ _STAR,
+    "SIG2B": _L3 @ _STAR,
+    # controlled flip |ij> -> |i>|i xor j>; qubit 0 is the control, and
+    # lower.raise and raise.lower project it onto |0> and |1>
+    "CNOT": (_LOWER @ _RAISE).tensor(_ID) + (_RAISE @ _LOWER).tensor(_L4),
 }
 
 

@@ -156,7 +156,10 @@ class GaussianRational:
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self) -> int:
-        # hash(Fraction(n)) == hash(n), so integer parts hash as plain ints
+        # a real value equals an int or a Fraction, so it hashes as one
+        # (hash(Fraction(n)) == hash(n)); a complex value as its parts
+        if not self._b:
+            return hash(Fraction(self._a, self._d))
         if self._d == 1:
             return hash((self._a, self._b))
         return hash((self.re, self.im))
@@ -310,25 +313,6 @@ class SymbolicAmplitude:
             tuple(conjugate_name(n) for n in mono): coeff.conjugate()
             for mono, coeff in self._terms.items()
         })
-
-    def substitute(self, values: Mapping[str, GaussianRational | Rational]) -> SymbolicAmplitude:
-        """Replace symbols by exact scalars; unlisted symbols stay formal."""
-        out: dict[Monomial, GaussianRational] = {}
-        for mono, coeff in self._terms.items():
-            kept: list[str] = []
-            for name in mono:
-                if name in values:
-                    v = values[name]
-                    coeff = coeff * (v if isinstance(v, GaussianRational) else GaussianRational(v))
-                else:
-                    kept.append(name)
-            key = tuple(kept)
-            acc = out.get(key, ZERO) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return SymbolicAmplitude(out)
 
     def __add__(self, other: object) -> SymbolicAmplitude:
         w = _amp_coerce(other)

@@ -113,10 +113,6 @@ class Ket:
     def has_symbols(self) -> bool:
         return any(a.has_symbols for a in self.terms.values())
 
-    def amplitude(self, bits: str) -> SymbolicAmplitude:
-        check_bits(bits, self.n_qubits)
-        return self.terms.get(bits, _ZERO_AMP)
-
     def __add__(self, other: object) -> Ket:
         if not isinstance(other, Ket):
             return NotImplemented
@@ -170,18 +166,6 @@ class Ket:
         kept = {b: a for b, a in self.terms.items()
                 if all(b[t] == bits[k] for k, t in enumerate(targets))}
         return Ket._canonical(self.n_qubits, kept)
-
-    def substitute(self, values: Mapping[str, object]) -> Ket:
-        vals = {k: amp(v).as_scalar() for k, v in values.items()}
-        return Ket._canonical(self.n_qubits,
-                              {b: a.substitute(vals) for b, a in self.terms.items()})
-
-    def permute(self, order: Sequence[int]) -> Ket:
-        """Reorder qubits: output qubit i is input qubit order[i]."""
-        if sorted(order) != list(range(self.n_qubits)):
-            raise ValueError("order must be a permutation of the qubit indices")
-        out = {"".join(b[q] for q in order): a for b, a in self.terms.items()}
-        return Ket._canonical(self.n_qubits, out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Ket):

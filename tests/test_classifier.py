@@ -7,12 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bhqc.classify import (COSET_CHAIN, SymbolicStateError, _entropy, _rank_2xm,
-                           classify, flattening_ranks, hyperdeterminant,
-                           three_tangle, transition_report)
+                           classify, transition_report)
 from bhqc.operators import GATES, apply
 from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
 
+from _kets import permute
 from _oracle import brute_classify
 
 GHZ = Ket(3, {"000": 1, "111": 1})
@@ -25,67 +25,55 @@ def ket_from_vec(vec, n=3):
 
 class TestFlatteningRanks:
     def test_ghz_is_full_rank_everywhere(self):
-        assert flattening_ranks(GHZ) == (2, 2, 2)
+        assert classify(GHZ).flattening_ranks == (2, 2, 2)
 
     def test_product_state(self):
-        assert flattening_ranks(Ket.basis("000")) == (1, 1, 1)
+        assert classify(Ket.basis("000")).flattening_ranks == (1, 1, 1)
 
     def test_first_party_separated(self):
         state = Ket.basis("1").tensor(Ket(2, {"01": 1, "10": 1}))
-        assert flattening_ranks(state) == (1, 2, 2)
+        assert classify(state).flattening_ranks == (1, 2, 2)
 
     def test_zero_state(self):
-        assert flattening_ranks(Ket.zero(3)) == (0, 0, 0)
-
-    def test_errors(self):
-        with pytest.raises(ValueError, match="3-qubit"):
-            flattening_ranks(Ket.basis("00"))
-        with pytest.raises(SymbolicStateError):
-            flattening_ranks(Ket(3, {"000": amp("alpha")}))
+        assert classify(Ket.zero(3)).flattening_ranks == (0, 0, 0)
 
 
 class TestHyperdeterminant:
     def test_ghz(self):
-        assert hyperdeterminant(GHZ) == GaussianRational(1)
+        assert classify(GHZ).hyperdeterminant == GaussianRational(1)
 
     def test_w(self):
-        assert hyperdeterminant(W) == GaussianRational(0)
+        assert classify(W).hyperdeterminant == GaussianRational(0)
 
     def test_single_amplitude(self):
-        assert hyperdeterminant(Ket.basis("000")) == GaussianRational(0)
+        assert classify(Ket.basis("000")).hyperdeterminant == GaussianRational(0)
 
     def test_generic_value(self):
         # |000> + |011> + |101> + |110> has Det = 4*1 - 0 ... check exactly
         state = Ket(3, {"000": 1, "011": 1, "101": 1, "110": 1})
-        assert hyperdeterminant(state) == GaussianRational(4)
-
-    def test_errors(self):
-        with pytest.raises(ValueError, match="3-qubit"):
-            hyperdeterminant(Ket.basis("00"))
-        with pytest.raises(SymbolicStateError):
-            hyperdeterminant(Ket(3, {"000": amp("alpha")}))
+        assert classify(state).hyperdeterminant == GaussianRational(4)
 
 
 class TestThreeTangle:
     def test_ghz(self):
-        exact, display = three_tangle(GHZ)
-        assert exact == Fraction(1)
-        assert display == 1.0
+        report = classify(GHZ)
+        assert report.three_tangle_exact == Fraction(1)
+        assert report.three_tangle == 1.0
 
     def test_w(self):
-        exact, display = three_tangle(W)
-        assert exact == Fraction(0)
-        assert display == 0.0
+        report = classify(W)
+        assert report.three_tangle_exact == Fraction(0)
+        assert report.three_tangle == 0.0
 
     def test_scale_invariance(self):
-        exact, _ = three_tangle(3 * GHZ)
-        assert exact == Fraction(1)
-        exact_i, _ = three_tangle(GaussianRational(0, 1) * GHZ)
-        assert exact_i == Fraction(1)
+        assert classify(3 * GHZ).three_tangle_exact == Fraction(1)
+        assert classify(GaussianRational(0, 1) * GHZ).three_tangle_exact == Fraction(1)
 
     def test_zero_state_rejected(self):
-        with pytest.raises(ValueError, match="zero state"):
-            three_tangle(Ket.zero(3))
+        # the 3-tangle of the zero state is undefined: the report has none
+        report = classify(Ket.zero(3))
+        assert report.three_tangle_exact is None
+        assert report.three_tangle is None
 
 
 class TestClassifyThreeQubits:
@@ -193,11 +181,11 @@ class TestTransitions:
 class TestInvarianceSpotChecks:
     def test_permutation_covariance(self):
         state = Ket(3, {"000": 2, "011": 1, "101": -1})
-        det = hyperdeterminant(state)
+        det = classify(state).hyperdeterminant
         base = classify(state)
         for perm in permutations(range(3)):
-            permuted = state.permute(perm)
-            assert hyperdeterminant(permuted) == det
+            permuted = permute(state, perm)
+            assert classify(permuted).hyperdeterminant == det
             report = classify(permuted)
             assert report.slocc_class == base.slocc_class
 
@@ -207,15 +195,15 @@ class TestInvarianceSpotChecks:
         state = Ket.basis("1").tensor(Ket(2, {"01": 1, "10": 1}))
         assert classify(state).separated_party == "A"
         for perm in permutations(range(3)):
-            report = classify(state.permute(perm))
+            report = classify(permute(state, perm))
             assert report.separated_party == "ABC"[perm.index(0)]
 
     def test_homogeneity(self):
         state = Ket(3, {"000": 1, "011": 2, "111": 1})
-        det = hyperdeterminant(state)
+        det = classify(state).hyperdeterminant
         for c in (GaussianRational(3), GaussianRational(0, 1),
                   GaussianRational(Fraction(-2, 3), Fraction(1, 5))):
-            assert hyperdeterminant(c * state) == c * c * c * c * det
+            assert classify(c * state).hyperdeterminant == c * c * c * c * det
 
     def test_single_qubit_not_and_star_preserve_the_class(self):
         states = [GHZ, W, Ket(3, {"101": 1, "110": 1}), Ket.basis("000"),

@@ -8,12 +8,19 @@ import pytest
 from bhqc.builders import (bell_chain, class_change_circuit, ghz_circuit,
                            teleport_circuit)
 from bhqc.circuit import ApplyGate, Circuit, Expect, Project
-from bhqc.dsl import (MAX_EXPONENT, MAX_PRODUCT_TERMS, DslError, parse_amplitude,
-                      parse_circuit, parse_ket, render_circuit)
+from bhqc.dsl import MAX_EXPONENT, MAX_PRODUCT_TERMS, DslError, parse_circuit, parse_ket
 from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
+
+
+def amplitude_of(text):
+    """The amplitude ``text`` denotes, read as the coefficient of ``(text)|0>``.
+
+    The ``(`` puts each character of ``text`` one column further right.
+    """
+    return parse_ket(f"({text})|0>").terms.get("0", amp(0))
 
 
 class TestKetExpressions:
@@ -38,6 +45,16 @@ class TestKetExpressions:
         assert parse_ket("0", n_qubits=2) == Ket.zero(2)
         with pytest.raises(DslError):
             parse_ket("0")
+
+    @pytest.mark.parametrize("text, where", [
+        ("|0> |1>", (1, 5, "unexpected trailing input")),
+        ("|0>  )", (1, 6, "unexpected trailing input")),
+        ("0", (1, 1, "cannot infer the qubit count of the zero state")),
+    ])
+    def test_exact_error_positions(self, text, where):
+        with pytest.raises(DslError) as excinfo:
+            parse_ket(text)
+        assert (excinfo.value.line, excinfo.value.col, excinfo.value.message) == where
 
     def test_round_trip_through_rendering(self):
         kets = [
@@ -80,7 +97,7 @@ class TestAmplitudeExpressions:
         ("((1/2)+(-3)i)*alpha", amp(GaussianRational(Fraction(1, 2), -3)) * amp("alpha")),
     ])
     def test_parse(self, text, expected):
-        assert parse_amplitude(text) == expected
+        assert amplitude_of(text) == expected
 
     def test_rendered_amplitudes_round_trip(self):
         values = [
@@ -90,7 +107,7 @@ class TestAmplitudeExpressions:
             amp(GaussianRational(0, -2)) * amp("gamma"),
         ]
         for value in values:
-            assert parse_amplitude(str(value)) == value
+            assert amplitude_of(str(value)) == value
 
 
 class TestExponentBound:
@@ -103,32 +120,32 @@ class TestExponentBound:
         assert f"at most {MAX_EXPONENT}" in excinfo.value.message
 
     def test_exponents_up_to_the_bound_parse(self):
-        assert parse_amplitude("alpha^2") == amp("alpha") * amp("alpha")
-        top = parse_amplitude(f"a^{MAX_EXPONENT}")
+        assert amplitude_of("alpha^2") == amp("alpha") * amp("alpha")
+        top = amplitude_of(f"a^{MAX_EXPONENT}")
         assert top.coefficient(("a",) * MAX_EXPONENT) == 1
-        assert parse_amplitude("*".join(["a"] * MAX_EXPONENT)) == top
+        assert amplitude_of("*".join(["a"] * MAX_EXPONENT)) == top
         half = MAX_EXPONENT // 2
-        mixed = parse_amplitude(f"(a^{half} + 3)*b^{half}")
+        mixed = amplitude_of(f"(a^{half} + 3)*b^{half}")
         assert mixed.coefficient(("a",) * half + ("b",) * half) == 1
         assert mixed.coefficient(("b",) * half) == 3
         for zero in (f"0*a^{MAX_EXPONENT}*a", f"a^{MAX_EXPONENT}*0*a^{MAX_EXPONENT}"):
-            assert len(parse_amplitude(zero)) == 0
+            assert len(amplitude_of(zero)) == 0
         with pytest.raises(DslError):
-            parse_amplitude(f"a^{MAX_EXPONENT + 1}")
+            amplitude_of(f"a^{MAX_EXPONENT + 1}")
 
     def test_product_degree_is_bounded_at_the_star_that_passes_it(self):
         chain = "*".join(["a"] * (MAX_EXPONENT + 1))
         with pytest.raises(DslError) as excinfo:
-            parse_amplitude(chain)
-        assert excinfo.value.col == len(chain) - 1
+            amplitude_of(chain)
+        assert excinfo.value.col == len(chain)
         assert f"degree must be at most {MAX_EXPONENT}" in excinfo.value.message
         # (text, which '*' passes the bound): degrees add through sums and parens
         for text, k in [(f"a^{MAX_EXPONENT}*b", 0),
                         (f"2*(a^{MAX_EXPONENT - 1}+b)*c^2", 1),
                         (f"(a^{MAX_EXPONENT}+b)i*b", 0)]:
             with pytest.raises(DslError, match="degree must be at most") as excinfo:
-                parse_amplitude(text)
-            stars = [j + 1 for j, ch in enumerate(text) if ch == "*"]
+                amplitude_of(text)
+            stars = [j + 2 for j, ch in enumerate(text) if ch == "*"]
             assert excinfo.value.col == stars[k]
 
 
@@ -148,13 +165,13 @@ class TestProductBound:
         assert f"past {MAX_PRODUCT_TERMS} terms" in excinfo.value.message
 
     def test_products_up_to_the_bound_parse(self):
-        four = parse_amplitude("*".join([self.SUM] * 4))
+        four = amplitude_of("*".join([self.SUM] * 4))
         assert four.coefficient("abcd") == 24
         width = math.isqrt(MAX_PRODUCT_TERMS)
         wide = "(" + "+".join(f"s{k}" for k in range(width)) + ")"
-        assert parse_amplitude(f"{wide}*{wide}").coefficient(("s0", "s1")) == 2
+        assert amplitude_of(f"{wide}*{wide}").coefficient(("s0", "s1")) == 2
         with pytest.raises(DslError, match="past"):
-            parse_amplitude(f"{wide}*{wide}*{wide}")
+            amplitude_of(f"{wide}*{wide}*{wide}")
 
 
 class TestCircuitParsing:
@@ -230,6 +247,8 @@ class TestCircuitParsing:
         ("qubits 3\napply CNOT 2 2\n", (2, 14, "duplicate target qubit 2")),
         ("qubits 2\napply STAR\n", (2, 7, "gate STAR needs 1 targets")),
         ("qubits 2\napply CNOT 0 x\n", (2, 14, "target must be an integer")),
+        ("qubits 2\nstate |00> junk\n", (2, 12, "unexpected trailing input")),
+        ("qubits 2\nexpect |00> junk\n", (2, 13, "unexpected trailing input")),
     ])
     def test_exact_error_positions(self, text, where):
         # (line, col, message) of each single-fault input, as the parser has
@@ -247,24 +266,21 @@ class TestCircuitParsing:
         assert (excinfo.value.line, excinfo.value.col) == (2, 9)
 
 
-class TestRoundTrip:
-    @pytest.mark.parametrize("builder", [
-        bell_chain, teleport_circuit, lambda: ghz_circuit(1),
-        lambda: ghz_circuit(2), class_change_circuit,
-    ])
-    def test_builders_round_trip(self, builder):
-        circuit = builder()
-        assert parse_circuit(render_circuit(circuit)) == circuit
+# shipped file stem -> the builder whose circuit the file holds
+SHIPPED = {
+    "bell_chain": bell_chain,
+    "teleport": teleport_circuit,
+    "ghz_a1": lambda: ghz_circuit(1),
+    "ghz": lambda: ghz_circuit(2),
+    "class_change": class_change_circuit,
+}
 
-    def test_shipped_files_round_trip(self):
-        paths = sorted(CIRCUITS.glob("*.bhqc"))
-        assert len(paths) >= 5
-        for path in paths:
-            text = path.read_text(encoding="utf-8")
-            circuit = parse_circuit(text)
-            assert parse_circuit(render_circuit(circuit)) == circuit
-            # the shipped files are stored in canonical form
-            assert render_circuit(circuit) == text
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_builder_is_its_shipped_file(self, name):
+        text = (CIRCUITS / f"{name}.bhqc").read_text(encoding="utf-8")
+        assert parse_circuit(text) == SHIPPED[name]()
 
     def test_symbol_table_shared_between_state_and_expect(self):
         text = ("qubits 1\nsymbols a\nstate (a)|0>\napply L4 0\nexpect (a)|1>\n")

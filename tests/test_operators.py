@@ -2,9 +2,7 @@ from itertools import permutations, product
 
 import pytest
 
-from bhqc.operators import (GATES, Operator, apply, big_lambda_op, cnot,
-                            gate_named, hadamard_minus, hadamard_plus,
-                            lambda_op, sigma2_gate)
+from bhqc.operators import GATES, Operator, apply, gate_named
 from bhqc.scalars import amp
 from bhqc.states import Ket
 
@@ -14,7 +12,15 @@ K0, K1 = Ket.basis("0"), Ket.basis("1")
 STAR = GATES["STAR"]
 RAISE = GATES["RAISE"]
 LOWER = GATES["LOWER"]
+L1, L2, L3, L4 = (GATES[f"L{k}"] for k in range(1, 5))
+HPLUS, HMINUS = GATES["HPLUS"], GATES["HMINUS"]
+CNOT = GATES["CNOT"]
 ID1 = Operator.identity(1)
+
+
+def columns(op):
+    """The image of each basis ket under ``op``, in basis order."""
+    return [apply(op, Ket.basis(format(c, f"0{op.arity}b"))) for c in range(1 << op.arity)]
 
 
 class TestGenerators:
@@ -43,60 +49,51 @@ class TestLambdaOps:
     def test_action_table(self):
         zero = Ket.zero(1)
         for j, kj, flipped in (("0", K0, K1), ("1", K1, K0)):
-            assert apply(lambda_op(1), kj) == zero
-            assert apply(lambda_op(2), kj) == zero
-            assert apply(lambda_op(3), kj) == -flipped
-            assert apply(lambda_op(4), kj) == flipped
+            assert apply(L1, kj) == zero
+            assert apply(L2, kj) == zero
+            assert apply(L3, kj) == -flipped
+            assert apply(L4, kj) == flipped
 
     def test_lambda_one_and_two_are_the_zero_operator(self):
-        assert lambda_op(1) == Operator(1)
-        assert lambda_op(2) == Operator(1)
+        assert L1 == Operator(1)
+        assert L2 == Operator(1)
 
     def test_squares_and_negation(self):
-        assert lambda_op(3) @ lambda_op(3) == ID1
-        assert lambda_op(4) @ lambda_op(4) == ID1
-        assert lambda_op(4) == -lambda_op(3)
+        assert L3 @ L3 == ID1
+        assert L4 @ L4 == ID1
+        assert columns(L4) == [-k for k in columns(L3)]
 
     def test_not_gate_on_a_formal_qubit(self):
         q = Ket(1, {"0": amp("alpha"), "1": amp("beta")})
-        assert apply(lambda_op(4), q) == Ket(1, {"1": amp("alpha"), "0": amp("beta")})
-        assert apply(lambda_op(3), q) == Ket(1, {"1": -amp("alpha"), "0": -amp("beta")})
-
-    def test_bad_index(self):
-        with pytest.raises(ValueError):
-            lambda_op(5)
+        assert apply(L4, q) == Ket(1, {"1": amp("alpha"), "0": amp("beta")})
+        assert apply(L3, q) == Ket(1, {"1": -amp("alpha"), "0": -amp("beta")})
 
 
 class TestHadamardAndSigma2:
     def test_hadamard_plus(self):
-        assert apply(hadamard_plus(), K0) == K0 + K1
-        assert apply(hadamard_plus(), K1) == K1 - K0
+        assert apply(HPLUS, K0) == K0 + K1
+        assert apply(HPLUS, K1) == K1 - K0
 
     def test_hadamard_minus(self):
-        assert apply(hadamard_minus(), K0) == K0 + K1
-        assert apply(hadamard_minus(), K1) == K0 - K1
-        assert hadamard_minus() == lambda_op(4) @ hadamard_plus()
+        assert apply(HMINUS, K0) == K0 + K1
+        assert apply(HMINUS, K1) == K0 - K1
+        assert HMINUS == L4 @ HPLUS
 
     def test_hadamard_plus_squared_matrix_identity(self):
-        h = hadamard_plus()
-        assert h @ h == 2 * (STAR @ lambda_op(4))
+        assert columns(HPLUS @ HPLUS) == [2 * k for k in columns(STAR @ L4)]
 
     def test_sigma2_actions(self):
-        a = sigma2_gate("A")
-        b = sigma2_gate("B")
+        a = GATES["SIG2A"]
+        b = GATES["SIG2B"]
         assert apply(a, K0) == -K1
         assert apply(a, K1) == K0
         assert apply(b, K0) == K1
         assert apply(b, K1) == -K0
 
     def test_sigma2_squares_to_minus_identity(self):
-        for variant in "AB":
-            g = sigma2_gate(variant)
-            assert g @ g == -ID1
-
-    def test_sigma2_bad_variant(self):
-        with pytest.raises(ValueError):
-            sigma2_gate("C")
+        for name in ("SIG2A", "SIG2B"):
+            g = GATES[name]
+            assert columns(g @ g) == [-k for k in columns(ID1)]
 
 
 class TestTwoModeTensors:
@@ -154,12 +151,12 @@ class TestBigLambdaOps:
             (4, "10"): zero,
         }
         for (k, bits), expected in cases.items():
-            assert apply(big_lambda_op(k), Ket.basis(bits)) == expected
+            assert apply(GATES[f"LL{k}"], Ket.basis(bits)) == expected
 
     def test_composition_identities(self):
-        assert apply(big_lambda_op(2) @ big_lambda_op(1), Ket.basis("00")) == \
+        assert apply(GATES["LL2"] @ GATES["LL1"], Ket.basis("00")) == \
             Ket(2, {"00": 2})
-        assert apply(big_lambda_op(1) @ big_lambda_op(2), Ket.basis("11")) == \
+        assert apply(GATES["LL1"] @ GATES["LL2"], Ket.basis("11")) == \
             Ket(2, {"11": 2})
 
 
@@ -167,17 +164,17 @@ class TestCnot:
     def test_basis_table(self):
         for i, j in product("01", repeat=2):
             flipped = i + str(int(i) ^ int(j))
-            assert apply(cnot(), Ket.basis(i + j)) == Ket.basis(flipped)
+            assert apply(CNOT, Ket.basis(i + j)) == Ket.basis(flipped)
 
     def test_squares_to_identity(self):
-        assert cnot() @ cnot() == Operator.identity(2)
+        assert CNOT @ CNOT == Operator.identity(2)
 
     def test_sector_form(self):
         # the classically indexed form (I (x) L4)^i agrees on each control sector
-        conditional = ID1.tensor(lambda_op(4))
+        conditional = ID1.tensor(L4)
         for i, j in product("01", repeat=2):
             sector = conditional if i == "1" else Operator.identity(2)
-            assert apply(cnot(), Ket.basis(i + j)) == apply(sector, Ket.basis(i + j))
+            assert apply(CNOT, Ket.basis(i + j)) == apply(sector, Ket.basis(i + j))
 
 
 def symbolic_ket(n):
@@ -194,14 +191,14 @@ class TestEmbedAndApply:
 
     def test_identity_embedding(self):
         for state in (K0, K1, symbolic_ket(1)):
-            assert apply(lambda_op(4), state, [0]) == apply(lambda_op(4), state)
+            assert apply(L4, state, [0]) == apply(L4, state)
 
     def test_cnot_embedded_in_three_qubits(self):
-        assert apply(cnot(), Ket.basis("110"), [0, 1]) == Ket.basis("100")
+        assert apply(CNOT, Ket.basis("110"), [0, 1]) == Ket.basis("100")
 
     def test_target_order_selects_control(self):
-        assert apply(cnot(), Ket.basis("001"), [2, 1]) == Ket.basis("011")
-        assert apply(cnot(), Ket.basis("010"), [2, 1]) == Ket.basis("010")
+        assert apply(CNOT, Ket.basis("001"), [2, 1]) == Ket.basis("011")
+        assert apply(CNOT, Ket.basis("010"), [2, 1]) == Ket.basis("010")
 
     def test_embed_against_dense_oracle(self):
         state = symbolic_ket(4)
@@ -216,11 +213,11 @@ class TestEmbedAndApply:
         state = symbolic_ket(6)
         dense = dense_embed(dense_gate("CNOT"), (4, 1), 6)
         want = vec_to_ket(6, dense_matvec(dense, ket_to_vec(state)))
-        assert apply(cnot(), state, [4, 1]) == want
+        assert apply(CNOT, state, [4, 1]) == want
 
     def test_embed_commutes_with_composition(self):
-        pairs = [(STAR, RAISE), (lambda_op(4), hadamard_plus()),
-                 (sigma2_gate("A"), LOWER)]
+        pairs = [(STAR, RAISE), (L4, HPLUS),
+                 (GATES["SIG2A"], LOWER)]
         state = symbolic_ket(3)
         for a, b in pairs:
             for target in range(3):
@@ -231,15 +228,15 @@ class TestEmbedAndApply:
     def test_embed_errors(self):
         state = Ket.basis("000")
         with pytest.raises(ValueError, match="arity"):
-            apply(cnot(), state, [0])
+            apply(CNOT, state, [0])
         with pytest.raises(ValueError, match="duplicate"):
-            apply(cnot(), state, [1, 1])
+            apply(CNOT, state, [1, 1])
         with pytest.raises(ValueError, match="out of range"):
             apply(STAR, state, [3])
 
     def test_apply_size_mismatch(self):
         with pytest.raises(ValueError):
-            apply(cnot(), Ket.basis("0"))
+            apply(CNOT, Ket.basis("0"))
 
     def test_cancelling_contributions_leave_sorted_nonzero_terms(self):
         # HPLUS sends |0> to |0> + |1> and |1> to |1> - |0>, so a|0> + a|1>
@@ -247,7 +244,7 @@ class TestEmbedAndApply:
         rest = ["00", "01", "11"]
         symbols = [amp(s) for s in ("alpha", "beta", "gamma~")]
         state = Ket(3, {q + r: a for r, a in zip(rest, symbols) for q in "01"})
-        out = apply(hadamard_plus(), state, [0])
+        out = apply(HPLUS, state, [0])
         assert list(out.terms) == sorted(out.terms) == ["100", "101", "111"]
         assert all(out.terms.values())
         dense = dense_embed(dense_gate("HPLUS"), (0,), 3)
@@ -257,9 +254,8 @@ class TestEmbedAndApply:
     def test_apply_is_linear(self):
         x, y = Ket.basis("01"), Ket.basis("10")
         combo = amp("alpha") * x + amp("beta") * y
-        h = hadamard_plus()
-        assert apply(h, combo, [0]) == \
-            amp("alpha") * apply(h, x, [0]) + amp("beta") * apply(h, y, [0])
+        assert apply(HPLUS, combo, [0]) == \
+            amp("alpha") * apply(HPLUS, x, [0]) + amp("beta") * apply(HPLUS, y, [0])
 
 
 class TestActionTables:
@@ -271,7 +267,7 @@ class TestActionTables:
 
     def test_zero_images_are_dropped(self):
         assert Operator(1, {"0": Ket.zero(1)}).columns == {}
-        assert (RAISE - RAISE).columns == {}
+        assert (RAISE + RAISE @ STAR).columns == {}  # |1> - |1>
         assert (RAISE @ RAISE).by_column == {}
 
     @pytest.mark.parametrize("columns, match", [
@@ -300,7 +296,7 @@ class TestRegistry:
         for name, op in GATES.items():
             dense = dense_gate(name)
             dim = 1 << op.arity
-            for c in range(dim):
-                column = apply(op, Ket.basis(format(c, f"0{op.arity}b")))
+            for c, column in enumerate(columns(op)):
                 for r in range(dim):
-                    assert column.amplitude(format(r, f"0{op.arity}b")) == dense[r][c]
+                    bits = format(r, f"0{op.arity}b")
+                    assert column.terms.get(bits, 0) == dense[r][c]
