@@ -6,6 +6,11 @@ ranks and the 2x2x2 hyperdeterminant.  Two-qubit states classify as NULL,
 SEPARABLE, or ENTANGLED.  Everything except the display values (3-tangle,
 entropy) is exact rational arithmetic; the entropy is a Decimal when it is
 too large for a float.
+
+The classifier works on the state scaled by the lcm of its denominators, a
+vector of Gaussian integers whose products need no gcd: flattening ranks do
+not change under rescaling, and the hyperdeterminant is homogeneous of
+degree 4, so the state's Det is the scaled one over ``scale**4``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import sys
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 
-from .scalars import GaussianRational, ZERO, rat_str
+from .scalars import GaussianRational, ZERO, _reduced, rat_str
 from .states import Ket
 
 
@@ -48,13 +53,18 @@ SUSY_PHRASE = {
     "1/8-or-broken": "1/8 preserved or completely broken",
 }
 
-def _scalar_amplitudes(state: Ket) -> list[GaussianRational]:
+def _scalar_amplitudes(state: Ket) -> tuple[list[GaussianRational], int]:
+    """The amplitude vector times ``scale``, the lcm of its denominators, and
+    ``scale``: every entry of the vector is a Gaussian integer."""
     if state.has_symbols:
         raise SymbolicStateError("symbolic amplitudes are not classifiable")
+    values = [(int(bits, 2), a.as_scalar()) for bits, a in state.terms.items()]
+    scale = math.lcm(*(z._d for _, z in values))
     vec = [ZERO] * (1 << state.n_qubits)
-    for bits, a in state.terms.items():
-        vec[int(bits, 2)] = a.as_scalar()
-    return vec
+    for index, z in values:
+        k = scale // z._d
+        vec[index] = GaussianRational(z._a * k, z._b * k)
+    return vec, scale
 
 
 def _party_rows(vec: list[GaussianRational], n: int,
@@ -164,10 +174,10 @@ def classify(state: Ket) -> EntanglementReport:
     n = state.n_qubits
     if n not in (2, 3):
         raise ValueError("classification covers 2- and 3-qubit states only")
-    vec = _scalar_amplitudes(state)
+    vec, scale = _scalar_amplitudes(state)
     if n == 2:
         return _classify_two(vec)
-    return _classify_three(state, vec)
+    return _classify_three(vec, scale)
 
 
 def _classify_two(vec: list[GaussianRational]) -> EntanglementReport:
@@ -180,10 +190,10 @@ def _classify_two(vec: list[GaussianRational]) -> EntanglementReport:
         three_tangle=None, entropy_display=None)
 
 
-def _classify_three(state: Ket, vec: list[GaussianRational]) -> EntanglementReport:
+def _classify_three(vec: list[GaussianRational], scale: int) -> EntanglementReport:
     ranks = _ranks(vec)
-    det = _hyperdet(vec)
-    det_sq = (det * det.conjugate()).re
+    det = _hyperdet(vec)  # of the scaled state, a Gaussian integer
+    abs_sq = det._a * det._a + det._b * det._b
     party = None
     if ranks == (0, 0, 0):
         slocc = "NULL"
@@ -199,14 +209,15 @@ def _classify_three(state: Ket, vec: list[GaussianRational]) -> EntanglementRepo
     # the squared normalized 3-tangle 16|Det|^2 / <x|x>^4, invariant under
     # rescaling, and its display value tau3 = 4|Det| of the normalized state
     tangle_exact = tangle = None
-    if not state.is_zero:
-        tangle_exact = 16 * det_sq / state.inner(state).as_scalar().re ** 4
+    norm_sq = sum(z._a * z._a + z._b * z._b for z in vec)  # <x|x> of the scaled state
+    if norm_sq:
+        tangle_exact = Fraction(16 * abs_sq, norm_sq ** 4)
         tangle = _display_root(tangle_exact, 2)
     return EntanglementReport(
         n_qubits=3, flattening_ranks=ranks, slocc_class=slocc,
-        separated_party=party, hyperdeterminant=det,
+        separated_party=party, hyperdeterminant=_reduced(det._a, det._b, scale ** 4),
         three_tangle_exact=tangle_exact, three_tangle=tangle,
-        entropy_display=_entropy(det_sq))
+        entropy_display=_entropy(Fraction(abs_sq, scale ** 8)))
 
 
 def _entropy(det_sq: Fraction) -> float | Decimal:

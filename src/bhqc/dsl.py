@@ -18,10 +18,10 @@ compound scalars such as ``(1/2)+(-3)i``, and symbol powers ``alpha^2``.
 from __future__ import annotations
 
 import re as _re
-from fractions import Fraction
 from typing import TYPE_CHECKING, NoReturn
 
-from .scalars import GaussianRational, I, ONE, SymbolTable, SymbolicAmplitude
+from .scalars import (GaussianRational, I, ONE, ZERO, Monomial, SymbolTable, SymbolicAmplitude,
+                      _reduced)
 from .states import MAX_QUBITS, Ket, OperandError
 
 if TYPE_CHECKING:  # parse_circuit imports circuit when called
@@ -53,10 +53,20 @@ _INSTRUCTIONS = {"apply": (1, "usage: apply GATE q [q ...]"),
 
 _IDENT = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*~?")
 _TOKEN = _re.compile(r"\S+")
+_DIGITS = _re.compile(r"\d*")
+_BITS = _re.compile(r"[01]*")
+# an ``i`` that ends a number or a parenthesis, not one that starts a name
+# (\w is str.isalnum() and "_")
+_IMAG = _re.compile(r"i(?![\w~])")
 
 
 class _Expr:
-    """Recursive-descent parser for ket and amplitude expressions."""
+    """Recursive-descent parser for ket and amplitude expressions.
+
+    An amplitude is a ``GaussianRational`` until a symbol appears in it and a
+    ``SymbolicAmplitude`` from then on, so symbol-free input pays for no
+    polynomial arithmetic.
+    """
 
     def __init__(self, src: str, line: int, col_base: int,
                  table: SymbolTable | None) -> None:
@@ -71,25 +81,31 @@ class _Expr:
         raise DslError(self.line, self.col_base + at, message)
 
     def peek(self) -> str:
-        return self.s[self.i] if self.i < len(self.s) else ""
+        return self.s[self.i:self.i + 1]
 
-    def ws(self) -> None:
-        while self.i < len(self.s) and self.s[self.i] in " \t":
-            self.i += 1
+    def ws(self) -> str:
+        """Skip blanks; the character after them, or "" at the end."""
+        s, i = self.s, self.i
+        ch = s[i:i + 1]
+        while ch == " " or ch == "\t":
+            i += 1
+            ch = s[i:i + 1]
+        self.i = i
+        return ch
 
     # -- ket grammar ------------------------------------------------
 
     def ket_expr(self, n_qubits: int | None) -> Ket:
-        self.ws()
+        ch = self.ws()
         if self.s[self.i:].strip() == "0":
             if n_qubits is None:
                 self.err("cannot infer the qubit count of the zero state")
             self.i = len(self.s)
             return Ket.zero(n_qubits)
-        entries: list[tuple[str, SymbolicAmplitude]] = []
+        entries: list[tuple[str, GaussianRational | SymbolicAmplitude]] = []
         n = n_qubits
         sign = 1
-        if self.peek() == "-":
+        if ch == "-":
             self.i += 1
             sign = -1
         while True:
@@ -102,8 +118,7 @@ class _Expr:
             elif len(bits) != n:
                 self.err(f"expected {n}-qubit kets throughout", pos=start)
             entries.append((bits, a if sign > 0 else -a))
-            self.ws()
-            ch = self.peek()
+            ch = self.ws()
             if ch == "+":
                 sign = 1
             elif ch == "-":
@@ -115,155 +130,168 @@ class _Expr:
             self.err("unexpected trailing input")
         return Ket.from_terms(n, entries)
 
-    def _ket_term(self) -> tuple[str, SymbolicAmplitude]:
-        self.ws()
-        ch = self.peek()
+    def _ket_term(self) -> tuple[str, GaussianRational | SymbolicAmplitude]:
+        ch = self.ws()
         if ch == "(":
             a = self._paren_amp()
-            self.ws()
+            ch = self.ws()
         elif ch.isdigit():
-            a = SymbolicAmplitude.scalar(GaussianRational(self._number()))
+            a = self._number()
+            ch = self.peek()
         elif ch == "|":
-            a = SymbolicAmplitude.scalar(ONE)
+            a = ONE
         else:
             self.err("expected a coefficient or '|'")
-        if self.peek() != "|":
+        if ch != "|":
             self.err("expected '|'")
-        self.i += 1
-        start = self.i
-        while self.peek() in ("0", "1"):
-            self.i += 1
+        start = self.i + 1
+        self.i = _BITS.match(self.s, start).end()
         if self.i == start:
             self.err("expected bits after '|'")
         if self.peek().isdigit():
             self.err("bitstring may only contain 0 and 1")
         if self.peek() != ">":
             self.err("expected '>'")
-        bits = self.s[start:self.i]
         self.i += 1
-        return bits, a
+        return self.s[start:self.i - 1], a
 
     # -- amplitude grammar ------------------------------------------
 
-    def amplitude(self) -> SymbolicAmplitude:
-        self.ws()
-        sign = 1
-        if self.peek() == "-":
+    def amplitude(self) -> GaussianRational | SymbolicAmplitude:
+        negate = self.ws() == "-"
+        if negate:
             self.i += 1
-            sign = -1
         acc = self._aterm()
-        if sign < 0:
+        if negate:
             acc = -acc
         while True:
-            self.ws()
-            ch = self.peek()
+            ch = self.ws()
             if ch == "+":
                 self.i += 1
                 acc = acc + self._aterm()
             elif ch == "-":
                 self.i += 1
                 acc = acc - self._aterm()
+            elif type(acc) is SymbolicAmplitude and not acc.has_symbols:
+                return acc.as_scalar()  # the symbols cancelled
             else:
                 return acc
 
-    def _aterm(self) -> SymbolicAmplitude:
-        acc = self._factor()
-        degree = None  # acc.degree(), found at the first '*' and kept after
+    def _aterm(self) -> GaussianRational | SymbolicAmplitude:
+        factor = self._factor()
+        if self.ws() != "*":
+            return SymbolicAmplitude._canonical({factor: ONE}) if type(factor) is tuple else factor
+        # The product is coeff * names * poly, of `count` terms and degree
+        # `degree`: one-term factors fold into coeff and names, so only a
+        # multi-term factor is multiplied out.
+        coeff, names, poly = ONE, [], None
+        count, degree, star = 1, 0, None
         while True:
-            self.ws()
-            if self.peek() != "*":
-                return acc
-            star = self.i
-            self.i += 1
-            rhs = self._factor()
-            if len(acc) * len(rhs) > MAX_PRODUCT_TERMS:
+            if type(factor) is tuple:
+                rcount, rdegree = 1, len(factor)
+            elif type(factor) is GaussianRational:
+                rcount, rdegree = int(bool(factor)), 0
+            else:
+                rcount, rdegree = len(factor), factor.degree()
+            if star is not None and count * rcount > MAX_PRODUCT_TERMS:
                 self.err(f"product expands past {MAX_PRODUCT_TERMS} terms", pos=star)
-            if degree is None:
-                degree = acc.degree()
             # with no zero divisors, degrees add under a product of nonzero
             # operands; a product with a zero operand is zero, of degree 0
-            degree = degree + rhs.degree() if acc and rhs else 0
+            degree = degree + rdegree if count and rcount else 0
             if degree > MAX_EXPONENT:
                 self.err(f"degree must be at most {MAX_EXPONENT}", pos=star)
-            acc = acc * rhs
+            if not (count and rcount):
+                coeff, names, poly, count = ZERO, [], None, 0
+            elif type(factor) is tuple:
+                names += factor
+            elif type(factor) is GaussianRational:
+                coeff = coeff * factor
+            elif rcount == 1:
+                (mono, c), = factor.items()
+                names += mono
+                coeff = coeff * c
+            else:
+                poly = factor if poly is None else poly * factor
+                count = len(poly)
+            if self.ws() != "*":
+                break
+            star = self.i
+            self.i += 1
+            factor = self._factor()
+        if not names:
+            return coeff if poly is None else poly * coeff
+        term = SymbolicAmplitude._canonical({tuple(sorted(names)): coeff})
+        return term if poly is None else poly * term
 
-    def _factor(self) -> SymbolicAmplitude:
-        self.ws()
-        ch = self.peek()
+    def _factor(self) -> GaussianRational | SymbolicAmplitude | Monomial:
+        """A number, ``i`` or parenthesized amplitude, or a symbol power as
+        its monomial."""
+        ch = self.ws()
         if ch == "(":
             return self._paren_amp()
         if ch.isdigit():
             q = self._number()
-            if self._imag_suffix():
-                return SymbolicAmplitude.scalar(GaussianRational(0, q))
-            return SymbolicAmplitude.scalar(GaussianRational(q))
+            return q * I if self._imag_suffix() else q
         m = _IDENT.match(self.s, self.i)
         if m:
             start = self.i
             name = m.group()
             self.i = m.end()
             if name == "i":
-                return SymbolicAmplitude.scalar(I)
+                return I
             self._check_symbol(name, start)
-            power = 1
-            if self.peek() == "^":
-                self.i += 1
-                pstart = self.i
-                power = self._number(integer=True)
-                if power < 1:
-                    self.err("exponent must be positive", pos=start)
-                if power > MAX_EXPONENT:
-                    self.err(f"exponent must be at most {MAX_EXPONENT}", pos=pstart)
-            return SymbolicAmplitude._canonical({(name,) * power: ONE})
+            if self.peek() != "^":
+                return (name,)
+            self.i += 1
+            pstart = self.i
+            power = self._int("expected a number")
+            if power < 1:
+                self.err("exponent must be positive", pos=start)
+            if power > MAX_EXPONENT:
+                self.err(f"exponent must be at most {MAX_EXPONENT}", pos=pstart)
+            return (name,) * power
         self.err("expected a number, symbol, 'i', or '('")
 
-    def _paren_amp(self) -> SymbolicAmplitude:
+    def _paren_amp(self) -> GaussianRational | SymbolicAmplitude:
         self.i += 1  # consume '('
-        a = self.amplitude()
-        self.ws()
+        a = self.amplitude()  # which ends past any blanks
         if self.peek() != ")":
             self.err("expected ')'")
         self.i += 1
-        if self._imag_suffix():
-            a = a * I
-        return a
+        return a * I if self._imag_suffix() else a
 
     def _imag_suffix(self) -> bool:
-        if self.peek() != "i":
-            return False
-        after = self.s[self.i + 1:self.i + 2]
-        if after and (after.isalnum() or after in "_~"):
+        if _IMAG.match(self.s, self.i) is None:
             return False
         self.i += 1
         return True
 
-    def _number(self, integer: bool = False) -> int | Fraction:
-        start = self.i
-        while self.peek().isdigit():
-            self.i += 1
-        if self.i == start:
-            self.err("expected a number")
-        num = self._int(start)
-        if integer:
-            return num
-        if self.peek() == "/":
-            self.i += 1
-            dstart = self.i
-            while self.peek().isdigit():
-                self.i += 1
-            if self.i == dstart:
-                self.err("expected a denominator")
-            den = self._int(dstart)
-            if den == 0:
-                self.err("denominator cannot be zero", pos=dstart)
-            return Fraction(num, den)
-        return num
+    def _number(self) -> GaussianRational:
+        """An unsigned integer or ``p/q``."""
+        num = self._int("expected a number")
+        if self.peek() != "/":
+            return GaussianRational(num)
+        self.i += 1
+        dstart = self.i
+        den = self._int("expected a denominator")
+        if not den:
+            self.err("denominator cannot be zero", pos=dstart)
+        return _reduced(num, 0, den)
 
-    def _int(self, start: int) -> int:
-        # str.isdigit admits characters int() rejects (superscripts), and
-        # int() refuses digit strings past the interpreter's length limit
+    def _int(self, missing: str) -> int:
+        """The digit run at the cursor; ``missing`` is the error when there is none."""
+        s, start = self.s, self.i
+        end = _DIGITS.match(s, start).end()
+        # str.isdigit admits characters \d does not (superscripts), which
+        # int() rejects, as it does digit strings past the interpreter's
+        # length limit
+        while end < len(s) and s[end].isdigit():
+            end += 1
+        if end == start:
+            self.err(missing)
+        self.i = end
         try:
-            return int(self.s[start:self.i])
+            return int(s[start:end])
         except ValueError:
             self.err("invalid number", pos=start)
 

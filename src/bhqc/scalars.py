@@ -308,12 +308,6 @@ class SymbolicAmplitude:
             raise ValueError(f"amplitude {self} contains formal symbols")
         return self._terms[()]
 
-    def conjugate(self) -> SymbolicAmplitude:
-        return SymbolicAmplitude({
-            tuple(conjugate_name(n) for n in mono): coeff.conjugate()
-            for mono, coeff in self._terms.items()
-        })
-
     def __add__(self, other: object) -> SymbolicAmplitude:
         w = _amp_coerce(other)
         if w is None:

@@ -148,17 +148,6 @@ class Ket:
                 out[b1 + b2] = a1 * a2
         return Ket._canonical(n, out)
 
-    def inner(self, other: Ket) -> SymbolicAmplitude:
-        """<self|other>: conjugate-linear in self, linear in other."""
-        if not isinstance(other, Ket) or other.n_qubits != self.n_qubits:
-            raise ValueError("inner product requires equal qubit counts")
-        total = _ZERO_AMP
-        for bits, a in self.terms.items():
-            b = other.terms.get(bits)
-            if b is not None:
-                total = total + a.conjugate() * b
-        return total
-
     def project(self, targets: Sequence[int], bits: str) -> Ket:
         """Keep exactly the terms whose restriction to ``targets`` equals ``bits``."""
         targets = tuple(targets)

@@ -13,7 +13,7 @@ from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
 
 from _kets import permute
-from _oracle import brute_classify
+from _oracle import _cayley_det, brute_classify
 
 GHZ = Ket(3, {"000": 1, "111": 1})
 W = Ket(3, {"001": 1, "010": 1, "100": 1})
@@ -285,3 +285,26 @@ def test_rank_2xm_matches_the_pairwise_minors(columns, scale):
     row1 = [y for _, y in columns] if scale is None else [scale * x for x in row0]
     assert _rank_2xm(row0, row1) == _pairwise_rank(row0, row1)
     assert _rank_2xm(row1, row0) == _pairwise_rank(row1, row0)
+
+
+_q9 = st.fractions(min_value=-2, max_value=2, max_denominator=9)
+_entries9 = st.just(_Z) | st.builds(GaussianRational, _q9, _q9)
+
+
+@settings(max_examples=200)
+@given(st.lists(_entries9, min_size=8, max_size=8))
+@example([_Z, GaussianRational(Fraction(1, 2)), GaussianRational(Fraction(1, 3)), _Z,
+          GaussianRational(0, Fraction(-1, 9)), _Z, _Z, _Z])  # W
+@example([GaussianRational(Fraction(1, 6)), _Z, _Z, GaussianRational(Fraction(2, 9), 1),
+          _Z, _Z, _Z, _Z])  # A-BC
+def test_classify_on_non_unit_denominators(vec):
+    state = ket_from_vec(vec)
+    report = classify(state)
+    det = report.hyperdeterminant
+    assert det == _cayley_det(vec)
+    assert (report.slocc_class, report.separated_party) == brute_classify(state)
+    norm = sum((z * z.conjugate()).re for z in vec)  # <x|x> of the unscaled state
+    if norm:
+        assert report.three_tangle_exact == 16 * (det * det.conjugate()).re / norm ** 4
+    else:
+        assert report.three_tangle_exact is None

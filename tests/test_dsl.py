@@ -1,15 +1,19 @@
 import math
 import time
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhqc.builders import (bell_chain, class_change_circuit, ghz_circuit,
                            teleport_circuit)
 from bhqc.circuit import ApplyGate, Circuit, Expect, Project
 from bhqc.dsl import MAX_EXPONENT, MAX_PRODUCT_TERMS, DslError, parse_circuit, parse_ket
-from bhqc.scalars import GaussianRational, amp
+from bhqc.scalars import GaussianRational, I, amp
 from bhqc.states import Ket
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
@@ -50,6 +54,21 @@ class TestKetExpressions:
         ("|0> |1>", (1, 5, "unexpected trailing input")),
         ("|0>  )", (1, 6, "unexpected trailing input")),
         ("0", (1, 1, "cannot infer the qubit count of the zero state")),
+        ("(1/)|0>", (1, 4, "expected a denominator")),
+        ("(1/ 2)|0>", (1, 4, "expected a denominator")),
+        ("(1/0)|0>", (1, 4, "denominator cannot be zero")),
+        ("(a^0)|0>", (1, 2, "exponent must be positive")),
+        ("(a^)|0>", (1, 4, "expected a number")),
+        ("(a^ 2)|0>", (1, 4, "expected a number")),
+        ("3 |0>", (1, 2, "expected '|'")),
+        ("(1/2)(3)|0>", (1, 6, "expected '|'")),
+        ("(2))|0>", (1, 4, "expected '|'")),
+        ("| 01>", (1, 2, "expected bits after '|'")),
+        ("(1 + )|0>", (1, 6, "expected a number, symbol, 'i', or '('")),
+        ("(a*b", (1, 5, "expected ')'")),
+        ("|0> + |0", (1, 9, "expected '>'")),
+        pytest.param("(" + "9" * 5000 + ")|0>", (1, 2, "invalid number"), id="5000-nines"),
+        ("|01> + 2|1>", (1, 7, "expected 2-qubit kets throughout")),
     ])
     def test_exact_error_positions(self, text, where):
         with pytest.raises(DslError) as excinfo:
@@ -108,6 +127,85 @@ class TestAmplitudeExpressions:
         ]
         for value in values:
             assert amplitude_of(str(value)) == value
+
+
+# Amplitude trees: ("num", p, q, imag) for p, p/q, pi or p/qi; ("sym", name, k)
+# for name^k; ("i",); ("paren", sum, imag) for (sum) or (sum)i.  A sum is
+# (negate, [(separator, term), ...]) and a term a list of factors.
+_SEPARATORS = {"+": ["+", " + ", "+ "], "-": ["-", " - ", " -"], "*": ["*", " * ", "* "]}
+_leaves = st.one_of(
+    st.tuples(st.just("num"), st.integers(0, 12), st.sampled_from([None, 1, 2, 3, 9]),
+              st.booleans()),
+    st.tuples(st.just("sym"), st.sampled_from(["a", "b", "a~", "b~"]), st.integers(1, 3)),
+    st.just(("i",)))
+
+
+def _sums(factors):
+    terms = st.lists(factors, min_size=1, max_size=3)
+    return st.tuples(st.booleans(), st.lists(st.tuples(st.sampled_from(["+", "-"]), terms),
+                                             min_size=1, max_size=3))
+
+
+_factors = st.recursive(
+    _leaves, lambda inner: st.tuples(st.just("paren"), _sums(inner), st.booleans()),
+    max_leaves=10)
+
+
+def _render(node, blanks):
+    """Text of a sum, a term or a factor, with blanks drawn from ``blanks``."""
+    if isinstance(node, list):
+        return blanks.draw(st.sampled_from(_SEPARATORS["*"])).join(
+            _render(f, blanks) for f in node)
+    kind = node[0]
+    if isinstance(kind, bool):
+        text = "-" if kind else ""
+        for k, (sep, term) in enumerate(node[1]):
+            if k:
+                text += blanks.draw(st.sampled_from(_SEPARATORS[sep]))
+            text += _render(term, blanks)
+        return text
+    if kind == "num":
+        _, p, q, imag = node
+        return (str(p) if q is None else f"{p}/{q}") + ("i" if imag else "")
+    if kind == "sym":
+        _, name, k = node
+        return name if k == 1 else f"{name}^{k}"
+    if kind == "i":
+        return "i"
+    _, inner, imag = node
+    return f"({_render(inner, blanks)})" + ("i" if imag else "")
+
+
+def _evaluate(node):
+    """The value of a tree, built factor by factor with SymbolicAmplitude arithmetic."""
+    if isinstance(node, list):
+        return reduce(mul, map(_evaluate, node))
+    kind = node[0]
+    if isinstance(kind, bool):
+        total = amp(0)
+        for k, (sep, term) in enumerate(node[1]):
+            value = _evaluate(term)
+            total = total - value if (sep == "-" and k) or (kind and not k) else total + value
+        return total
+    if kind == "num":
+        _, p, q, imag = node
+        value = amp(GaussianRational(Fraction(p, q or 1)))
+        return value * amp(I) if imag else value
+    if kind == "sym":
+        _, name, k = node
+        return reduce(mul, [amp(name)] * k)
+    if kind == "i":
+        return amp(I)
+    _, inner, imag = node
+    value = _evaluate(inner)
+    return value * amp(I) if imag else value
+
+
+@settings(max_examples=300)
+@given(_sums(_factors), st.data())
+def test_parsed_amplitude_equals_the_tree_evaluated_factor_by_factor(tree, blanks):
+    text = _render(tree, blanks)
+    assert amplitude_of(text) == _evaluate(tree), text
 
 
 class TestExponentBound:

@@ -91,12 +91,6 @@ class TestSymbolicAmplitude:
                                  ("beta", "beta"): MINUS_ONE})
         assert lhs == rhs
 
-    def test_conjugation(self):
-        assert amp(GaussianRational(2, 3)).conjugate() == amp(GaussianRational(2, -3))
-        assert amp("alpha").conjugate() == amp("alpha~")
-        bi = amp("beta") * I
-        assert bi.conjugate().conjugate() == bi
-
     def test_as_scalar_rejects_symbols(self):
         with pytest.raises(ValueError):
             amp("alpha").as_scalar()
@@ -134,17 +128,9 @@ def test_ring_laws(a, b, c):
 
 
 @settings(max_examples=80)
-@given(_amps, _amps)
-def test_conjugation_is_an_involutive_ring_homomorphism(a, b):
-    assert a.conjugate().conjugate() == a
-    assert (a + b).conjugate() == a.conjugate() + b.conjugate()
-    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
-
-
-@settings(max_examples=80)
 @given(_scalars)
 def test_symbol_free_modulus_is_real_and_nonnegative(z):
-    m = (amp(z) * amp(z).conjugate()).as_scalar()
+    m = z * z.conjugate()
     assert m.im == 0
     assert m.re >= 0
 

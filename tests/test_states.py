@@ -1,10 +1,8 @@
-from itertools import product
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhqc.scalars import GaussianRational, SymbolicAmplitude, amp
+from bhqc.scalars import amp
 from bhqc.states import Ket
 
 from _kets import permute
@@ -66,54 +64,6 @@ class TestTensor:
     def test_size_overflow(self):
         with pytest.raises(ValueError, match="exceeds"):
             Ket.zero(4).tensor(Ket.zero(3))
-
-
-class TestInnerProduct:
-    def test_orthonormality_on_one_mode_basis(self):
-        k0, k1 = Ket.basis("0"), Ket.basis("1")
-        assert k0.inner(k0) == amp(1)
-        assert k1.inner(k1) == amp(1)
-        assert k1.inner(k0) == SymbolicAmplitude()
-        assert k0.inner(k1) == SymbolicAmplitude()
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_gram_matrix_is_identity(self, n):
-        basis = ["".join(b) for b in product("01", repeat=n)]
-        for x in basis:
-            for y in basis:
-                expected = amp(1 if x == y else 0)
-                assert Ket.basis(x).inner(Ket.basis(y)) == expected
-
-    def test_sesquilinear_norm_of_formal_qubit(self):
-        gamma = Ket(1, {"1": amp("alpha"), "0": amp("beta")})
-        expected = amp("alpha~") * amp("alpha") + amp("beta~") * amp("beta")
-        assert gamma.inner(gamma) == expected
-
-    def test_conjugate_symmetry_on_symbol_free_kets(self):
-        x = Ket(2, {"00": GaussianRational(1, 2), "11": 3})
-        y = Ket(2, {"00": 5, "10": GaussianRational(0, -1)})
-        assert x.inner(y).as_scalar() == y.inner(x).as_scalar().conjugate()
-
-    def test_conjugate_linearity_in_first_argument(self):
-        x, y = Ket.basis("0"), Ket(1, {"0": 2, "1": 3})
-        scaled = amp("alpha") * x
-        assert scaled.inner(y) == amp("alpha~") * x.inner(y)
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            Ket.basis("0").inner(Ket.basis("00"))
-
-
-_numeric_kets = st.builds(
-    lambda terms: Ket(2, {format(i, "02b"): GaussianRational(re, im)
-                          for i, (re, im) in enumerate(terms)}),
-    st.tuples(*([st.tuples(st.integers(-3, 3), st.integers(-3, 3))] * 4)))
-
-
-@settings(max_examples=60)
-@given(_numeric_kets, _numeric_kets)
-def test_inner_product_conjugate_symmetry(x, y):
-    assert x.inner(y).as_scalar() == y.inner(x).as_scalar().conjugate()
 
 
 class TestProjection:
