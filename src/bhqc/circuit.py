@@ -1,7 +1,8 @@
 """Circuit IR, the deterministic executor, and claim verdicts.
 
-``check_instruction`` is the one check of an instruction, for ``run`` and
-``parse_circuit`` alike.
+``check_instruction`` is the one check of an instruction, for ``Circuit``
+and ``parse_circuit`` alike.  A ``Circuit`` is checked when it is built,
+and ``run`` trusts it.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 from typing import Union
 
 from .operators import apply, gate_named
-from .scalars import GaussianRational
+from .scalars import GaussianRational, amp
 from .states import Ket, check_projection, check_targets
 
 MATCH = "MATCH"
@@ -71,7 +72,7 @@ def check_instruction(ins: Instruction, n_qubits: int) -> None:
     if isinstance(ins, ApplyGate):
         op = gate_named(ins.gate)
         check_targets(ins.targets, n_qubits, op.arity,
-                      f"gate {ins.gate} needs {op.arity} targets")
+                      lambda: f"gate {ins.gate} needs {op.arity} targets")
     elif isinstance(ins, Project):
         check_projection(ins.bits, ins.targets, n_qubits)
     elif isinstance(ins, Expect):
@@ -92,25 +93,26 @@ def instruction_text(ins: Instruction | None) -> str:
 
 
 class Circuit(_Record):
+    """A circuit checked when it is built: the constructor raises ValueError
+    (OperandError for a bad gate, projection or target)."""
+
     __slots__ = ("n_qubits", "initial_state", "instructions", "mode_labels", "symbols")
 
     def __init__(self, n_qubits: int, initial_state: Ket,
                  instructions: tuple[Instruction, ...] = (),
                  mode_labels: tuple[str, ...] | None = None,
                  symbols: tuple[str, ...] = ()) -> None:
+        if initial_state.n_qubits != n_qubits:
+            raise ValueError("initial state has the wrong qubit count")
+        if mode_labels is not None and len(mode_labels) != n_qubits:
+            raise ValueError("label count must match qubit count")
+        for ins in instructions:
+            check_instruction(ins, n_qubits)
         self.n_qubits = n_qubits
         self.initial_state = initial_state
         self.instructions = instructions
         self.mode_labels = mode_labels
         self.symbols = symbols
-
-    def validate(self) -> None:
-        if self.initial_state.n_qubits != self.n_qubits:
-            raise ValueError("initial state has the wrong qubit count")
-        if self.mode_labels is not None and len(self.mode_labels) != self.n_qubits:
-            raise ValueError("label count must match qubit count")
-        for ins in self.instructions:
-            check_instruction(ins, self.n_qubits)
 
 
 class ClaimRecord:
@@ -145,11 +147,15 @@ def _scalar_ratio(computed: Ket, expected: Ket) -> GaussianRational | None:
     if set(computed.terms) != set(expected.terms):
         return None
     bits = next(iter(expected.terms))
-    mono, coeff = next(iter(expected.terms[bits].items()))
-    c_coeff = computed.terms[bits].coefficient(mono)
-    if not c_coeff:
+    e, c = expected.terms[bits], computed.terms[bits]
+    if e.has_symbols or c.has_symbols:
+        mono, e = next(iter(amp(e).items()))
+        c = amp(c).coefficient(mono)
+    else:
+        e, c = e.as_scalar(), c.as_scalar()
+    if not c:
         return None
-    s = c_coeff / coeff
+    s = c / e
     if computed == expected * s:
         return s
     return None
@@ -192,7 +198,6 @@ def run(circuit: Circuit) -> RunResult:
     ApplyGate and Project each advance one step; Expect records a claim
     against the current state without changing it.
     """
-    circuit.validate()
     state = circuit.initial_state
     steps = [TraceStep(0, None, state)]
     claims: list[ClaimRecord] = []

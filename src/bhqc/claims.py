@@ -23,16 +23,16 @@ from .states import Ket
 
 
 class ClaimSpec:
-    __slots__ = ("claim_id", "location", "section", "input_state", "steps", "expected",
-                 "in_demo")
+    """One catalog entry; its circuit is built, and so checked, once."""
+
+    __slots__ = ("claim_id", "location", "section", "circuit", "expected", "in_demo")
 
     def __init__(self, claim_id: str, location: str, section: str, input_state: Ket,
                  steps: tuple[Instruction, ...], expected: Ket, in_demo: bool = True) -> None:
         self.claim_id = claim_id
         self.location = location
         self.section = section
-        self.input_state = input_state
-        self.steps = steps
+        self.circuit = Circuit(input_state.n_qubits, input_state, steps)
         self.expected = expected
         self.in_demo = in_demo
 
@@ -227,7 +227,7 @@ def verify_claims(section: str | None = None,
             continue
         if demo_only and not spec.in_demo:
             continue
-        result = run(Circuit(spec.input_state.n_qubits, spec.input_state, spec.steps))
+        result = run(spec.circuit)
         verdict, scalar = compare_kets(spec.expected, result.final_state)
         records.append(ClaimRecord(spec.claim_id, spec.location, spec.expected,
                                    result.final_state, verdict, scalar))

@@ -102,7 +102,9 @@ class _Expr:
                 self.err("cannot infer the qubit count of the zero state")
             self.i = len(self.s)
             return Ket.zero(n_qubits)
-        entries: list[tuple[str, GaussianRational | SymbolicAmplitude]] = []
+        # every bitstring and width is checked here, so the sum is wrapped
+        # as it stands
+        terms: dict[str, GaussianRational | SymbolicAmplitude] = {}
         n = n_qubits
         sign = 1
         if ch == "-":
@@ -117,7 +119,10 @@ class _Expr:
                     self.err(f"kets have at most {MAX_QUBITS} qubits", pos=start)
             elif len(bits) != n:
                 self.err(f"expected {n}-qubit kets throughout", pos=start)
-            entries.append((bits, a if sign > 0 else -a))
+            if sign < 0:
+                a = -a
+            prev = terms.get(bits)
+            terms[bits] = a if prev is None else prev + a
             ch = self.ws()
             if ch == "+":
                 sign = 1
@@ -128,7 +133,7 @@ class _Expr:
             self.i += 1
         if self.i < len(self.s):
             self.err("unexpected trailing input")
-        return Ket.from_terms(n, entries)
+        return Ket._canonical(n, terms)
 
     def _ket_term(self) -> tuple[str, GaussianRational | SymbolicAmplitude]:
         ch = self.ws()

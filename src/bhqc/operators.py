@@ -10,7 +10,10 @@ elsewhere, never hard-coded here.
 
 A k-qubit gate acts in place: ``apply`` rewrites each basis term's bits at
 the gate's targets through the gate's by-column table; no 2^n x 2^n matrix
-is built.  Composition ``a @ b`` is ``apply`` of ``a`` to each column of ``b``.
+is built.  The table carries each entry's sign, so a term moves through a
++1 or -1 entry (every entry of a registry gate) as itself or its negation,
+and only another value, such as the 2 in ``LL2 @ LL1``, costs a multiply.
+Composition ``a @ b`` is ``apply`` of ``a`` to each column of ``b``.
 """
 
 from __future__ import annotations
@@ -18,16 +21,17 @@ from __future__ import annotations
 from itertools import product
 from typing import Mapping, Sequence
 
-from .scalars import GaussianRational, SymbolicAmplitude
-from .states import MAX_QUBITS, Ket, OperandError, check_bits, check_targets
+from .scalars import MINUS_ONE, ONE, GaussianRational
+from .states import MAX_QUBITS, Amplitude, Ket, OperandError, check_bits, check_targets
 
 
 class Operator:
     """Sparse linear map on k qubits, stored as its action table.
 
     ``columns`` maps each basis bitstring c to the nonzero ket that |c>
-    goes to.  ``by_column`` holds the same table as (row bits, value) pairs
-    per column, the index ``apply`` reads.
+    goes to.  ``by_column`` holds the same table as (row bits, value, sign)
+    triples per column, the index ``apply`` reads; the sign is 1 or -1 for
+    a value of +1 or -1 and 0 for any other.
     """
 
     __slots__ = ("arity", "columns", "by_column")
@@ -37,14 +41,16 @@ class Operator:
             raise ValueError(f"operator arity must be between 1 and {MAX_QUBITS}")
         self.arity = arity
         self.columns: dict[str, Ket] = {}
-        self.by_column: dict[str, list[tuple[str, GaussianRational]]] = {}
+        self.by_column: dict[str, list[tuple[str, GaussianRational, int]]] = {}
         for c, image in (columns or {}).items():
             check_bits(c, arity)
             if image.n_qubits != arity:
                 raise ValueError(f"the image of |{c}> must be a {arity}-qubit ket")
             if image.terms:
                 # as_scalar rejects images with formal symbols
-                self.by_column[c] = [(r, a.as_scalar()) for r, a in image.terms.items()]
+                values = [(r, a.as_scalar()) for r, a in image.terms.items()]
+                self.by_column[c] = [(r, v, 1 if v == ONE else -1 if v == MINUS_ONE else 0)
+                                     for r, v in values]
                 self.columns[c] = image
 
     @classmethod
@@ -98,17 +104,22 @@ def apply(op: Operator, state: Ket, targets: Sequence[int] | None = None) -> Ket
     n = state.n_qubits
     targets = tuple(range(n)) if targets is None else tuple(targets)
     check_targets(targets, n, op.arity,
-                  f"an arity-{op.arity} operator needs {op.arity} targets")
-    out: dict[str, SymbolicAmplitude] = {}
+                  lambda: f"an arity-{op.arity} operator needs {op.arity} targets")
+    by_column = op.by_column
+    out: dict[str, Amplitude] = {}
     for bits, a in state.terms.items():
-        column = "".join([bits[t] for t in targets])
-        for row, v in op.by_column.get(column, ()):
-            chars = list(bits)
+        entries = by_column.get("".join([bits[t] for t in targets]))
+        if entries is None:
+            continue
+        chars = list(bits)
+        for row, v, sign in entries:
+            # every row sets every target, so one list serves all rows
             for t, c in zip(targets, row):
                 chars[t] = c
             key = "".join(chars)
+            x = a if sign > 0 else -a if sign else a * v
             prev = out.get(key)
-            out[key] = a * v if prev is None else prev + a * v
+            out[key] = x if prev is None else prev + x
     return Ket._canonical(n, out)
 
 

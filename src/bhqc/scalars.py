@@ -70,6 +70,9 @@ class GaussianRational:
 
     __slots__ = ("_a", "_b", "_d")
 
+    # a scalar is also a ket amplitude free of symbols
+    has_symbols = False
+
     def __init__(self, re: Rational = 0, im: Rational = 0) -> None:
         if type(re) is int and type(im) is int:
             self._a, self._b, self._d = re, im, 1
@@ -89,8 +92,8 @@ class GaussianRational:
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
 
-    def conjugate(self) -> GaussianRational:
-        return _gr(self._a, -self._b, self._d)
+    def as_scalar(self) -> GaussianRational:
+        return self
 
     def inverse(self) -> GaussianRational:
         a, b = self._a, self._b

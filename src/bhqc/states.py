@@ -1,7 +1,11 @@
 """Unnormalized multi-qubit kets with exact symbolic amplitudes.
 
 Qubit 0 is the leftmost character of a basis bitstring.  States are never
-normalized; the zero vector (empty term map) is a legal value.  Kets are
+normalized; the zero vector (empty term map) is a legal value.  An
+amplitude is a ``GaussianRational`` until a symbol appears in it, so a ket
+free of symbols pays for no polynomial arithmetic; no ket operation turns a
+scalar into a ``SymbolicAmplitude``.  One whose symbols cancel may stay a
+``SymbolicAmplitude``; it compares and renders as its scalar.  Kets are
 immutable value objects, shared freely: a circuit step holds the amplitude
 objects the gate passed through unchanged, and each ket and each amplitude
 caches its text the first time it is rendered.  ``Ket(...)`` validates
@@ -12,13 +16,19 @@ Mode labels belong to circuits, not to kets.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .scalars import SymbolicAmplitude, amp, join_terms, scaled_str
+from .scalars import GaussianRational, SymbolicAmplitude, amp, join_terms, scaled_str
 
 MAX_QUBITS = 6
 
-_ZERO_AMP = SymbolicAmplitude()
+Amplitude = GaussianRational | SymbolicAmplitude
+
+
+def _amplitude(value: object) -> Amplitude:
+    """``value`` as a ket amplitude: a Gaussian rational unless symbols remain."""
+    a = amp(value)
+    return a if a.has_symbols else a.as_scalar()
 
 
 def check_bits(bits: str, n: int) -> None:
@@ -38,10 +48,13 @@ class OperandError(ValueError):
 
 
 def check_targets(targets: Sequence[int], n_qubits: int, count: int,
-                  count_error: str) -> None:
-    """The one target check: ``count`` distinct qubits of an ``n_qubits`` register."""
+                  count_error: Callable[[], str]) -> None:
+    """The one target check: ``count`` distinct qubits of an ``n_qubits`` register.
+
+    ``count_error()`` builds the message for a wrong count, only when raising.
+    """
     if len(targets) != count:
-        raise OperandError(count_error)
+        raise OperandError(count_error())
     for k, t in enumerate(targets):
         if not 0 <= t < n_qubits:
             raise OperandError(f"target qubit {t} out of range", k)
@@ -54,7 +67,7 @@ def check_projection(bits: str, targets: Sequence[int], n_qubits: int) -> None:
     if not bits or any(c not in "01" for c in bits):
         raise OperandError("projection bits must be 0/1")
     check_targets(targets, n_qubits, len(bits),
-                  f"expected {len(bits)} targets for {len(bits)} projection bits")
+                  lambda: f"expected {len(bits)} targets for {len(bits)} projection bits")
 
 
 class Ket:
@@ -68,10 +81,10 @@ class Ket:
     def __init__(self, n_qubits: int, terms: Mapping[str, object] | None = None) -> None:
         if not 1 <= n_qubits <= MAX_QUBITS:
             raise ValueError(f"qubit count must be between 1 and {MAX_QUBITS}, got {n_qubits}")
-        canon: dict[str, SymbolicAmplitude] = {}
+        canon: dict[str, Amplitude] = {}
         for bits, value in (terms or {}).items():
             check_bits(bits, n_qubits)
-            a = amp(value)
+            a = _amplitude(value)
             if a:
                 canon[bits] = a
         self.n_qubits = n_qubits
@@ -79,7 +92,7 @@ class Ket:
         self._text = None
 
     @classmethod
-    def _canonical(cls, n_qubits: int, terms: Mapping[str, SymbolicAmplitude]) -> Ket:
+    def _canonical(cls, n_qubits: int, terms: Mapping[str, Amplitude]) -> Ket:
         """Wrap valid ``n_qubits``-bit keys and canonical amplitudes, dropping
         zeros and putting the bits in order.  For results built from kets;
         outside input goes through ``__init__``."""
@@ -97,14 +110,6 @@ class Ket:
     def basis(cls, bits: str) -> Ket:
         return cls(len(bits), {bits: 1})
 
-    @classmethod
-    def from_terms(cls, n_qubits: int, entries: Iterable[tuple[str, object]]) -> Ket:
-        """Build a ket from (bitstring, amplitude) pairs; duplicates are summed."""
-        acc: dict[str, SymbolicAmplitude] = {}
-        for bits, value in entries:
-            acc[bits] = acc.get(bits, _ZERO_AMP) + amp(value)
-        return cls(n_qubits, acc)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -120,7 +125,8 @@ class Ket:
             raise ValueError("cannot add kets of different qubit counts")
         merged = dict(self.terms)
         for bits, a in other.terms.items():
-            merged[bits] = merged.get(bits, _ZERO_AMP) + a
+            prev = merged.get(bits)
+            merged[bits] = a if prev is None else prev + a
         return Ket._canonical(self.n_qubits, merged)
 
     def __sub__(self, other: object) -> Ket:
@@ -132,7 +138,7 @@ class Ket:
         return Ket._canonical(self.n_qubits, {b: -a for b, a in self.terms.items()})
 
     def __mul__(self, value: object) -> Ket:
-        a = amp(value)
+        a = _amplitude(value)
         return Ket._canonical(self.n_qubits, {b: x * a for b, x in self.terms.items()})
 
     __rmul__ = __mul__
@@ -142,7 +148,7 @@ class Ket:
         n = self.n_qubits + other.n_qubits
         if n > MAX_QUBITS:
             raise ValueError(f"tensor product exceeds {MAX_QUBITS} qubits")
-        out: dict[str, SymbolicAmplitude] = {}
+        out: dict[str, Amplitude] = {}
         for b1, a1 in self.terms.items():
             for b2, a2 in other.terms.items():
                 out[b1 + b2] = a1 * a2

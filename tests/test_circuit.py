@@ -1,12 +1,26 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhqc.builders import (bell_chain, class_change_circuit, ghz_circuit,
                            teleport_circuit)
 from bhqc.circuit import (MATCH, MATCH_UP_TO_SCALAR, MISMATCH, ApplyGate,
                           Circuit, Expect, Project, compare_kets,
                           instruction_text, run)
+from bhqc.operators import GATES
 from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
+
+from _dense import run_dense
+
+_VALIDATION_ERRORS = [
+    ("needs 2 targets", lambda: Circuit(1, Ket.basis("0"), (ApplyGate("CNOT", (0,)),))),
+    ("out of range", lambda: Circuit(2, Ket.basis("00"), (ApplyGate("STAR", (5,)),))),
+    ("unknown gate", lambda: Circuit(1, Ket.basis("0"), (ApplyGate("LX", (0,)),))),
+    ("wrong qubit count", lambda: Circuit(2, Ket.basis("0"))),
+]
 
 
 class TestCompareKets:
@@ -122,3 +136,43 @@ class TestExecutor:
             run(Circuit(1, Ket.basis("0"), (ApplyGate("LX", (0,)),)))
         with pytest.raises(ValueError, match="wrong qubit count"):
             run(Circuit(2, Ket.basis("0")))
+
+    @pytest.mark.parametrize("match, build", _VALIDATION_ERRORS,
+                             ids=[m for m, _ in _VALIDATION_ERRORS])
+    def test_circuits_are_checked_when_built(self, match, build):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+
+_SCALARS = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3),
+                            GaussianRational(0, 1), GaussianRational(1, -3),
+                            GaussianRational(Fraction(1, 2), Fraction(5, 7))])
+
+
+@st.composite
+def _scalar_words(draw):
+    """A symbol-free 1-3 qubit ket and a word of registry gates and projections."""
+    n = draw(st.integers(1, 3))
+    bits = st.text("01", min_size=n, max_size=n)
+    state = Ket(n, draw(st.dictionaries(bits, _SCALARS, max_size=1 << n)))
+    names = sorted(name for name, op in GATES.items() if op.arity <= n)
+    word = []
+    for _ in range(draw(st.integers(0, 6))):
+        order = tuple(draw(st.permutations(range(n))))
+        if draw(st.integers(0, 4)):
+            name = draw(st.sampled_from(names))
+            word.append(ApplyGate(name, order[:GATES[name].arity]))
+        else:
+            k = draw(st.integers(1, n))
+            word.append(Project(draw(st.text("01", min_size=k, max_size=k)), order[:k]))
+    return state, tuple(word)
+
+
+@settings(max_examples=150)
+@given(_scalar_words())
+def test_symbol_free_kets_stay_gaussian_rationals(case):
+    state, word = case
+    result = run(Circuit(state.n_qubits, state, word))
+    for step in result.steps:
+        assert all(type(a) is GaussianRational for a in step.state.terms.values())
+    assert result.final_state == run_dense(state.n_qubits, state, word)

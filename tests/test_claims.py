@@ -65,6 +65,7 @@ def test_ledger_soundness_against_the_dense_oracle():
     # the independent dense path
     records = _by_id(verify_claims())
     for spec in CLAIMS:
-        dense_final = run_dense(spec.input_state.n_qubits, spec.input_state,
-                                spec.steps)
+        circuit = spec.circuit
+        dense_final = run_dense(circuit.n_qubits, circuit.initial_state,
+                                circuit.instructions)
         assert dense_final == records[spec.claim_id].computed, spec.claim_id

@@ -287,6 +287,10 @@ def test_rank_2xm_matches_the_pairwise_minors(columns, scale):
     assert _rank_2xm(row1, row0) == _pairwise_rank(row1, row0)
 
 
+def _conjugate(z: GaussianRational) -> GaussianRational:
+    return GaussianRational(z.re, -z.im)
+
+
 _q9 = st.fractions(min_value=-2, max_value=2, max_denominator=9)
 _entries9 = st.just(_Z) | st.builds(GaussianRational, _q9, _q9)
 
@@ -303,8 +307,8 @@ def test_classify_on_non_unit_denominators(vec):
     det = report.hyperdeterminant
     assert det == _cayley_det(vec)
     assert (report.slocc_class, report.separated_party) == brute_classify(state)
-    norm = sum((z * z.conjugate()).re for z in vec)  # <x|x> of the unscaled state
+    norm = sum((z * _conjugate(z)).re for z in vec)  # <x|x> of the unscaled state
     if norm:
-        assert report.three_tangle_exact == 16 * (det * det.conjugate()).re / norm ** 4
+        assert report.three_tangle_exact == 16 * (det * _conjugate(det)).re / norm ** 4
     else:
         assert report.three_tangle_exact is None

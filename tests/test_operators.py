@@ -1,9 +1,12 @@
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhqc.operators import GATES, Operator, apply, gate_named
-from bhqc.scalars import amp
+from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
 
 from _dense import dense_embed, dense_gate, dense_matvec, ket_to_vec, vec_to_ket
@@ -288,6 +291,14 @@ class TestRegistry:
                               "HMINUS", "SIG2A", "SIG2B", "CNOT"}
         assert GATES["NOT"] == GATES["L4"]
 
+    def test_every_entry_is_plus_or_minus_one(self):
+        # so apply moves every term through a registry gate by its sign
+        for name, op in GATES.items():
+            for image in op.columns.values():
+                assert all(a in (1, -1) for a in image.terms.values()), name
+            for entries in op.by_column.values():
+                assert all(sign == v for _, v, sign in entries), name
+
     def test_unknown_gate(self):
         with pytest.raises(ValueError, match="unknown gate"):
             gate_named("LX")
@@ -300,3 +311,22 @@ class TestRegistry:
                 for r in range(dim):
                     bits = format(r, f"0{op.arity}b")
                     assert column.terms.get(bits, 0) == dense[r][c]
+
+
+_AMPLITUDES = st.sampled_from([1, -1, 3, Fraction(-1, 2), GaussianRational(2, -1),
+                               amp("alpha"), -amp("beta~"), amp("alpha") + 2])
+
+
+@settings(max_examples=80)
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+    st.dictionaries(st.text("01", min_size=n, max_size=n), _AMPLITUDES, max_size=1 << n)
+    .map(lambda terms: Ket(n, terms)),
+    st.permutations(range(n)).map(lambda order: order[:2]))))
+def test_a_product_with_non_unit_entries_applies_as_its_factors(case):
+    # LL2 @ LL1 has the entry 2, which apply multiplies rather than moves
+    state, targets = case
+    ll1, ll2 = GATES["LL1"], GATES["LL2"]
+    product_op = ll2 @ ll1
+    assert any(sign == 0 for entries in product_op.by_column.values()
+               for _, _, sign in entries)
+    assert apply(product_op, state, targets) == apply(ll2, apply(ll1, state, targets), targets)

@@ -15,11 +15,6 @@ class TestGaussianRational:
     def test_integer_addition(self):
         assert GaussianRational(1) + GaussianRational(1) == GaussianRational(2)
 
-    def test_conjugate(self):
-        z = GaussianRational(2, 3)
-        assert z.conjugate() == GaussianRational(2, -3)
-        assert z.conjugate().conjugate() == z
-
     def test_division(self):
         z = GaussianRational(1, 1)
         assert z / z == ONE
@@ -130,7 +125,7 @@ def test_ring_laws(a, b, c):
 @settings(max_examples=80)
 @given(_scalars)
 def test_symbol_free_modulus_is_real_and_nonnegative(z):
-    m = z * z.conjugate()
+    m = z * GaussianRational(z.re, -z.im)
     assert m.im == 0
     assert m.re >= 0
 
@@ -200,7 +195,6 @@ def test_arithmetic_matches_a_fraction_pair_reference(p, q):
     _check(z - w, (p[0] - q[0], p[1] - q[1]))
     _check(z * w, _ref_mul(p, q))
     _check(-z, (-p[0], -p[1]))
-    _check(z.conjugate(), (p[0], -p[1]))
     _check(z + q[0], (p[0] + q[0], p[1]))
     _check(q[0] - z, (q[0] - p[0], -p[1]))
     _check(z * q[1], (p[0] * q[1], p[1] * q[1]))

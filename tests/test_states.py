@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhqc.scalars import amp
+from bhqc.dsl import parse_ket
+from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
 
 from _kets import permute
@@ -10,18 +13,18 @@ from _kets import permute
 
 class TestConstruction:
     def test_basis_ket(self):
-        k = Ket.from_terms(1, [("0", 1)])
+        k = Ket(1, {"0": 1})
         assert k == Ket.basis("0")
         assert str(k) == "|0>"
 
     def test_formal_qubit(self):
-        k = Ket.from_terms(1, [("1", amp("alpha")), ("0", amp("beta"))])
+        k = Ket(1, {"1": amp("alpha"), "0": amp("beta")})
         assert k.terms == {"0": amp("beta"), "1": amp("alpha")}
         assert k.has_symbols
 
     def test_malformed_bitstring(self):
         with pytest.raises(ValueError, match="bitstring"):
-            Ket.from_terms(2, [("0", 1)])
+            Ket(2, {"0": 1})
         with pytest.raises(ValueError, match="bitstring"):
             Ket(1, {"2": 1})
 
@@ -32,9 +35,17 @@ class TestConstruction:
             Ket.zero(7)
 
     def test_duplicates_sum_and_zeros_drop(self):
-        k = Ket.from_terms(1, [("0", 1), ("0", -1), ("1", 2)])
+        k = parse_ket("|0> - |0> + (2)|1>")
         assert k == Ket(1, {"1": 2})
         assert "0" not in k.terms
+        assert parse_ket("|0> - |0>").is_zero
+
+    def test_symbol_free_amplitudes_are_stored_as_scalars(self):
+        # the symbols of alpha + 1 - alpha cancel
+        k = Ket(2, {"00": 1, "01": Fraction(1, 2), "10": amp(3),
+                    "11": amp("alpha") + 1 - amp("alpha")})
+        assert all(type(a) is GaussianRational for a in k.terms.values())
+        assert k == Ket(2, {"00": 1, "01": Fraction(1, 2), "10": 3, "11": 1})
 
     def test_zero_ket_is_legal(self):
         z = Ket.zero(3)
@@ -95,6 +106,13 @@ class TestAlgebraAndRendering:
         k = Ket.basis("01") + Ket.basis("10")
         assert 2 * k == Ket(2, {"01": 2, "10": 2})
         assert (k - k).is_zero
+
+    def test_operations_keep_scalar_amplitudes(self):
+        x = Ket(2, {"00": 1, "01": Fraction(1, 2), "11": GaussianRational(1, 1)})
+        y = Ket(2, {"00": -1, "10": 2})
+        for r in (x + y, x - y, -x, x * 2, 2 * x, x * amp(-1), x.tensor(y),
+                  x.project([0], "0")):
+            assert all(type(a) is GaussianRational for a in r.terms.values())
 
     def test_permute(self):
         k = Ket(3, {"001": 1, "110": 2})
