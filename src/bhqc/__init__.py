@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 # module -> the names it exports through the package
 _EXPORTS = {
-    "scalars": ("GaussianRational", "SymbolTable", "SymbolicAmplitude", "amp"),
+    "scalars": ("GaussianRational", "SymbolicAmplitude", "amp"),
     "states": ("MAX_QUBITS", "Ket"),
     "operators": ("GATES", "Operator", "apply", "gate_named"),
     "circuit": ("MATCH", "MATCH_UP_TO_SCALAR", "MISMATCH", "ApplyGate", "Circuit",

@@ -46,8 +46,7 @@ def teleport_circuit() -> Circuit:
         Project("00", (0, 1)),
         Expect(Ket(3, {"000": alpha, "001": beta})),
     )
-    return Circuit(3, carrier.tensor(pair), instructions,
-                   mode_labels=("a", "b1", "b2"), symbols=("alpha", "beta"))
+    return Circuit(3, carrier.tensor(pair), instructions, mode_labels=("a", "b1", "b2"))
 
 
 def ghz_circuit(control: int = 2) -> Circuit:

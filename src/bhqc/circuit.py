@@ -39,21 +39,19 @@ class _Record:
 
 
 class ApplyGate(_Record):
-    __slots__ = ("gate", "targets", "line")
+    __slots__ = ("gate", "targets")
 
-    def __init__(self, gate: str, targets: tuple[int, ...], line: int | None = None) -> None:
+    def __init__(self, gate: str, targets: tuple[int, ...]) -> None:
         self.gate = gate
         self.targets = targets
-        self.line = line
 
 
 class Project(_Record):
-    __slots__ = ("bits", "targets", "line")
+    __slots__ = ("bits", "targets")
 
-    def __init__(self, bits: str, targets: tuple[int, ...], line: int | None = None) -> None:
+    def __init__(self, bits: str, targets: tuple[int, ...]) -> None:
         self.bits = bits
         self.targets = targets
-        self.line = line
 
 
 class Expect(_Record):
@@ -96,12 +94,11 @@ class Circuit(_Record):
     """A circuit checked when it is built: the constructor raises ValueError
     (OperandError for a bad gate, projection or target)."""
 
-    __slots__ = ("n_qubits", "initial_state", "instructions", "mode_labels", "symbols")
+    __slots__ = ("n_qubits", "initial_state", "instructions", "mode_labels")
 
     def __init__(self, n_qubits: int, initial_state: Ket,
                  instructions: tuple[Instruction, ...] = (),
-                 mode_labels: tuple[str, ...] | None = None,
-                 symbols: tuple[str, ...] = ()) -> None:
+                 mode_labels: tuple[str, ...] | None = None) -> None:
         if initial_state.n_qubits != n_qubits:
             raise ValueError("initial state has the wrong qubit count")
         if mode_labels is not None and len(mode_labels) != n_qubits:
@@ -112,7 +109,6 @@ class Circuit(_Record):
         self.initial_state = initial_state
         self.instructions = instructions
         self.mode_labels = mode_labels
-        self.symbols = symbols
 
 
 class ClaimRecord:

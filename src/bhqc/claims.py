@@ -46,10 +46,6 @@ KNOWN_MISMATCHES = frozenset({
 KNOWN_SCALAR_MATCHES = frozenset({"B4-text"})
 
 
-def _k(n: int, terms: dict) -> Ket:
-    return Ket(n, terms)
-
-
 def _gates(*specs: tuple[str, tuple[int, ...]]) -> tuple[Instruction, ...]:
     return tuple(ApplyGate(g, t) for g, t in specs)
 
@@ -70,9 +66,9 @@ def _build_claims() -> tuple[ClaimSpec, ...]:
     add("star-0", star, "generators", k0, _gates(("STAR", (0,))), -k0)
     add("star-1", star, "generators", k1, _gates(("STAR", (0,))), k1)
     add("star-plus", star, "generators",
-        _k(1, {"1": 1, "0": 1}), _gates(("STAR", (0,))), _k(1, {"1": 1, "0": -1}))
+        Ket(1, {"1": 1, "0": 1}), _gates(("STAR", (0,))), Ket(1, {"1": 1, "0": -1}))
     add("star-minus", star, "generators",
-        _k(1, {"1": 1, "0": -1}), _gates(("STAR", (0,))), _k(1, {"1": 1, "0": 1}))
+        Ket(1, {"1": 1, "0": -1}), _gates(("STAR", (0,))), Ket(1, {"1": 1, "0": 1}))
     flip = "Sec.2 covariant-derivative actions"
     add("raise-0", flip, "generators", k0, _gates(("RAISE", (0,))), k1)
     add("raise-1", flip, "generators", k1, _gates(("RAISE", (0,))), zero1)
@@ -87,18 +83,18 @@ def _build_claims() -> tuple[ClaimSpec, ...]:
         add(f"lambda2-{j}", lam, "lambda", kj, _gates(("L2", (0,))), zero1)
         add(f"lambda3-{j}", lam, "lambda", kj, _gates(("L3", (0,))), -flipped)
         add(f"lambda4-{j}", lam, "lambda", kj, _gates(("L4", (0,))), flipped)
-    qubit = _k(1, {"0": alpha, "1": beta})
+    qubit = Ket(1, {"0": alpha, "1": beta})
     add("lambda3-qubit", lam, "lambda", qubit, _gates(("L3", (0,))),
-        _k(1, {"1": -alpha, "0": -beta}))
+        Ket(1, {"1": -alpha, "0": -beta}))
     add("lambda4-qubit", lam, "lambda", qubit, _gates(("L4", (0,))),
-        _k(1, {"1": alpha, "0": beta}))
+        Ket(1, {"1": alpha, "0": beta}))
 
     # Hadamard composites
     had = "Sec.2 Hadamard gates"
-    add("hplus-0", had, "hadamard", k0, _gates(("HPLUS", (0,))), _k(1, {"0": 1, "1": 1}))
-    add("hplus-1", had, "hadamard", k1, _gates(("HPLUS", (0,))), _k(1, {"1": 1, "0": -1}))
-    add("hminus-0", had, "hadamard", k0, _gates(("HMINUS", (0,))), _k(1, {"0": 1, "1": 1}))
-    add("hminus-1", had, "hadamard", k1, _gates(("HMINUS", (0,))), _k(1, {"0": 1, "1": -1}))
+    add("hplus-0", had, "hadamard", k0, _gates(("HPLUS", (0,))), Ket(1, {"0": 1, "1": 1}))
+    add("hplus-1", had, "hadamard", k1, _gates(("HPLUS", (0,))), Ket(1, {"1": 1, "0": -1}))
+    add("hminus-0", had, "hadamard", k0, _gates(("HMINUS", (0,))), Ket(1, {"0": 1, "1": 1}))
+    add("hminus-1", had, "hadamard", k1, _gates(("HMINUS", (0,))), Ket(1, {"0": 1, "1": -1}))
 
     # sigma2-type composites, written as the stated two-step compositions
     sig = "Sec.2 sigma2 gates"
@@ -136,22 +132,22 @@ def _build_claims() -> tuple[ClaimSpec, ...]:
     # and contradict the LL4 definition, so those four records MISMATCH
     biglam = "Sec.2 two-mode lambda actions"
     printed = {
-        ("LL1", "00"): _k(2, {"01": -1, "10": -1}),
+        ("LL1", "00"): Ket(2, {"01": -1, "10": -1}),
         ("LL1", "11"): zero2,
         ("LL1", "01"): Ket.basis("11"),
         ("LL1", "10"): Ket.basis("11"),
         ("LL2", "00"): zero2,
-        ("LL2", "11"): _k(2, {"01": 1, "10": 1}),
+        ("LL2", "11"): Ket(2, {"01": 1, "10": 1}),
         ("LL2", "01"): -Ket.basis("00"),
         ("LL2", "10"): -Ket.basis("00"),
         ("LL3", "00"): -Ket.basis("01"),
         ("LL3", "11"): Ket.basis("01"),
         ("LL3", "01"): zero2,
-        ("LL3", "10"): _k(2, {"11": 1, "00": -1}),
+        ("LL3", "10"): Ket(2, {"11": 1, "00": -1}),
         ("LL4", "00"): -Ket.basis("01"),
         ("LL4", "11"): Ket.basis("01"),
         ("LL4", "01"): zero2,
-        ("LL4", "10"): _k(2, {"11": 1, "00": -1}),
+        ("LL4", "10"): Ket(2, {"11": 1, "00": -1}),
     }
     for (gate, b), expected in printed.items():
         add(f"{gate}-{b}", biglam, "big-lambda", basis2[b],
@@ -159,9 +155,9 @@ def _build_claims() -> tuple[ClaimSpec, ...]:
 
     prod = "Sec.2 two-mode lambda products"
     add("LL2LL1-00", prod, "big-lambda-products", basis2["00"],
-        _gates(("LL1", (0, 1)), ("LL2", (0, 1))), _k(2, {"00": 2}))
+        _gates(("LL1", (0, 1)), ("LL2", (0, 1))), Ket(2, {"00": 2}))
     add("LL1LL2-11", prod, "big-lambda-products", basis2["11"],
-        _gates(("LL2", (0, 1)), ("LL1", (0, 1))), _k(2, {"11": 2}))
+        _gates(("LL2", (0, 1)), ("LL1", (0, 1))), Ket(2, {"11": 2}))
 
     # CNOT conjugation rules
     for eq, b in (("Eq.(17)", "00"), ("Eq.(18)", "01"), ("Eq.(19)", "10"), ("Eq.(20)", "11")):
@@ -170,10 +166,10 @@ def _build_claims() -> tuple[ClaimSpec, ...]:
             Ket.basis(flipped))
 
     # Bell chain; each stage starts from the stated previous state
-    b1 = _k(2, {"01": 1, "10": 1})
-    b2 = _k(2, {"01": 1, "10": -1})
-    b3 = _k(2, {"00": 1, "11": -1})
-    b4 = _k(2, {"00": 1, "11": 1})
+    b1 = Ket(2, {"01": 1, "10": 1})
+    b2 = Ket(2, {"01": 1, "10": -1})
+    b3 = Ket(2, {"00": 1, "11": -1})
+    b4 = Ket(2, {"00": 1, "11": 1})
     add("B1", "Eq.(22)", "bell", basis2["00"],
         _gates(("LL1", (0, 1)), ("STAR", (0,)), ("STAR", (1,))), b1)
     add("B2", "Eq.(23)", "bell", b1, _gates(("STAR", (1,))), b2)
@@ -183,13 +179,13 @@ def _build_claims() -> tuple[ClaimSpec, ...]:
         _gates(("L3", (1,)), ("L4", (1,))), b4, in_demo=False)
 
     # teleportation steps over modes a, b1, b2
-    initial = _k(3, {"000": alpha, "011": alpha, "100": beta, "111": beta})
-    eq27 = _k(3, {"000": alpha, "011": alpha, "110": beta, "101": beta})
-    eq28 = _k(3, {"000": alpha, "100": alpha, "010": -beta, "110": beta,
+    initial = Ket(3, {"000": alpha, "011": alpha, "100": beta, "111": beta})
+    eq27 = Ket(3, {"000": alpha, "011": alpha, "110": beta, "101": beta})
+    eq28 = Ket(3, {"000": alpha, "100": alpha, "010": -beta, "110": beta,
                   "011": alpha, "111": alpha, "001": -beta, "101": beta})
-    eq29 = _k(3, {"000": alpha, "100": alpha, "010": beta, "110": -beta,
+    eq29 = Ket(3, {"000": alpha, "100": alpha, "010": beta, "110": -beta,
                   "011": alpha, "111": alpha, "001": beta, "101": -beta})
-    teleported = _k(3, {"000": alpha, "001": beta})
+    teleported = Ket(3, {"000": alpha, "001": beta})
     add("teleport-cnot", "Eq.(27)", "teleport", initial,
         _gates(("CNOT", (0, 1))), eq27)
     add("teleport-hadamard", "Eq.(28)", "teleport", eq27,
@@ -200,17 +196,17 @@ def _build_claims() -> tuple[ClaimSpec, ...]:
         (Project("00", (0, 1)),), teleported)
 
     # GHZ construction, both control choices
-    pair_ext = _k(3, {"000": 1, "110": 1})
-    ghz = _k(3, {"000": 1, "111": 1})
+    pair_ext = Ket(3, {"000": 1, "110": 1})
+    ghz = Ket(3, {"000": 1, "111": 1})
     add("ghz-a1", "Sec.3 GHZ circuit", "ghz", pair_ext, _gates(("CNOT", (0, 2))), ghz)
     add("ghz-a2", "Sec.3 GHZ circuit", "ghz", pair_ext, _gates(("CNOT", (1, 2))), ghz)
 
     # class-change chain; the stated end state does not follow from the gates
     chain = "Sec.3 class-change chain"
     add("interchange-step1", chain, "interchange", Ket.basis("000"),
-        _gates(("HPLUS", (2,))), _k(3, {"000": 1, "001": 1}))
-    add("interchange-step2", chain, "interchange", _k(3, {"000": 1, "001": 1}),
-        _gates(("CNOT", (2, 1))), _k(3, {"101": 1, "110": 1}))
+        _gates(("HPLUS", (2,))), Ket(3, {"000": 1, "001": 1}))
+    add("interchange-step2", chain, "interchange", Ket(3, {"000": 1, "001": 1}),
+        _gates(("CNOT", (2, 1))), Ket(3, {"101": 1, "110": 1}))
 
     return tuple(claims)
 

@@ -256,20 +256,14 @@ def _display_root(x: Fraction, k: int, factor: float = 1.0) -> float | Decimal:
 
 
 class TransitionReport:
-    __slots__ = ("before", "after", "susy_change", "size_change", "rank_change")
+    __slots__ = ("susy_change", "size_change", "rank_change", "rank_increased")
 
-    def __init__(self, before: EntanglementReport, after: EntanglementReport,
-                 susy_change: str, size_change: str, rank_change: str) -> None:
-        self.before = before
-        self.after = after
+    def __init__(self, susy_change: str, size_change: str, rank_change: str,
+                 rank_increased: bool) -> None:
         self.susy_change = susy_change
         self.size_change = size_change
         self.rank_change = rank_change
-
-    @property
-    def rank_increased(self) -> bool:
-        b, a = self.before.fts_rank, self.after.fts_rank
-        return b is not None and a is not None and a[0] > b[0]  # "2a" has level 2
+        self.rank_increased = rank_increased
 
 
 def transition_report(before: Ket, after: Ket) -> TransitionReport:
@@ -292,4 +286,6 @@ def transition_report(before: Ket, after: Ket) -> TransitionReport:
         rank = "unchanged"
     else:
         rank = f"{b.fts_rank or 'none'} → {a.fts_rank or 'none'}"
-    return TransitionReport(b, a, susy, size, rank)
+    rb, ra = b.fts_rank, a.fts_rank
+    increased = rb is not None and ra is not None and ra[0] > rb[0]  # "2a" has level 2
+    return TransitionReport(susy, size, rank, increased)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -19,26 +18,22 @@ if TYPE_CHECKING:
     from .circuit import RunResult
     from .classify import EntanglementReport, TransitionReport
 
-# command -> module -> the names the command calls, bound into this module on
-# the command's first call, so a process imports only what its command runs
+# command -> the names it calls, read from the package (which imports each
+# name's module on first access) and bound into this module on the command's
+# first call, so a process imports only what its command runs
 _IMPORTS = {
-    "run": {"dsl": ("DslError", "parse_circuit"),
-            "circuit": ("MATCH_UP_TO_SCALAR", "instruction_text", "run")},
-    "demo": {"builders": ("bell_chain", "class_change_circuit", "ghz_circuit",
-                          "teleport_circuit"),
-             "circuit": ("MATCH_UP_TO_SCALAR", "instruction_text", "run"),
-             "claims": ("verify_claims",),
-             "classify": ("COSET_CHAIN", "SUSY_PHRASE", "classify", "transition_report")},
-    "classify": {"dsl": ("DslError", "parse_ket"),
-                 "classify": ("SUSY_PHRASE", "classify")},
-    "verify-paper": {"circuit": ("MATCH", "MATCH_UP_TO_SCALAR", "MISMATCH"),
-                     "claims": ("verify_claims",)},
+    "run": ("DslError", "parse_circuit", "MATCH_UP_TO_SCALAR", "instruction_text", "run"),
+    "demo": ("bell_chain", "class_change_circuit", "ghz_circuit", "teleport_circuit",
+             "MATCH_UP_TO_SCALAR", "instruction_text", "run", "verify_claims",
+             "COSET_CHAIN", "SUSY_PHRASE", "classify", "transition_report"),
+    "classify": ("DslError", "parse_ket", "SUSY_PHRASE", "classify"),
+    "verify-paper": ("MATCH", "MATCH_UP_TO_SCALAR", "MISMATCH", "verify_claims"),
 }
 _loaded: set[str] = set()
 
 
 def _load(command: str) -> None:
-    """Import the modules ``command`` runs and bind their names here, once.
+    """Bind the names ``command`` calls here, once.
 
     Commands call these names as globals of this module.  A name already
     bound is left alone, so a wrapper put in its place (a tracer's, say)
@@ -46,10 +41,9 @@ def _load(command: str) -> None:
     """
     if command in _loaded:
         return
-    for module, names in _IMPORTS[command].items():
-        source = import_module(f"{__package__}.{module}")
-        for name in names:
-            globals().setdefault(name, getattr(source, name))
+    package = sys.modules[__package__]
+    for name in _IMPORTS[command]:
+        globals().setdefault(name, getattr(package, name))
     _loaded.add(command)
 
 

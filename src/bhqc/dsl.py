@@ -20,8 +20,7 @@ from __future__ import annotations
 import re as _re
 from typing import TYPE_CHECKING, NoReturn
 
-from .scalars import (GaussianRational, I, ONE, ZERO, Monomial, SymbolTable, SymbolicAmplitude,
-                      _reduced)
+from .scalars import GaussianRational, I, ONE, ZERO, Monomial, SymbolicAmplitude, _reduced
 from .states import MAX_QUBITS, Ket, OperandError
 
 if TYPE_CHECKING:  # parse_circuit imports circuit when called
@@ -35,6 +34,10 @@ MAX_EXPONENT = 1024
 # Largest accepted product of two operands' term counts at one ``*``: a
 # product of k symbol sums expands to exponentially many terms in k.
 MAX_PRODUCT_TERMS = 4096
+# Deepest accepted nesting of parentheses: each level costs a few parser
+# frames, and this keeps the deepest amplitude well inside the
+# interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 class DslError(ValueError):
@@ -51,7 +54,9 @@ class DslError(ValueError):
 _INSTRUCTIONS = {"apply": (1, "usage: apply GATE q [q ...]"),
                  "project": (2, "usage: project BITS q [q ...]")}
 
-_IDENT = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*~?")
+# a declarable symbol name; its conjugate partner is the name plus "~"
+_NAME = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_IDENT = _re.compile(_NAME.pattern + "~?")
 _TOKEN = _re.compile(r"\S+")
 _DIGITS = _re.compile(r"\d*")
 _BITS = _re.compile(r"[01]*")
@@ -69,12 +74,13 @@ class _Expr:
     """
 
     def __init__(self, src: str, line: int, col_base: int,
-                 table: SymbolTable | None) -> None:
+                 declared: set[str] | None) -> None:
         self.s = src
         self.i = 0
         self.line = line
         self.col_base = col_base
-        self.table = table
+        self.declared = declared  # None accepts every symbol
+        self.depth = 0  # parentheses open at the cursor
 
     def err(self, message: str, pos: int | None = None) -> NoReturn:
         at = self.i if pos is None else pos
@@ -244,7 +250,8 @@ class _Expr:
             self.i = m.end()
             if name == "i":
                 return I
-            self._check_symbol(name, start)
+            if self.declared is not None and name not in self.declared:
+                self.err(f"undeclared symbol '{name}'", pos=start)
             if self.peek() != "^":
                 return (name,)
             self.i += 1
@@ -258,11 +265,15 @@ class _Expr:
         self.err("expected a number, symbol, 'i', or '('")
 
     def _paren_amp(self) -> GaussianRational | SymbolicAmplitude:
+        if self.depth == MAX_NESTING:
+            self.err(f"parentheses nest at most {MAX_NESTING} deep")
+        self.depth += 1
         self.i += 1  # consume '('
         a = self.amplitude()  # which ends past any blanks
         if self.peek() != ")":
             self.err("expected ')'")
         self.i += 1
+        self.depth -= 1
         return a * I if self._imag_suffix() else a
 
     def _imag_suffix(self) -> bool:
@@ -300,10 +311,6 @@ class _Expr:
         except ValueError:
             self.err("invalid number", pos=start)
 
-    def _check_symbol(self, name: str, pos: int) -> None:
-        if self.table is not None and name not in self.table:
-            self.err(f"undeclared symbol '{name}'", pos=pos)
-
 
 def parse_ket(text: str, *, n_qubits: int | None = None) -> Ket:
     """Parse a standalone ket expression."""
@@ -321,11 +328,10 @@ def parse_circuit(text: str) -> Circuit:
     """Parse DSL text into a validated circuit."""
     from .circuit import ApplyGate, Circuit, Expect, Project, check_instruction
 
-    table = SymbolTable()
+    declared: set[str] = set()  # each declared name and its conjugate
     n_qubits: int | None = None
     labels: tuple[str, ...] | None = None
     state: Ket | None = None
-    symbol_order: list[str] = []
     instructions: list[Instruction] = []
     last_line = 0
 
@@ -355,11 +361,13 @@ def parse_circuit(text: str) -> Circuit:
             if not args:
                 raise DslError(lineno, col, "usage: symbols name [name ...]")
             for name, ncol in args:
-                try:
-                    table.declare(name)
-                except ValueError as exc:
-                    raise DslError(lineno, ncol, str(exc)) from None
-                symbol_order.append(name)
+                if not _NAME.fullmatch(name):
+                    raise DslError(lineno, ncol, f"invalid symbol name {name!r}")
+                if name == "i":
+                    raise DslError(lineno, ncol, "'i' is reserved for the imaginary unit")
+                if name in declared:
+                    raise DslError(lineno, ncol, f"symbol {name!r} already declared")
+                declared.update((name, name + "~"))
 
         elif word == "labels":
             if labels is not None:
@@ -374,7 +382,7 @@ def parse_circuit(text: str) -> Circuit:
             if instructions:
                 raise DslError(lineno, col, "'state' must come before instructions")
             expr_start = body.index(word, col - 1) + len(word)
-            state = _Expr(body[expr_start:], lineno, expr_start + 1, table).ket_expr(n_qubits)
+            state = _Expr(body[expr_start:], lineno, expr_start + 1, declared).ket_expr(n_qubits)
 
         elif word in _INSTRUCTIONS:
             min_args, usage = _INSTRUCTIONS[word]
@@ -383,7 +391,7 @@ def parse_circuit(text: str) -> Circuit:
             (head, hcol), targets = args[0], args[1:]
             qubits = tuple(_parse_int(t, lineno, tcol, "target") for t, tcol in targets)
             kind = ApplyGate if word == "apply" else Project
-            ins = kind(head, qubits, line=lineno)
+            ins = kind(head, qubits)
             try:
                 check_instruction(ins, n_qubits)
             except OperandError as exc:
@@ -393,7 +401,7 @@ def parse_circuit(text: str) -> Circuit:
 
         elif word == "expect":
             expr_start = body.index(word, col - 1) + len(word)
-            expected = _Expr(body[expr_start:], lineno, expr_start + 1, table).ket_expr(n_qubits)
+            expected = _Expr(body[expr_start:], lineno, expr_start + 1, declared).ket_expr(n_qubits)
             instructions.append(Expect(expected, line=lineno))
 
         else:
@@ -403,4 +411,4 @@ def parse_circuit(text: str) -> Circuit:
         raise DslError(max(last_line, 1), 1, "missing 'qubits' directive")
     if state is None:
         state = Ket.basis("0" * n_qubits)
-    return Circuit(n_qubits, state, tuple(instructions), labels, tuple(symbol_order))
+    return Circuit(n_qubits, state, tuple(instructions), labels)

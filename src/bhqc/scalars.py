@@ -10,9 +10,7 @@ skips the gcd altogether.  A pair of ``Fraction`` parts would pay a gcd and
 an object for each part of each partial product instead.  ``.re`` and
 ``.im`` still read as ``Fraction``.
 
-Amplitudes are polynomials in commuting formal symbols; a symbol's
-conjugate partner carries a trailing ``~`` (``alpha`` pairs with
-``alpha~``), so conjugation is an involution on names.  Every value is
+Amplitudes are polynomials in commuting formal symbols.  Every value is
 canonical on construction and equality is structural.
 
 Scalars and amplitudes are immutable, so results share them freely: an
@@ -25,7 +23,6 @@ text on the first ``str``, so a shared amplitude renders once per run.
 
 from __future__ import annotations
 
-import re as _re
 import sys
 from fractions import Fraction
 from itertools import groupby
@@ -33,8 +30,6 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 Rational = int | Fraction
-
-_IDENT_RE = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 def _int_str(n: int) -> str:
@@ -221,30 +216,6 @@ MINUS_ONE = GaussianRational(-1)
 I = GaussianRational(0, 1)
 
 
-def conjugate_name(name: str) -> str:
-    """Involution on symbol names: ``alpha`` <-> ``alpha~``."""
-    return name[:-1] if name.endswith("~") else name + "~"
-
-
-class SymbolTable:
-    """Declared formal symbols, each paired with an auto-generated conjugate."""
-
-    def __init__(self) -> None:
-        self._names: set[str] = set()
-
-    def declare(self, base: str) -> None:
-        if not _IDENT_RE.match(base):
-            raise ValueError(f"invalid symbol name {base!r}")
-        if base == "i":
-            raise ValueError("'i' is reserved for the imaginary unit")
-        if base in self._names:
-            raise ValueError(f"symbol {base!r} already declared")
-        self._names.update((base, conjugate_name(base)))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._names
-
-
 # A monomial is the sorted tuple of symbol names it contains, with repetition.
 Monomial = tuple[str, ...]
 
@@ -280,15 +251,6 @@ class SymbolicAmplitude:
         a._terms = dict(sorted(terms.items())) if len(terms) > 1 else terms
         a._text = None
         return a
-
-    @classmethod
-    def scalar(cls, value: GaussianRational | Rational) -> SymbolicAmplitude:
-        g = value if isinstance(value, GaussianRational) else GaussianRational(value)
-        return cls._canonical({(): g} if g else {})
-
-    @classmethod
-    def symbol(cls, name: str) -> SymbolicAmplitude:
-        return cls._canonical({(name,): ONE})
 
     def items(self) -> Iterator[tuple[Monomial, GaussianRational]]:
         return iter(self._terms.items())
@@ -408,15 +370,16 @@ class SymbolicAmplitude:
 def _amp_coerce(x: object) -> SymbolicAmplitude | None:
     if isinstance(x, SymbolicAmplitude):
         return x
-    if isinstance(x, (int, Fraction, GaussianRational)):
-        return SymbolicAmplitude.scalar(x)
-    return None
+    g = _coerce(x)
+    if g is None:
+        return None
+    return SymbolicAmplitude._canonical({(): g} if g else {})
 
 
 def amp(value: object) -> SymbolicAmplitude:
     """Coerce ints, Fractions, Gaussian rationals, or a symbol name."""
     if isinstance(value, str):
-        return SymbolicAmplitude.symbol(value)
+        return SymbolicAmplitude._canonical({(value,): ONE})
     w = _amp_coerce(value)
     if w is None:
         raise TypeError(f"cannot coerce {value!r} to an amplitude")

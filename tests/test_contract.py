@@ -1,10 +1,12 @@
 """The CLI contract: every input ends with exit 0, 1 or 2, never an exception.
 
 Hypothesis mutates the shipped circuit files and a set of ``classify``
-arguments and sends each mutant through ``main`` in process, under a
-per-example deadline.  Two explicit cases pin one-line inputs that used to
-run for seconds or hours: a product of symbol sums that would expand to
-millions of terms, and a long chain of top-degree powers.
+arguments, and nests valid amplitudes in parentheses up to 2,000 deep, and
+sends each input through ``main`` in process, under a per-example deadline.
+Explicit cases pin one-line inputs that used to run for seconds or hours (a
+product of symbol sums that would expand to millions of terms, a long chain
+of top-degree powers) or to end in a RecursionError (10,000 nested
+parentheses).
 """
 
 import contextlib
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bhqc.cli import main
-from bhqc.dsl import MAX_EXPONENT, MAX_PRODUCT_TERMS
+from bhqc.dsl import MAX_EXPONENT, MAX_NESTING, MAX_PRODUCT_TERMS
 
 ROOT = Path(__file__).resolve().parent.parent
 CIRCUIT_TEXTS = [p.read_text(encoding="utf-8")
@@ -29,6 +31,9 @@ STATES = ["|000>+|111>", "|001>+|010>+|100>", "(1/2)|00>-(i)|11>",
 # characters the grammar gives meaning to, plus a few it rejects
 ALPHABET = "01|<>()+-*/^~i abq\n\t#23456789" + "α⁹é"
 CONTRACT = settings(max_examples=150, deadline=timedelta(seconds=2))
+# valid amplitudes under the declarations of NESTED_CIRCUIT
+AMPLITUDES = ["1", "1/2", "-3", "i", "(1/2)+(-3)i", "alpha", "alpha^2*beta~ - 2"]
+NESTED_CIRCUIT = "qubits 3\nsymbols alpha beta\nstate {state}\nexpect {expect}\n"
 
 
 @st.composite
@@ -48,6 +53,13 @@ def mutants(draw, seeds):
         else:
             text = text[:j] + text[i:j] + text[j:]
     return text
+
+
+@st.composite
+def nested_amplitudes(draw):
+    """A valid amplitude inside 1 to 2,000 pairs of parentheses."""
+    depth = draw(st.integers(1, 2000))
+    return "(" * depth + draw(st.sampled_from(AMPLITUDES)) + ")" * depth
 
 
 def _call(argv):
@@ -109,3 +121,49 @@ def test_long_chain_of_top_powers_exits_one_within_a_second():
     # rejected at the first '*', before any product is formed
     col = state.index("*") + 1
     assert err == f"error: line 1, col {col}: degree must be at most {MAX_EXPONENT}\n"
+
+
+@CONTRACT
+@given(amplitude=nested_amplitudes(), in_state=st.booleans(),
+       flags=st.sampled_from([[], ["--trace"], ["--json"]]))
+def test_nested_parentheses_in_circuit_files(work_dir, amplitude, in_state, flags):
+    ket = f"{amplitude}|000> + |111>"
+    plain = "|000> + |111>"
+    text = NESTED_CIRCUIT.format(state=ket if in_state else plain,
+                                 expect=plain if in_state else ket)
+    path = work_dir / "nested.bhqc"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = _call(["run", str(path), *flags])
+    assert code in (0, 1)
+    if code:
+        assert err.count("\n") == 1
+    else:
+        assert err == ""
+
+
+@CONTRACT
+@given(amplitude=nested_amplitudes(), flags=st.sampled_from([[], ["--json"]]))
+def test_nested_parentheses_in_classify_arguments(amplitude, flags):
+    code, _, err = _call(["classify", f"{amplitude}|000>+|111>", *flags])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+DEEP = "(" * 10_000 + "1" + ")" * 10_000 + "|00>"
+
+
+def test_ten_thousand_nested_parentheses_in_a_classify_argument_exit_one():
+    code, out, err = _call(["classify", DEEP])
+    assert (code, out) == (1, "")
+    # rejected at the first '(' past the bound
+    message = f"parentheses nest at most {MAX_NESTING} deep"
+    assert err == f"error: line 1, col {MAX_NESTING + 1}: {message}\n"
+
+
+def test_ten_thousand_nested_parentheses_in_a_circuit_file_exit_one(work_dir):
+    path = work_dir / "deep.bhqc"
+    path.write_text(f"qubits 2\nstate {DEEP}\n", encoding="utf-8")
+    code, out, err = _call(["run", str(path)])
+    assert (code, out) == (1, "")
+    col = len("state ") + MAX_NESTING + 1
+    assert err == f"{path}:2:{col}: parentheses nest at most {MAX_NESTING} deep\n"

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from bhqc.builders import (bell_chain, class_change_circuit, ghz_circuit,
                            teleport_circuit)
 from bhqc.circuit import ApplyGate, Circuit, Expect, Project
-from bhqc.dsl import MAX_EXPONENT, MAX_PRODUCT_TERMS, DslError, parse_circuit, parse_ket
+from bhqc.dsl import (MAX_EXPONENT, MAX_NESTING, MAX_PRODUCT_TERMS, DslError, parse_circuit,
+                      parse_ket)
 from bhqc.scalars import GaussianRational, I, amp
 from bhqc.states import Ket
 
@@ -41,6 +42,8 @@ class TestKetExpressions:
         ("(-alpha)|1>", Ket(1, {"1": -amp("alpha")})),
         ("(alpha^2 - beta~)|00>", Ket(2, {"00": amp("alpha") * amp("alpha") - amp("beta~")})),
         ("|0> - |0>", Ket.zero(1)),
+        pytest.param("(" * MAX_NESTING + "1" + ")" * MAX_NESTING + "|00>", Ket.basis("00"),
+                     id="deepest-nesting"),
     ])
     def test_parse(self, text, expected):
         assert parse_ket(text) == expected
@@ -69,6 +72,8 @@ class TestKetExpressions:
         ("|0> + |0", (1, 9, "expected '>'")),
         pytest.param("(" + "9" * 5000 + ")|0>", (1, 2, "invalid number"), id="5000-nines"),
         ("|01> + 2|1>", (1, 7, "expected 2-qubit kets throughout")),
+        pytest.param("(" * 101 + "1" + ")" * 101 + "|00>",
+                     (1, 101, "parentheses nest at most 100 deep"), id="101-deep"),
     ])
     def test_exact_error_positions(self, text, where):
         with pytest.raises(DslError) as excinfo:
@@ -287,7 +292,6 @@ class TestCircuitParsing:
     def test_symbols_and_conjugates(self):
         text = "qubits 1\nsymbols alpha\nstate (alpha~)|0>\n"
         circuit = parse_circuit(text)
-        assert circuit.symbols == ("alpha",)
         assert circuit.initial_state == Ket(1, {"0": amp("alpha~")})
 
     def test_state_defaults_to_all_zeros(self):
@@ -347,6 +351,9 @@ class TestCircuitParsing:
         ("qubits 2\napply CNOT 0 x\n", (2, 14, "target must be an integer")),
         ("qubits 2\nstate |00> junk\n", (2, 12, "unexpected trailing input")),
         ("qubits 2\nexpect |00> junk\n", (2, 13, "unexpected trailing input")),
+        ("qubits 2\nsymbols a a\n", (2, 11, "symbol 'a' already declared")),
+        ("qubits 2\nsymbols 2bad\n", (2, 9, "invalid symbol name '2bad'")),
+        ("qubits 2\nsymbols alpha~\n", (2, 9, "invalid symbol name 'alpha~'")),
     ])
     def test_exact_error_positions(self, text, where):
         # (line, col, message) of each single-fault input, as the parser has

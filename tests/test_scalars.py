@@ -4,8 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bhqc.scalars import (GaussianRational, I, MINUS_ONE, ONE, SymbolTable,
-                          SymbolicAmplitude, ZERO, amp, conjugate_name)
+from bhqc.scalars import GaussianRational, I, MINUS_ONE, ONE, SymbolicAmplitude, ZERO, amp
 
 
 class TestGaussianRational:
@@ -41,29 +40,6 @@ class TestGaussianRational:
     ])
     def test_rendering(self, value, text):
         assert str(value) == text
-
-
-class TestSymbols:
-    def test_conjugate_name_is_involutive(self):
-        assert conjugate_name("alpha") == "alpha~"
-        assert conjugate_name("alpha~") == "alpha"
-
-    def test_table_declares_pairs(self):
-        table = SymbolTable()
-        table.declare("alpha")
-        assert "alpha" in table
-        assert "alpha~" in table
-        assert "beta" not in table
-
-    def test_table_rejects_duplicates_and_reserved_names(self):
-        table = SymbolTable()
-        table.declare("alpha")
-        with pytest.raises(ValueError):
-            table.declare("alpha")
-        with pytest.raises(ValueError):
-            table.declare("i")
-        with pytest.raises(ValueError):
-            table.declare("2bad")
 
 
 class TestSymbolicAmplitude:
@@ -133,7 +109,7 @@ def test_symbol_free_modulus_is_real_and_nonnegative(z):
 @settings(max_examples=80)
 @given(_amps, _amps)
 def test_results_of_amplitude_arithmetic_are_canonical(a, b):
-    for r in (a + b, a - b, a * b, -a, a * I, SymbolicAmplitude.scalar(a.coefficient(()))):
+    for r in (a + b, a - b, a * b, -a, a * I, amp(a.coefficient(()))):
         monos = [m for m, _ in r.items()]
         assert monos == sorted(monos)
         assert all(m == tuple(sorted(m)) for m in monos)
