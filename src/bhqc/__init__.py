@@ -20,7 +20,6 @@ _EXPORTS = {
                 "ClaimRecord", "Expect", "Instruction", "Project", "RunResult", "TraceStep",
                 "compare_kets", "instruction_text", "run"),
     "dsl": ("DslError", "parse_circuit", "parse_ket"),
-    "builders": ("bell_chain", "class_change_circuit", "ghz_circuit", "teleport_circuit"),
     "claims": ("CLAIMS", "KNOWN_MISMATCHES", "KNOWN_SCALAR_MATCHES", "ClaimSpec",
                "verify_claims"),
     "classify": ("COSET_CHAIN", "GHZ_BRANE_NOTE", "SUSY_PHRASE", "EntanglementReport",

@@ -10,6 +10,7 @@ deterministic (there is no randomness anywhere in the tool).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -23,8 +24,7 @@ if TYPE_CHECKING:
 # first call, so a process imports only what its command runs
 _IMPORTS = {
     "run": ("DslError", "parse_circuit", "MATCH_UP_TO_SCALAR", "instruction_text", "run"),
-    "demo": ("bell_chain", "class_change_circuit", "ghz_circuit", "teleport_circuit",
-             "MATCH_UP_TO_SCALAR", "instruction_text", "run", "verify_claims",
+    "demo": ("parse_circuit", "MATCH_UP_TO_SCALAR", "instruction_text", "run", "verify_claims",
              "COSET_CHAIN", "SUSY_PHRASE", "classify", "transition_report"),
     "classify": ("DslError", "parse_ket", "SUSY_PHRASE", "classify"),
     "verify-paper": ("MATCH", "MATCH_UP_TO_SCALAR", "MISMATCH", "verify_claims"),
@@ -47,12 +47,12 @@ def _load(command: str) -> None:
     _loaded.add(command)
 
 
-# demo name -> (builder, claim-catalog section)
+# demo name -> (stem of its file in circuits/, claim-catalog section)
 _DEMOS = {
     "bell": ("bell_chain", "bell"),
-    "teleport": ("teleport_circuit", "teleport"),
-    "ghz": ("ghz_circuit", "ghz"),
-    "class-change": ("class_change_circuit", "interchange"),
+    "teleport": ("teleport", "teleport"),
+    "ghz": ("ghz", "ghz"),
+    "class-change": ("class_change", "interchange"),
 }
 
 
@@ -77,15 +77,9 @@ def _steps_json(result: RunResult) -> list[dict]:
             for s in result.steps]
 
 
-def _print_trace(result: RunResult, trace: bool) -> None:
-    if trace:
-        for step in result.steps:
-            print(f"step {step.index:>2}  {instruction_text(step.instruction):<24} {step.state}")
-    print(f"final: {result.final_state}")
-    if result.claims:
-        print("claims:")
-        for record in result.claims:
-            print(f"  {record.summary()}")
+def _print_steps(result: RunResult) -> None:
+    for step in result.steps:
+        print(f"step {step.index:>2}  {instruction_text(step.instruction):<24} {step.state}")
 
 
 def _report_lines(report: EntanglementReport) -> list[str]:
@@ -136,8 +130,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.json:
         _print_json({"steps": _steps_json(result),
                      "claims": [_claim_json(c) for c in result.claims]})
-    else:
-        _print_trace(result, args.trace)
+        return 0
+    if args.trace:
+        _print_steps(result)
+    print(f"final: {result.final_state}")
+    if result.claims:
+        print("claims:")
+        for record in result.claims:
+            print(f"  {record.summary()}")
     return 0
 
 
@@ -147,17 +147,17 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         print(f"error: unknown demo name '{args.name}' (choose from {known})",
               file=sys.stderr)
         return 1
-    builder, section = _DEMOS[args.name]
-    circuit = globals()[builder]()
+    stem, section = _DEMOS[args.name]
+    path = Path(__file__).with_name("circuits") / f"{stem}.bhqc"
+    circuit = parse_circuit(path.read_text(encoding="utf-8"))
     result = run(circuit)
     claims = verify_claims(section=section, demo_only=True)
 
-    initial = circuit.initial_state
     final = result.final_state
     report = transition = None
     if not final.has_symbols and final.n_qubits in (2, 3):
         report = classify(final)
-        transition = transition_report(initial, final)
+        transition = transition_report(circuit.initial_state, final)
 
     if args.json:
         _print_json({
@@ -176,8 +176,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     print(f"demo: {args.name}")
     if circuit.mode_labels:
         print("labels: " + " ".join(circuit.mode_labels))
-    for step in result.steps:
-        print(f"step {step.index:>2}  {instruction_text(step.instruction):<24} {step.state}")
+    _print_steps(result)
     print("claims:")
     for record in claims:
         print(f"  {record.summary()}")
@@ -278,7 +277,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early; the exit flush must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -333,10 +333,13 @@ def parse_circuit(text: str) -> Circuit:
     labels: tuple[str, ...] | None = None
     state: Ket | None = None
     instructions: list[Instruction] = []
-    last_line = 0
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
+    # only \r\n, \r and \n end a line; str.splitlines also breaks on form
+    # feeds, U+2028 and other separators, which a comment may hold
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()  # a final line break ends a line and starts none
+    for lineno, raw in enumerate(lines, start=1):
         body = raw.split("#", 1)[0]
         tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(body)]
         if not tokens:
@@ -408,7 +411,7 @@ def parse_circuit(text: str) -> Circuit:
             raise DslError(lineno, col, f"unknown directive '{word}'")
 
     if n_qubits is None:
-        raise DslError(max(last_line, 1), 1, "missing 'qubits' directive")
+        raise DslError(max(len(lines), 1), 1, "missing 'qubits' directive")
     if state is None:
         state = Ket.basis("0" * n_qubits)
     return Circuit(n_qubits, state, tuple(instructions), labels)

@@ -9,12 +9,10 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations, product
-from pathlib import Path
 
 import pytest
 
-from bhqc.builders import bell_chain, class_change_circuit, ghz_circuit, teleport_circuit
-from bhqc.circuit import MATCH, MATCH_UP_TO_SCALAR, MISMATCH, run
+from bhqc.circuit import MATCH, MATCH_UP_TO_SCALAR, MISMATCH, instruction_text, run
 from bhqc.claims import verify_claims
 from bhqc.classify import classify, transition_report
 from bhqc.dsl import DslError, parse_circuit
@@ -24,8 +22,7 @@ from bhqc.states import Ket
 
 from _kets import permute
 from _oracle import brute_classify
-
-CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
+from _shipped import CIRCUITS, shipped
 
 K0, K1 = Ket.basis("0"), Ket.basis("1")
 STAR = GATES["STAR"]
@@ -125,7 +122,7 @@ def test_criterion_05_bell_chain_ledger():
 
 def test_criterion_06_teleportation():
     with criterion(6, "teleportation identity"):
-        final = run(teleport_circuit()).final_state
+        final = run(shipped("teleport")).final_state
         factor = Ket(1, {"0": amp("alpha"), "1": amp("beta")})
         assert final == Ket.basis("00").tensor(factor)
         assert final.terms == {"000": amp("alpha"), "001": amp("beta")}
@@ -134,8 +131,8 @@ def test_criterion_06_teleportation():
 def test_criterion_07_ghz():
     with criterion(7, "GHZ generation and classification"):
         ghz = Ket(3, {"000": 1, "111": 1})
-        assert run(ghz_circuit(1)).final_state == ghz
-        assert run(ghz_circuit(2)).final_state == ghz
+        assert run(shipped("ghz_a1")).final_state == ghz
+        assert run(shipped("ghz")).final_state == ghz
         report = classify(ghz)
         assert report.slocc_class == "GHZ"
         assert report.fts_rank == "4"
@@ -148,7 +145,7 @@ def test_criterion_08_class_interchange():
     with criterion(8, "class-change chain"):
         records = {r.claim_id: r for r in verify_claims(section="interchange")}
         assert records["interchange-step2"].verdict == MISMATCH
-        result = run(class_change_circuit())
+        result = run(shipped("class_change"))
         computed = result.final_state
         assert computed == Ket(3, {"000": 1, "011": 1})
         report = classify(computed)
@@ -208,13 +205,14 @@ def test_criterion_10_invariance_suite():
 
 def test_criterion_11_parser_round_trip_and_errors():
     with criterion(11, "parser round trip and positioned errors"):
-        # each canned circuit, written out as its shipped file, parses back
-        shipped = {"bell_chain": bell_chain(), "teleport": teleport_circuit(),
-                   "ghz_a1": ghz_circuit(1), "ghz": ghz_circuit(2),
-                   "class_change": class_change_circuit()}
-        for name, circuit in shipped.items():
-            path = CIRCUITS / f"{name}.bhqc"
-            assert parse_circuit(path.read_text(encoding="utf-8")) == circuit
+        # each shipped file's instruction lines are what its parsed
+        # instructions print as
+        for path in sorted(CIRCUITS.glob("*.bhqc")):
+            text = path.read_text(encoding="utf-8")
+            lines = [line.split("#")[0].strip() for line in text.split("\n")]
+            written = [line for line in lines if line.startswith(("apply ", "project ", "expect "))]
+            parsed = parse_circuit(text).instructions
+            assert [instruction_text(i) for i in parsed] == written, path.name
         malformed = [
             "state |00>\n",
             "qubits 7\n",

@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhqc.builders import (bell_chain, class_change_circuit, ghz_circuit,
-                           teleport_circuit)
 from bhqc.circuit import (MATCH, MATCH_UP_TO_SCALAR, MISMATCH, ApplyGate,
                           Circuit, Expect, Project, compare_kets,
                           instruction_text, run)
@@ -14,6 +12,7 @@ from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
 
 from _dense import run_dense
+from _shipped import shipped
 
 _VALIDATION_ERRORS = [
     ("needs 2 targets", lambda: Circuit(1, Ket.basis("0"), (ApplyGate("CNOT", (0,)),))),
@@ -89,24 +88,24 @@ class TestExecutor:
         assert run(circuit).final_state == Ket(2, {"00": 2})
 
     def test_ghz_controls_agree(self):
-        final1 = run(ghz_circuit(1)).final_state
-        final2 = run(ghz_circuit(2)).final_state
+        final1 = run(shipped("ghz_a1")).final_state
+        final2 = run(shipped("ghz")).final_state
         assert final1 == final2 == Ket(3, {"000": 1, "111": 1})
 
     def test_teleport_factors_exactly(self):
-        result = run(teleport_circuit())
+        result = run(shipped("teleport"))
         expected = Ket.basis("00").tensor(Ket(1, {"0": amp("alpha"),
                                                   "1": amp("beta")}))
         assert result.final_state == expected
         assert all(c.verdict == MATCH for c in result.claims)
 
     def test_class_change_verdicts(self):
-        result = run(class_change_circuit())
+        result = run(shipped("class_change"))
         assert [c.verdict for c in result.claims] == [MATCH, MISMATCH]
         assert result.final_state == Ket(3, {"000": 1, "011": 1})
 
     def test_bell_chain_exposes_the_divergent_stages(self):
-        result = run(bell_chain())
+        result = run(shipped("bell_chain"))
         assert [c.verdict for c in result.claims] == [MATCH, MATCH, MISMATCH, MISMATCH]
         assert result.final_state == Ket.basis("11")
 
@@ -122,7 +121,7 @@ class TestExecutor:
 
     def test_deterministic_traces(self):
         def render_once():
-            result = run(bell_chain())
+            result = run(shipped("bell_chain"))
             return "\n".join(f"{s.index} {instruction_text(s.instruction)} {s.state}"
                              for s in result.steps)
         assert render_once() == render_once()

@@ -13,8 +13,9 @@ import bhqc.cli
 from bhqc.cli import main
 from bhqc.dsl import parse_ket
 
+from _shipped import CIRCUITS
+
 ROOT = Path(__file__).resolve().parent.parent
-CIRCUITS = ROOT / "circuits"
 
 
 def child_env() -> dict:
@@ -281,6 +282,25 @@ class TestDeterminismAndUsage:
         assert result.returncode == 0
         assert "class: SEPARABLE" in result.stdout
 
+    def test_demo_finds_its_circuit_from_any_directory(self, tmp_path):
+        result = subprocess.run(
+            [sys.executable, "-m", "bhqc", "demo", "ghz"],
+            capture_output=True, text=True, encoding="utf-8", cwd=tmp_path, env=child_env())
+        assert (result.returncode, result.stderr) == (0, "")
+        golden = ROOT / "tests" / "golden" / "demo-ghz.txt"
+        assert result.stdout == golden.read_text(encoding="utf-8")
+
+    def test_a_closed_stdout_ends_quietly_with_exit_one(self):
+        read, write = os.pipe()
+        os.close(read)  # every write to the pipe now fails with EPIPE
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "bhqc", "verify-paper"],
+                stdout=write, stderr=subprocess.PIPE, text=True, cwd=ROOT, env=child_env())
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (1, "")
+
 
 # Runs one command in a fresh interpreter and prints the modules it added.
 _FOOTPRINT = """
@@ -303,12 +323,12 @@ COMMANDS = {
 class TestImports:
     @pytest.mark.parametrize("command, used, unused", [
         ("classify", {"bhqc.dsl", "bhqc.classify"},
-         {"bhqc.operators", "bhqc.circuit", "bhqc.claims", "bhqc.builders"}),
+         {"bhqc.operators", "bhqc.circuit", "bhqc.claims"}),
         ("run", {"bhqc.dsl", "bhqc.circuit", "bhqc.operators"},
          {"bhqc.claims", "bhqc.classify"}),
         ("verify-paper", {"bhqc.claims", "bhqc.circuit", "bhqc.operators"},
          {"bhqc.dsl", "bhqc.classify"}),
-        ("demo", {"bhqc.builders", "bhqc.claims", "bhqc.classify"}, set()),
+        ("demo", {"bhqc.dsl", "bhqc.claims", "bhqc.classify"}, set()),
     ])
     def test_a_command_imports_only_the_modules_it_runs(self, command, used, unused):
         result = subprocess.run(
@@ -360,9 +380,10 @@ class TestImports:
         subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=child_env(), check=True)
 
     def test_the_readme_import_line(self):
-        from bhqc import GATES, Ket, amp, apply, classify, run, teleport_circuit
+        from bhqc import GATES, Ket, amp, apply, classify, parse_circuit, run
 
         assert classify(Ket(3, {"000": 1, "111": 1})).label == "GHZ"
-        final = run(teleport_circuit()).final_state
+        circuit = parse_circuit((CIRCUITS / "teleport.bhqc").read_text(encoding="utf-8"))
+        final = run(circuit).final_state
         assert final == Ket(3, {"000": amp("alpha"), "001": amp("beta")})
         assert str(apply(GATES["HPLUS"], Ket.basis("1"))) == "-|0> + |1>"

@@ -13,7 +13,6 @@ import contextlib
 import io
 import time
 from datetime import timedelta
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +21,9 @@ from hypothesis import strategies as st
 from bhqc.cli import main
 from bhqc.dsl import MAX_EXPONENT, MAX_NESTING, MAX_PRODUCT_TERMS
 
-ROOT = Path(__file__).resolve().parent.parent
-CIRCUIT_TEXTS = [p.read_text(encoding="utf-8")
-                 for p in sorted((ROOT / "circuits").glob("*.bhqc"))]
+from _shipped import CIRCUITS
+
+CIRCUIT_TEXTS = [p.read_text(encoding="utf-8") for p in sorted(CIRCUITS.glob("*.bhqc"))]
 STATES = ["|000>+|111>", "|001>+|010>+|100>", "(1/2)|00>-(i)|11>",
           "(alpha)|0>+(beta)|1>", "((1/2)+(-3)i)|01>+(a^2*b~)|10>",
           "(2)|000>+(3/4)|011>-|101>", "0"]

@@ -3,21 +3,16 @@ import time
 from fractions import Fraction
 from functools import reduce
 from operator import mul
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhqc.builders import (bell_chain, class_change_circuit, ghz_circuit,
-                           teleport_circuit)
 from bhqc.circuit import ApplyGate, Circuit, Expect, Project
 from bhqc.dsl import (MAX_EXPONENT, MAX_NESTING, MAX_PRODUCT_TERMS, DslError, parse_circuit,
                       parse_ket)
 from bhqc.scalars import GaussianRational, I, amp
 from bhqc.states import Ket
-
-CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 
 
 def amplitude_of(text):
@@ -319,6 +314,7 @@ class TestCircuitParsing:
         ("qubits 2\nstate |00>\nstate |11>\n", 3, "duplicate 'state'"),
         ("qubits 2\nsymbols i\n", 2, "reserved"),
         ("qubits 2\nstate |00> + |1>\n", 2, "2-qubit"),
+        ("qubits 2\r\n# note\rapply LX 0\r\n", 3, "unknown gate 'LX'"),
     ])
     def test_positioned_errors(self, text, line, fragment):
         with pytest.raises(DslError) as excinfo:
@@ -370,23 +366,26 @@ class TestCircuitParsing:
             parse_circuit("qubits 2\nstate |02>\n")
         assert (excinfo.value.line, excinfo.value.col) == (2, 9)
 
+    # characters str.splitlines breaks on that a file's lines may hold
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                           "\u2028", "\u2029"])
+    def test_only_line_breaks_end_a_line(self, separator):
+        text = f"qubits 2\n# see Eq.(22){separator}and Eq.(23)\nstate |00>\napply LX 0\n"
+        with pytest.raises(DslError) as excinfo:
+            parse_circuit(text)
+        assert (excinfo.value.line, excinfo.value.message) == (4, "unknown gate 'LX'")
 
-# shipped file stem -> the builder whose circuit the file holds
-SHIPPED = {
-    "bell_chain": bell_chain,
-    "teleport": teleport_circuit,
-    "ghz_a1": lambda: ghz_circuit(1),
-    "ghz": lambda: ghz_circuit(2),
-    "class_change": class_change_circuit,
-}
+    @pytest.mark.parametrize("text, line", [
+        ("", 1), ("\n", 1), ("# c", 1), ("# c\n", 1), ("\n\n", 2), ("# a\n\n# c", 3),
+        ("# a\r\n# b\r# c\r\n", 3), ("# a\u2028# b\n", 1),
+    ])
+    def test_a_missing_qubits_directive_is_reported_on_the_last_line(self, text, line):
+        with pytest.raises(DslError) as excinfo:
+            parse_circuit(text)
+        assert (excinfo.value.line, excinfo.value.message) == (line, "missing 'qubits' directive")
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("name", SHIPPED)
-    def test_builder_is_its_shipped_file(self, name):
-        text = (CIRCUITS / f"{name}.bhqc").read_text(encoding="utf-8")
-        assert parse_circuit(text) == SHIPPED[name]()
-
     def test_symbol_table_shared_between_state_and_expect(self):
         text = ("qubits 1\nsymbols a\nstate (a)|0>\napply L4 0\nexpect (a)|1>\n")
         circuit = parse_circuit(text)

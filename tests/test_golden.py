@@ -12,9 +12,10 @@ import pytest
 
 from bhqc.cli import main
 
-ROOT = Path(__file__).resolve().parent.parent
+from _shipped import CIRCUITS as SHIPPED_DIR
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CIRCUITS = sorted((ROOT / "circuits").glob("*.bhqc"))
+CIRCUITS = sorted(SHIPPED_DIR.glob("*.bhqc"))
 
 
 def _stdout(capsys, argv, code):
