@@ -168,10 +168,9 @@ def compare_kets(expected: Ket, computed: Ket) -> tuple[str, GaussianRational | 
 
 
 class TraceStep:
-    __slots__ = ("index", "instruction", "state")
+    __slots__ = ("instruction", "state")
 
-    def __init__(self, index: int, instruction: Instruction | None, state: Ket) -> None:
-        self.index = index
+    def __init__(self, instruction: Instruction | None, state: Ket) -> None:
         self.instruction = instruction
         self.state = state
 
@@ -195,16 +194,16 @@ def run(circuit: Circuit) -> RunResult:
     against the current state without changing it.
     """
     state = circuit.initial_state
-    steps = [TraceStep(0, None, state)]
+    steps = [TraceStep(None, state)]
     claims: list[ClaimRecord] = []
     n_expect = 0
     for ins in circuit.instructions:
         if isinstance(ins, ApplyGate):
             state = apply(gate_named(ins.gate), state, ins.targets)
-            steps.append(TraceStep(len(steps), ins, state))
+            steps.append(TraceStep(ins, state))
         elif isinstance(ins, Project):
             state = state.project(ins.targets, ins.bits)
-            steps.append(TraceStep(len(steps), ins, state))
+            steps.append(TraceStep(ins, state))
         else:
             n_expect += 1
             verdict, scalar = compare_kets(ins.expected, state)

@@ -78,8 +78,8 @@ def _steps_json(result: RunResult) -> list[dict]:
 
 
 def _print_steps(result: RunResult) -> None:
-    for step in result.steps:
-        print(f"step {step.index:>2}  {instruction_text(step.instruction):<24} {step.state}")
+    for index, step in enumerate(result.steps):
+        print(f"step {index:>2}  {instruction_text(step.instruction):<24} {step.state}")
 
 
 def _report_lines(report: EntanglementReport) -> list[str]:

@@ -103,7 +103,7 @@ class _Expr:
 
     def ket_expr(self, n_qubits: int | None) -> Ket:
         ch = self.ws()
-        if self.s[self.i:].strip() == "0":
+        if self.s[self.i:].strip(" \t") == "0":
             if n_qubits is None:
                 self.err("cannot infer the qubit count of the zero state")
             self.i = len(self.s)

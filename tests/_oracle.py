@@ -1,14 +1,15 @@
 """Brute-force SLOCC oracle: constructive product-decomposition search.
 
-Independent of the rank/hyperdeterminant table in bhqc.classify: a party
-is separable iff an explicit factorization a[b][rest] = u[b] * chi[rest]
-can be constructed and verified entrywise.  Only the GHZ/W split reuses
+Independent of bhqc: it reads kets through ``_exact`` and computes on
+``bench/exact.py``'s scalars (ints where they can be, else ``Q``), not with
+bhqc.classify's rank/hyperdeterminant table.  A party is separable iff an
+explicit factorization a[b][rest] = u[b] * chi[rest] can be constructed and
+verified entrywise.  Only the GHZ/W split reuses
 Cayley's polynomial (by its sign test), as there is no cheaper exact
 discriminator.
 """
 
-from bhqc.scalars import ZERO
-from bhqc.states import Ket
+from _exact import ONE, vector
 
 
 def _rows(vec, n, party):
@@ -27,14 +28,12 @@ def _party_separates(vec, n, party) -> bool:
     if not any(row1):
         return True  # u = (1, 0), chi = row0
     pivot = next(j for j, v in enumerate(row0) if v)
-    t = row1[pivot] / row0[pivot]
-    reconstructed = [v * t for v in row0]
-    return reconstructed == row1
+    t = row1[pivot] * (ONE * row0[pivot]).inverse()  # ONE * makes an int entry a Q
+    return all(v * t == w for v, w in zip(row0, row1))
 
 
 def _cayley_det(a):
-    sq = sum((a[p] * a[p] * a[7 - p] * a[7 - p]
-              for p in (0b000, 0b001, 0b010, 0b100)), ZERO)
+    sq = sum(a[p] * a[p] * a[7 - p] * a[7 - p] for p in (0b000, 0b001, 0b010, 0b100))
     pairs = (a[0b000] * a[0b001] * a[0b110] * a[0b111]
              + a[0b000] * a[0b010] * a[0b101] * a[0b111]
              + a[0b000] * a[0b100] * a[0b011] * a[0b111]
@@ -46,11 +45,12 @@ def _cayley_det(a):
     return sq - 2 * pairs + 4 * quads
 
 
-def brute_classify(state: Ket) -> tuple[str, str | None]:
-    """(class family, separated party) by explicit decomposition search."""
-    vec = [ZERO] * 8
-    for bits, a in state.terms.items():
-        vec[int(bits, 2)] = a.as_scalar()
+def brute_classify(state) -> tuple[str, str | None]:
+    """(class family, separated party) of a 3-qubit bhqc ket, by explicit
+    decomposition search."""
+    polys = vector(state)
+    assert all(set(p) <= {()} for p in polys), "formal symbols"
+    vec = [p.get((), 0) for p in polys]
     if not any(vec):
         return "NULL", None
     separating = [p for p in range(3) if _party_separates(vec, 3, p)]

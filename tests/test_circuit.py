@@ -11,7 +11,7 @@ from bhqc.operators import GATES
 from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
 
-from _dense import run_dense
+from _exact import run as run_exact, vector
 from _shipped import shipped
 
 _VALIDATION_ERRORS = [
@@ -122,8 +122,8 @@ class TestExecutor:
     def test_deterministic_traces(self):
         def render_once():
             result = run(shipped("bell_chain"))
-            return "\n".join(f"{s.index} {instruction_text(s.instruction)} {s.state}"
-                             for s in result.steps)
+            return "\n".join(f"{k} {instruction_text(s.instruction)} {s.state}"
+                             for k, s in enumerate(result.steps))
         assert render_once() == render_once()
 
     def test_validation_errors(self):
@@ -174,4 +174,4 @@ def test_symbol_free_kets_stay_gaussian_rationals(case):
     result = run(Circuit(state.n_qubits, state, word))
     for step in result.steps:
         assert all(type(a) is GaussianRational for a in step.state.terms.values())
-    assert result.final_state == run_dense(state.n_qubits, state, word)
+    assert vector(result.final_state) == run_exact(state, word)

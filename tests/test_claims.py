@@ -1,9 +1,16 @@
+import ast
+from pathlib import Path
+
+import pytest
+
 from bhqc.circuit import MATCH, MATCH_UP_TO_SCALAR, MISMATCH
 from bhqc.claims import CLAIMS, KNOWN_MISMATCHES, KNOWN_SCALAR_MATCHES, verify_claims
 from bhqc.scalars import GaussianRational
 from bhqc.states import Ket
 
-from _dense import run_dense
+from _exact import run, vector
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _by_id(records):
@@ -66,6 +73,14 @@ def test_ledger_soundness_against_the_dense_oracle():
     records = _by_id(verify_claims())
     for spec in CLAIMS:
         circuit = spec.circuit
-        dense_final = run_dense(circuit.n_qubits, circuit.initial_state,
-                                circuit.instructions)
-        assert dense_final == records[spec.claim_id].computed, spec.claim_id
+        want = run(circuit.initial_state, circuit.instructions)
+        assert vector(records[spec.claim_id].computed) == want, spec.claim_id
+
+
+@pytest.mark.parametrize("path", ["tests/_exact.py", "tests/_oracle.py", "bench/exact.py"])
+def test_the_references_import_nothing_from_bhqc(path):
+    tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+    modules = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [m for m in modules if m.split(".")[0] == "bhqc"] == []

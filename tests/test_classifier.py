@@ -12,6 +12,7 @@ from bhqc.operators import GATES, apply
 from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
 
+from _exact import Q
 from _kets import permute
 from _oracle import _cayley_det, brute_classify
 
@@ -287,10 +288,6 @@ def test_rank_2xm_matches_the_pairwise_minors(columns, scale):
     assert _rank_2xm(row1, row0) == _pairwise_rank(row1, row0)
 
 
-def _conjugate(z: GaussianRational) -> GaussianRational:
-    return GaussianRational(z.re, -z.im)
-
-
 _q9 = st.fractions(min_value=-2, max_value=2, max_denominator=9)
 _entries9 = st.just(_Z) | st.builds(GaussianRational, _q9, _q9)
 
@@ -305,10 +302,11 @@ def test_classify_on_non_unit_denominators(vec):
     state = ket_from_vec(vec)
     report = classify(state)
     det = report.hyperdeterminant
-    assert det == _cayley_det(vec)
+    want = _cayley_det([Q(z.re, z.im) for z in vec])
+    assert Q(det.re, det.im) == want
     assert (report.slocc_class, report.separated_party) == brute_classify(state)
-    norm = sum((z * _conjugate(z)).re for z in vec)  # <x|x> of the unscaled state
+    norm = sum(z.re ** 2 + z.im ** 2 for z in vec)  # <x|x> of the unscaled state
     if norm:
-        assert report.three_tangle_exact == 16 * (det * _conjugate(det)).re / norm ** 4
+        assert report.three_tangle_exact == 16 * (want.re ** 2 + want.im ** 2) / norm ** 4
     else:
         assert report.three_tangle_exact is None

@@ -45,6 +45,7 @@ class TestKetExpressions:
 
     def test_zero_needs_a_qubit_count(self):
         assert parse_ket("0", n_qubits=2) == Ket.zero(2)
+        assert parse_ket(" 0\t", n_qubits=2) == Ket.zero(2)
         with pytest.raises(DslError):
             parse_ket("0")
 
@@ -73,6 +74,15 @@ class TestKetExpressions:
     def test_exact_error_positions(self, text, where):
         with pytest.raises(DslError) as excinfo:
             parse_ket(text)
+        assert (excinfo.value.line, excinfo.value.col, excinfo.value.message) == where
+
+    @pytest.mark.parametrize("text, where", [
+        ("0\x0c", (1, 2, "expected '|'")),
+        ("\x0b0", (1, 1, "expected a coefficient or '|'")),
+    ])
+    def test_only_space_and_tab_are_blanks_around_the_zero_state(self, text, where):
+        with pytest.raises(DslError) as excinfo:
+            parse_ket(text, n_qubits=2)
         assert (excinfo.value.line, excinfo.value.col, excinfo.value.message) == where
 
     def test_round_trip_through_rendering(self):
@@ -350,6 +360,8 @@ class TestCircuitParsing:
         ("qubits 2\nsymbols a a\n", (2, 11, "symbol 'a' already declared")),
         ("qubits 2\nsymbols 2bad\n", (2, 9, "invalid symbol name '2bad'")),
         ("qubits 2\nsymbols alpha~\n", (2, 9, "invalid symbol name 'alpha~'")),
+        ("qubits 2\nstate\u30000\n", (2, 6, "expected a coefficient or '|'")),
+        ("qubits 2\nexpect 0\x0c\n", (2, 9, "expected '|'")),
     ])
     def test_exact_error_positions(self, text, where):
         # (line, col, message) of each single-fault input, as the parser has

@@ -9,7 +9,7 @@ from bhqc.operators import GATES, Operator, apply, gate_named
 from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
 
-from _dense import dense_embed, dense_gate, dense_matvec, ket_to_vec, vec_to_ket
+from _exact import exact, vector
 
 K0, K1 = Ket.basis("0"), Ket.basis("1")
 STAR = GATES["STAR"]
@@ -205,18 +205,16 @@ class TestEmbedAndApply:
 
     def test_embed_against_dense_oracle(self):
         state = symbolic_ket(4)
-        vec = ket_to_vec(state)
+        vec = vector(state)
         for name, op in GATES.items():
             for targets in permutations(range(4), op.arity):
-                dense = dense_embed(dense_gate(name), targets, 4)
-                want = vec_to_ket(4, dense_matvec(dense, vec))
-                assert apply(op, state, targets) == want, (name, targets)
+                want = exact.apply_gate(name, targets, 4, vec)
+                assert vector(apply(op, state, targets)) == want, (name, targets)
 
     def test_non_adjacent_cnot_on_six_qubits(self):
         state = symbolic_ket(6)
-        dense = dense_embed(dense_gate("CNOT"), (4, 1), 6)
-        want = vec_to_ket(6, dense_matvec(dense, ket_to_vec(state)))
-        assert apply(CNOT, state, [4, 1]) == want
+        want = exact.apply_gate("CNOT", (4, 1), 6, vector(state))
+        assert vector(apply(CNOT, state, [4, 1])) == want
 
     def test_embed_commutes_with_composition(self):
         pairs = [(STAR, RAISE), (L4, HPLUS),
@@ -250,8 +248,7 @@ class TestEmbedAndApply:
         out = apply(HPLUS, state, [0])
         assert list(out.terms) == sorted(out.terms) == ["100", "101", "111"]
         assert all(out.terms.values())
-        dense = dense_embed(dense_gate("HPLUS"), (0,), 3)
-        assert out == vec_to_ket(3, dense_matvec(dense, ket_to_vec(state)))
+        assert vector(out) == exact.apply_gate("HPLUS", (0,), 3, vector(state))
         assert str(out) == "((2)*alpha)|100> + ((2)*beta)|101> + ((2)*gamma~)|111>"
 
     def test_apply_is_linear(self):
@@ -305,12 +302,9 @@ class TestRegistry:
 
     def test_every_gate_matches_the_dense_oracle(self):
         for name, op in GATES.items():
-            dense = dense_gate(name)
-            dim = 1 << op.arity
+            m = exact.GATES[name]
             for c, column in enumerate(columns(op)):
-                for r in range(dim):
-                    bits = format(r, f"0{op.arity}b")
-                    assert column.terms.get(bits, 0) == dense[r][c]
+                assert vector(column) == [{(): row[c]} if row[c] else {} for row in m], name
 
 
 _AMPLITUDES = st.sampled_from([1, -1, 3, Fraction(-1, 2), GaussianRational(2, -1),
