@@ -20,8 +20,7 @@ _EXPORTS = {
                 "ClaimRecord", "Expect", "Instruction", "Project", "RunResult", "TraceStep",
                 "compare_kets", "instruction_text", "run"),
     "dsl": ("DslError", "parse_circuit", "parse_ket"),
-    "claims": ("CLAIMS", "KNOWN_MISMATCHES", "KNOWN_SCALAR_MATCHES", "ClaimSpec",
-               "verify_claims"),
+    "claims": ("CLAIMS", "KNOWN_MISMATCHES", "KNOWN_SCALAR_MATCHES", "verify_claims"),
     "classify": ("COSET_CHAIN", "GHZ_BRANE_NOTE", "SUSY_PHRASE", "EntanglementReport",
                  "SymbolicStateError", "TransitionReport", "classify", "transition_report"),
 }

@@ -19,12 +19,12 @@ MISMATCH = "MISMATCH"
 
 
 class _Record:
-    """Base of the records compared by value: every slot but ``line`` counts."""
+    """Base of the records compared by value: every slot but ``location`` counts."""
 
     __slots__ = ()
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__ if name != "line")
+        return tuple(getattr(self, name) for name in self.__slots__ if name != "location")
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -55,11 +55,13 @@ class Project(_Record):
 
 
 class Expect(_Record):
-    __slots__ = ("expected", "line")
+    __slots__ = ("expected", "claim_id", "location")
 
-    def __init__(self, expected: Ket, line: int | None = None) -> None:
+    def __init__(self, expected: Ket, claim_id: str | None = None,
+                 location: str | None = None) -> None:
         self.expected = expected
-        self.line = line
+        self.claim_id = claim_id
+        self.location = location
 
 
 Instruction = Union[ApplyGate, Project, Expect]
@@ -191,7 +193,8 @@ def run(circuit: Circuit) -> RunResult:
     """Deterministic execution; step 0 is the initial state.
 
     ApplyGate and Project each advance one step; Expect records a claim
-    against the current state without changing it.
+    against the current state without changing it, named by its claim_id
+    and location if it has them, else ``expect-N`` at ``step K``.
     """
     state = circuit.initial_state
     steps = [TraceStep(None, state)]
@@ -207,7 +210,7 @@ def run(circuit: Circuit) -> RunResult:
         else:
             n_expect += 1
             verdict, scalar = compare_kets(ins.expected, state)
-            where = f"line {ins.line}" if ins.line is not None else f"step {len(steps) - 1}"
-            claims.append(ClaimRecord(f"expect-{n_expect}", where,
+            claims.append(ClaimRecord(ins.claim_id or f"expect-{n_expect}",
+                                      ins.location or f"step {len(steps) - 1}",
                                       ins.expected, state, verdict, scalar))
     return RunResult(steps, claims)

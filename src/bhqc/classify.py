@@ -266,10 +266,9 @@ class TransitionReport:
         self.rank_increased = rank_increased
 
 
-def transition_report(before: Ket, after: Ket) -> TransitionReport:
+def transition_report(before: EntanglementReport, after: EntanglementReport) -> TransitionReport:
     """Templated deltas between the classifications of two states."""
-    b = classify(before)
-    a = classify(after)
+    b, a = before, after
     if b.susy_fraction == a.susy_fraction:
         susy = "unchanged"
     else:

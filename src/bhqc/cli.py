@@ -151,13 +151,13 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     path = Path(__file__).with_name("circuits") / f"{stem}.bhqc"
     circuit = parse_circuit(path.read_text(encoding="utf-8"))
     result = run(circuit)
-    claims = verify_claims(section=section, demo_only=True)
-
-    final = result.final_state
-    report = transition = None
-    if not final.has_symbols and final.n_qubits in (2, 3):
-        report = classify(final)
-        transition = transition_report(circuit.initial_state, final)
+    claims = verify_claims(section)
+    try:
+        before, report = classify(circuit.initial_state), classify(result.final_state)
+    except ValueError:  # symbolic amplitudes (SymbolicStateError) or a qubit count
+        report = transition = None
+    else:
+        transition = transition_report(before, report)
 
     if args.json:
         _print_json({

@@ -57,7 +57,8 @@ _INSTRUCTIONS = {"apply": (1, "usage: apply GATE q [q ...]"),
 # a declarable symbol name; its conjugate partner is the name plus "~"
 _NAME = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _IDENT = _re.compile(_NAME.pattern + "~?")
-_TOKEN = _re.compile(r"\S+")
+# a directive's words; space and tab are the only blanks, as in the ket grammar
+_TOKEN = _re.compile(r"[^ \t]+")
 _DIGITS = _re.compile(r"\d*")
 _BITS = _re.compile(r"[01]*")
 # an ``i`` that ends a number or a parenthesis, not one that starts a name
@@ -405,7 +406,7 @@ def parse_circuit(text: str) -> Circuit:
         elif word == "expect":
             expr_start = body.index(word, col - 1) + len(word)
             expected = _Expr(body[expr_start:], lineno, expr_start + 1, declared).ket_expr(n_qubits)
-            instructions.append(Expect(expected, line=lineno))
+            instructions.append(Expect(expected, location=f"line {lineno}"))
 
         else:
             raise DslError(lineno, col, f"unknown directive '{word}'")

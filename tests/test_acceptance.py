@@ -110,7 +110,7 @@ def test_criterion_04_cnot():
 
 def test_criterion_05_bell_chain_ledger():
     with criterion(5, "Bell chain verdicts"):
-        records = {r.claim_id: r for r in verify_claims(section="bell")}
+        records = {r.claim_id: r for r in verify_claims()}
         assert records["B1"].verdict == MATCH
         assert records["B2"].verdict == MATCH
         assert records["B3"].verdict == MISMATCH
@@ -150,7 +150,7 @@ def test_criterion_08_class_interchange():
         assert computed == Ket(3, {"000": 1, "011": 1})
         report = classify(computed)
         assert report.slocc_class == "BISEPARABLE"
-        transition = transition_report(Ket.basis("000"), computed)
+        transition = transition_report(classify(Ket.basis("000")), report)
         assert transition.susy_change == "1/2 → 1/4 preserved"
 
 

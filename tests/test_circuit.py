@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from bhqc.circuit import (MATCH, MATCH_UP_TO_SCALAR, MISMATCH, ApplyGate,
                           Circuit, Expect, Project, compare_kets,
                           instruction_text, run)
+from bhqc.claims import CLAIMS
 from bhqc.operators import GATES
 from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
@@ -82,6 +83,23 @@ class TestExecutor:
         assert len(result.steps) == 2  # init plus one gate
         assert [c.verdict for c in result.claims] == [MATCH, MISMATCH]
         assert result.claims[0].claim_id == "expect-1"
+
+    def test_expect_names_its_record_or_gets_a_numbered_name(self):
+        circuit = Circuit(1, Ket.basis("0"), (
+            ApplyGate("L4", (0,)),
+            Expect(Ket.basis("1"), claim_id="flip", location="Eq.(1)"),
+            Expect(Ket.basis("1")),
+        ))
+        named, numbered = run(circuit).claims
+        assert (named.claim_id, named.location) == ("flip", "Eq.(1)")
+        assert (numbered.claim_id, numbered.location) == ("expect-2", "step 1")
+
+    def test_every_catalog_circuit_ends_in_its_one_expect(self):
+        for circuits in CLAIMS.values():
+            for circuit in circuits:
+                expects = [ins for ins in circuit.instructions if isinstance(ins, Expect)]
+                assert expects == [circuit.instructions[-1]]
+                assert expects[0].claim_id and expects[0].location
 
     def test_projection_is_post_selection_without_renormalization(self):
         circuit = Circuit(2, Ket(2, {"00": 2, "11": 2}), (Project("0", (0,)),))

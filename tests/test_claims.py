@@ -18,13 +18,12 @@ def _by_id(records):
 
 
 def test_catalog_is_exhaustive_and_ids_unique():
-    ids = [spec.claim_id for spec in CLAIMS]
+    ids = [c.instructions[-1].claim_id for circuits in CLAIMS.values() for c in circuits]
     assert len(ids) == len(set(ids))
-    assert len(CLAIMS) == 81
-    sections = {spec.section for spec in CLAIMS}
-    assert sections == {"generators", "lambda", "hadamard", "sigma2",
-                        "tensor-pairs", "big-lambda", "big-lambda-products",
-                        "cnot", "bell", "teleport", "ghz", "interchange"}
+    assert len(ids) == 81
+    assert list(CLAIMS) == ["generators", "lambda", "hadamard", "sigma2",
+                            "tensor-pairs", "big-lambda", "big-lambda-products",
+                            "cnot", "bell", "bell-eq25", "teleport", "ghz", "interchange"]
 
 
 def test_verdicts_are_exactly_the_known_set():
@@ -38,7 +37,7 @@ def test_verdicts_are_exactly_the_known_set():
 
 
 def test_bell_stage_details():
-    records = _by_id(verify_claims(section="bell"))
+    records = _by_id(verify_claims())
     assert records["B1"].verdict == MATCH
     assert records["B2"].verdict == MATCH
     assert records["B3"].verdict == MISMATCH
@@ -49,7 +48,7 @@ def test_bell_stage_details():
 
 
 def test_demo_filter_hides_the_second_b4_variant():
-    demo = {r.claim_id for r in verify_claims(section="bell", demo_only=True)}
+    demo = {r.claim_id for r in verify_claims("bell")}
     assert demo == {"B1", "B2", "B3", "B4-text"}
 
 
@@ -71,10 +70,11 @@ def test_ledger_soundness_against_the_dense_oracle():
     # every computed state, and hence every verdict, must be reproduced by
     # the independent dense path
     records = _by_id(verify_claims())
-    for spec in CLAIMS:
-        circuit = spec.circuit
-        want = run(circuit.initial_state, circuit.instructions)
-        assert vector(records[spec.claim_id].computed) == want, spec.claim_id
+    for circuits in CLAIMS.values():
+        for circuit in circuits:
+            *steps, expect = circuit.instructions
+            want = run(circuit.initial_state, steps)
+            assert vector(records[expect.claim_id].computed) == want, expect.claim_id
 
 
 @pytest.mark.parametrize("path", ["tests/_exact.py", "tests/_oracle.py", "bench/exact.py"])

@@ -155,7 +155,8 @@ class TestClassifyTwoQubits:
 
 class TestTransitions:
     def test_separable_to_biseparable(self):
-        t = transition_report(Ket.basis("000"), Ket(3, {"101": 1, "110": 1}))
+        after = Ket(3, {"101": 1, "110": 1})
+        t = transition_report(classify(Ket.basis("000")), classify(after))
         assert t.susy_change == "1/2 → 1/4 preserved"
         assert t.rank_change == "1 → 2a"
         assert t.size_change == "unchanged"
@@ -163,14 +164,14 @@ class TestTransitions:
 
     def test_small_to_large(self):
         before = Ket(2, {"00": 1, "11": 1}).tensor(Ket.basis("0"))
-        t = transition_report(before, GHZ)
+        t = transition_report(classify(before), classify(GHZ))
         assert t.size_change == "small → large (attractor)"
         assert t.rank_change == "2c → 4"
         assert t.susy_change == "1/4 → 1/8 preserved or completely broken"
         assert t.rank_increased
 
     def test_unchanged(self):
-        t = transition_report(GHZ, GHZ)
+        t = transition_report(classify(GHZ), classify(GHZ))
         assert (t.susy_change, t.size_change, t.rank_change) == \
             ("unchanged", "unchanged", "unchanged")
         assert not t.rank_increased

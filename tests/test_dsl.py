@@ -360,8 +360,13 @@ class TestCircuitParsing:
         ("qubits 2\nsymbols a a\n", (2, 11, "symbol 'a' already declared")),
         ("qubits 2\nsymbols 2bad\n", (2, 9, "invalid symbol name '2bad'")),
         ("qubits 2\nsymbols alpha~\n", (2, 9, "invalid symbol name 'alpha~'")),
-        ("qubits 2\nstate\u30000\n", (2, 6, "expected a coefficient or '|'")),
+        ("qubits 2\nstate\u30000\n", (2, 1, "unknown directive 'state\u30000'")),
         ("qubits 2\nexpect 0\x0c\n", (2, 9, "expected '|'")),
+        # words of a directive are split at space and tab only, as in kets
+        ("qubits\u30002\n", (1, 1, "first directive must be 'qubits'")),
+        ("qubits 2\napply\u3000STAR 0\n", (2, 1, "unknown directive 'apply\u3000STAR'")),
+        ("qubits 2\napply STAR\x0c0\n", (2, 7, "unknown gate 'STAR\x0c0'")),
+        ("qubits 2\nstate \u3000|00>\n", (2, 7, "expected a coefficient or '|'")),
     ])
     def test_exact_error_positions(self, text, where):
         # (line, col, message) of each single-fault input, as the parser has
