@@ -1,8 +1,9 @@
 """Circuit IR, the deterministic executor, and claim verdicts.
 
 ``check_instruction`` is the one check of an instruction, for ``Circuit``
-and ``parse_circuit`` alike.  A ``Circuit`` is checked when it is built,
-and ``run`` trusts it.
+and ``parse_circuit`` alike.  A ``Circuit`` is checked when it is built;
+``run`` checks each step again, since ``apply`` and ``Ket.project`` check
+their operands on every call.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ if TYPE_CHECKING:
 # first call, so a process imports only what its command runs
 _IMPORTS = {
     "run": ("DslError", "parse_circuit", "MATCH_UP_TO_SCALAR", "instruction_text", "run"),
-    "demo": ("parse_circuit", "MATCH_UP_TO_SCALAR", "instruction_text", "run", "verify_claims",
+    "demo": ("parse_circuit", "MATCH_UP_TO_SCALAR", "instruction_text", "run",
              "COSET_CHAIN", "SUSY_PHRASE", "classify", "transition_report"),
     "classify": ("DslError", "parse_ket", "SUSY_PHRASE", "classify"),
     "verify-paper": ("MATCH", "MATCH_UP_TO_SCALAR", "MISMATCH", "verify_claims"),
@@ -47,13 +47,9 @@ def _load(command: str) -> None:
     _loaded.add(command)
 
 
-# demo name -> (stem of its file in circuits/, claim-catalog section)
-_DEMOS = {
-    "bell": ("bell_chain", "bell"),
-    "teleport": ("teleport", "teleport"),
-    "ghz": ("ghz", "ghz"),
-    "class-change": ("class_change", "interchange"),
-}
+# demo name -> stem of its file in circuits/
+_DEMOS = {"bell": "bell_chain", "teleport": "teleport", "ghz": "ghz",
+          "class-change": "class_change"}
 
 
 def _print_json(obj: object) -> None:
@@ -72,14 +68,23 @@ def _claim_json(record, with_states: bool = False) -> dict:
     return out
 
 
-def _steps_json(result: RunResult) -> list[dict]:
-    return [{"instruction": instruction_text(s.instruction), "state": str(s.state)}
-            for s in result.steps]
+def _result_json(result: RunResult) -> dict:
+    """The steps and claims of a run, as ``run --json`` and ``demo --json`` print them."""
+    return {"steps": [{"instruction": instruction_text(s.instruction), "state": str(s.state)}
+                      for s in result.steps],
+            "claims": [_claim_json(c) for c in result.claims]}
 
 
 def _print_steps(result: RunResult) -> None:
     for index, step in enumerate(result.steps):
         print(f"step {index:>2}  {instruction_text(step.instruction):<24} {step.state}")
+
+
+def _print_claims(result: RunResult) -> None:
+    if result.claims:
+        print("claims:")
+        for record in result.claims:
+            print(f"  {record.summary()}")
 
 
 def _report_lines(report: EntanglementReport) -> list[str]:
@@ -128,16 +133,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 1
     result = run(circuit)
     if args.json:
-        _print_json({"steps": _steps_json(result),
-                     "claims": [_claim_json(c) for c in result.claims]})
+        _print_json(_result_json(result))
         return 0
     if args.trace:
         _print_steps(result)
     print(f"final: {result.final_state}")
-    if result.claims:
-        print("claims:")
-        for record in result.claims:
-            print(f"  {record.summary()}")
+    _print_claims(result)
     return 0
 
 
@@ -147,11 +148,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         print(f"error: unknown demo name '{args.name}' (choose from {known})",
               file=sys.stderr)
         return 1
-    stem, section = _DEMOS[args.name]
-    path = Path(__file__).with_name("circuits") / f"{stem}.bhqc"
+    path = Path(__file__).with_name("circuits") / f"{_DEMOS[args.name]}.bhqc"
     circuit = parse_circuit(path.read_text(encoding="utf-8"))
     result = run(circuit)
-    claims = verify_claims(section)
     try:
         before, report = classify(circuit.initial_state), classify(result.final_state)
     except ValueError:  # symbolic amplitudes (SymbolicStateError) or a qubit count
@@ -161,8 +160,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
     if args.json:
         _print_json({
-            "steps": _steps_json(result),
-            "claims": [_claim_json(c) for c in claims],
+            **_result_json(result),
             "classification": None if report is None else report.to_json(),
             "transition": None if transition is None else {
                 "susy": transition.susy_change,
@@ -177,9 +175,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     if circuit.mode_labels:
         print("labels: " + " ".join(circuit.mode_labels))
     _print_steps(result)
-    print("claims:")
-    for record in claims:
-        print(f"  {record.summary()}")
+    _print_claims(result)
     if report is None:
         print("classification: skipped (symbolic amplitudes)")
     else:
@@ -244,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_demo = sub.add_parser("demo", help="run a canned circuit with classification")
-    p_demo.add_argument("name", metavar="{bell,teleport,ghz,class-change}")
+    p_demo.add_argument("name", metavar="{" + ",".join(_DEMOS) + "}")
     p_demo.add_argument("--json", action="store_true")
     p_demo.set_defaults(func=_cmd_demo)
 

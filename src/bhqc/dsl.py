@@ -60,6 +60,8 @@ _IDENT = _re.compile(_NAME.pattern + "~?")
 # a directive's words; space and tab are the only blanks, as in the ket grammar
 _TOKEN = _re.compile(r"[^ \t]+")
 _DIGITS = _re.compile(r"\d*")
+# a directive's integer: an optional minus, then a digit run as in a ket
+_INT = _re.compile(r"-?\d+")
 _BITS = _re.compile(r"[01]*")
 # an ``i`` that ends a number or a parenthesis, not one that starts a name
 # (\w is str.isalnum() and "_")
@@ -319,10 +321,14 @@ def parse_ket(text: str, *, n_qubits: int | None = None) -> Ket:
 
 
 def _parse_int(token: str, line: int, col: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise DslError(line, col, f"{what} must be an integer") from None
+    # the pattern keeps out the '+2', '0_3' and padded forms int() takes;
+    # int() still rejects digit strings past the interpreter's length limit
+    if _INT.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise DslError(line, col, f"{what} must be an integer")
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -385,7 +391,7 @@ def parse_circuit(text: str) -> Circuit:
                 raise DslError(lineno, col, "duplicate 'state' directive")
             if instructions:
                 raise DslError(lineno, col, "'state' must come before instructions")
-            expr_start = body.index(word, col - 1) + len(word)
+            expr_start = col - 1 + len(word)
             state = _Expr(body[expr_start:], lineno, expr_start + 1, declared).ket_expr(n_qubits)
 
         elif word in _INSTRUCTIONS:
@@ -404,7 +410,7 @@ def parse_circuit(text: str) -> Circuit:
             instructions.append(ins)
 
         elif word == "expect":
-            expr_start = body.index(word, col - 1) + len(word)
+            expr_start = col - 1 + len(word)
             expected = _Expr(body[expr_start:], lineno, expr_start + 1, declared).ket_expr(n_qubits)
             instructions.append(Expect(expected, location=f"line {lineno}"))
 

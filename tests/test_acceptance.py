@@ -143,7 +143,7 @@ def test_criterion_07_ghz():
 
 def test_criterion_08_class_interchange():
     with criterion(8, "class-change chain"):
-        records = {r.claim_id: r for r in verify_claims(section="interchange")}
+        records = {r.claim_id: r for r in verify_claims()}
         assert records["interchange-step2"].verdict == MISMATCH
         result = run(shipped("class_change"))
         computed = result.final_state

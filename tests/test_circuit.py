@@ -95,11 +95,10 @@ class TestExecutor:
         assert (numbered.claim_id, numbered.location) == ("expect-2", "step 1")
 
     def test_every_catalog_circuit_ends_in_its_one_expect(self):
-        for circuits in CLAIMS.values():
-            for circuit in circuits:
-                expects = [ins for ins in circuit.instructions if isinstance(ins, Expect)]
-                assert expects == [circuit.instructions[-1]]
-                assert expects[0].claim_id and expects[0].location
+        for circuit in CLAIMS:
+            expects = [ins for ins in circuit.instructions if isinstance(ins, Expect)]
+            assert expects == [circuit.instructions[-1]]
+            assert expects[0].claim_id and expects[0].location
 
     def test_projection_is_post_selection_without_renormalization(self):
         circuit = Circuit(2, Ket(2, {"00": 2, "11": 2}), (Project("0", (0,)),))

@@ -99,17 +99,17 @@ class TestDemo:
         code, out, _ = invoke(capsys, "demo", "class-change")
         assert code == 0
         assert "1/2 → 1/4 preserved" in out
-        assert "interchange-step2: MISMATCH" in out
+        assert "line 6 expect-2: MISMATCH (computed |000> + |011>)" in out
         assert "class: BISEPARABLE(A-BC)" in out
 
     def test_bell_shows_the_four_staged_claims(self, capsys):
         code, out, _ = invoke(capsys, "demo", "bell")
         assert code == 0
-        assert "Eq.(22) B1: MATCH" in out
-        assert "Eq.(23) B2: MATCH" in out
-        assert "Eq.(24) B3: MISMATCH (computed -|11>)" in out
-        assert "B4-text: MATCH_UP_TO_SCALAR(-1)" in out
-        assert "B4-eq25" not in out
+        assert "line 6 expect-1: MATCH" in out
+        assert "line 8 expect-2: MATCH" in out
+        assert "line 10 expect-3: MISMATCH (computed -|11>)" in out
+        assert "line 13 expect-4: MISMATCH (computed |11>)" in out
+        assert "B4-text" not in out  # the chain runs the Eq.(25) form only
 
     def test_teleport_skips_classification(self, capsys):
         code, out, _ = invoke(capsys, "demo", "teleport")
@@ -127,6 +127,19 @@ class TestDemo:
         payload = json.loads(out)
         assert payload["classification"]["class"] == "GHZ"
         assert payload["transition"]["size"] == "small → large (attractor)"
+
+    @pytest.mark.parametrize("name, stem", [("bell", "bell_chain"), ("teleport", "teleport"),
+                                            ("ghz", "ghz"), ("class-change", "class_change")])
+    def test_reports_the_steps_and_claims_of_the_file_it_runs(self, capsys, name, stem):
+        path = str(CIRCUITS / f"{stem}.bhqc")
+        demo = json.loads(invoke(capsys, "demo", name, "--json")[1])
+        ran = json.loads(invoke(capsys, "run", path, "--json")[1])
+        assert (demo["steps"], demo["claims"]) == (ran["steps"], ran["claims"])
+        assert ran["claims"]
+        # run's text ends with its claim lines; demo's go on, unindented
+        block = invoke(capsys, "run", path)[1].split("claims:\n")[1]
+        rest = invoke(capsys, "demo", name)[1].split("claims:\n")[1]
+        assert rest.startswith(block) and rest[len(block)] != " "
 
 
 class TestClassify:
@@ -328,7 +341,7 @@ class TestImports:
          {"bhqc.claims", "bhqc.classify"}),
         ("verify-paper", {"bhqc.claims", "bhqc.circuit", "bhqc.operators"},
          {"bhqc.dsl", "bhqc.classify"}),
-        ("demo", {"bhqc.dsl", "bhqc.claims", "bhqc.classify"}, set()),
+        ("demo", {"bhqc.dsl", "bhqc.classify"}, {"bhqc.claims"}),
     ])
     def test_a_command_imports_only_the_modules_it_runs(self, command, used, unused):
         result = subprocess.run(

@@ -367,6 +367,12 @@ class TestCircuitParsing:
         ("qubits 2\napply\u3000STAR 0\n", (2, 1, "unknown directive 'apply\u3000STAR'")),
         ("qubits 2\napply STAR\x0c0\n", (2, 7, "unknown gate 'STAR\x0c0'")),
         ("qubits 2\nstate \u3000|00>\n", (2, 7, "expected a coefficient or '|'")),
+        # a directive's integer is an optional '-' and a digit run, as in kets
+        ("qubits +2\n", (1, 8, "qubit count must be an integer")),
+        ("qubits 0_3\n", (1, 8, "qubit count must be an integer")),
+        ("qubits 2\napply CNOT 0 +1\n", (2, 14, "target must be an integer")),
+        ("qubits 2\nproject 01 0 1_0\n", (2, 14, "target must be an integer")),
+        ("qubits 2\napply STAR -1\n", (2, 12, "target qubit -1 out of range")),
     ])
     def test_exact_error_positions(self, text, where):
         # (line, col, message) of each single-fault input, as the parser has
