@@ -58,12 +58,11 @@ def _scalar_amplitudes(state: Ket) -> tuple[list[GaussianRational], int]:
     ``scale``: every entry of the vector is a Gaussian integer."""
     if state.has_symbols:
         raise SymbolicStateError("symbolic amplitudes are not classifiable")
-    values = [(int(bits, 2), a.as_scalar()) for bits, a in state.terms.items()]
-    scale = math.lcm(*(z._d for _, z in values))
+    scale = math.lcm(*(z._d for z in state.terms.values()))
     vec = [ZERO] * (1 << state.n_qubits)
-    for index, z in values:
+    for bits, z in state.terms.items():
         k = scale // z._d
-        vec[index] = GaussianRational(z._a * k, z._b * k)
+        vec[int(bits, 2)] = GaussianRational(z._a * k, z._b * k)
     return vec, scale
 
 
@@ -152,8 +151,8 @@ class EntanglementReport:
             "class": self.label,
             "ranks": list(self.flattening_ranks),
             "fts_rank": self.fts_rank,
-            "det": None if det is None else {"re": rat_str(*det.re.as_integer_ratio()),
-                                             "im": rat_str(*det.im.as_integer_ratio())},
+            "det": None if det is None else {"re": rat_str(det._a, det._d),
+                                             "im": rat_str(det._b, det._d)},
             "tau3": _display_json(self.three_tangle),
             "susy": self.susy_fraction,
             "size": None if self.size_class is None else self.size_class.lower(),

@@ -59,9 +59,10 @@ _NAME = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _IDENT = _re.compile(_NAME.pattern + "~?")
 # a directive's words; space and tab are the only blanks, as in the ket grammar
 _TOKEN = _re.compile(r"[^ \t]+")
-_DIGITS = _re.compile(r"\d*")
+# only ASCII digits: \d and str.isdigit also take other scripts' digits
+_DIGITS = _re.compile(r"[0-9]*")
 # a directive's integer: an optional minus, then a digit run as in a ket
-_INT = _re.compile(r"-?\d+")
+_INT = _re.compile(r"-?[0-9]+")
 _BITS = _re.compile(r"[01]*")
 # an ``i`` that ends a number or a parenthesis, not one that starts a name
 # (\w is str.isalnum() and "_")
@@ -71,8 +72,8 @@ _IMAG = _re.compile(r"i(?![\w~])")
 class _Expr:
     """Recursive-descent parser for ket and amplitude expressions.
 
-    An amplitude is a ``GaussianRational`` until a symbol appears in it and a
-    ``SymbolicAmplitude`` from then on, so symbol-free input pays for no
+    An amplitude is a ``SymbolicAmplitude`` while a symbol remains in it and
+    a ``GaussianRational`` otherwise, so symbol-free input pays for no
     polynomial arithmetic.
     """
 
@@ -149,7 +150,7 @@ class _Expr:
         if ch == "(":
             a = self._paren_amp()
             ch = self.ws()
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             a = self._number()
             ch = self.peek()
         elif ch == "|":
@@ -162,7 +163,7 @@ class _Expr:
         self.i = _BITS.match(self.s, start).end()
         if self.i == start:
             self.err("expected bits after '|'")
-        if self.peek().isdigit():
+        if "0" <= self.peek() <= "9":
             self.err("bitstring may only contain 0 and 1")
         if self.peek() != ">":
             self.err("expected '>'")
@@ -186,8 +187,6 @@ class _Expr:
             elif ch == "-":
                 self.i += 1
                 acc = acc - self._aterm()
-            elif type(acc) is SymbolicAmplitude and not acc.has_symbols:
-                return acc.as_scalar()  # the symbols cancelled
             else:
                 return acc
 
@@ -243,7 +242,7 @@ class _Expr:
         ch = self.ws()
         if ch == "(":
             return self._paren_amp()
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             q = self._number()
             return q * I if self._imag_suffix() else q
         m = _IDENT.match(self.s, self.i)
@@ -301,17 +300,12 @@ class _Expr:
         """The digit run at the cursor; ``missing`` is the error when there is none."""
         s, start = self.s, self.i
         end = _DIGITS.match(s, start).end()
-        # str.isdigit admits characters \d does not (superscripts), which
-        # int() rejects, as it does digit strings past the interpreter's
-        # length limit
-        while end < len(s) and s[end].isdigit():
-            end += 1
         if end == start:
             self.err(missing)
         self.i = end
         try:
             return int(s[start:end])
-        except ValueError:
+        except ValueError:  # past the interpreter's int-to-str length limit
             self.err("invalid number", pos=start)
 
 
@@ -321,7 +315,7 @@ def parse_ket(text: str, *, n_qubits: int | None = None) -> Ket:
 
 
 def _parse_int(token: str, line: int, col: int, what: str) -> int:
-    # the pattern keeps out the '+2', '0_3' and padded forms int() takes;
+    # the pattern keeps out the '+2', '0_3', padded and non-ASCII forms int() takes;
     # int() still rejects digit strings past the interpreter's length limit
     if _INT.fullmatch(token):
         try:

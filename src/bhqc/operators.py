@@ -21,8 +21,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Mapping, Sequence
 
-from .scalars import MINUS_ONE, ONE, GaussianRational
-from .states import MAX_QUBITS, Amplitude, Ket, OperandError, check_bits, check_targets
+from .scalars import MINUS_ONE, ONE, Amplitude, GaussianRational
+from .states import MAX_QUBITS, Ket, OperandError, check_bits, check_targets
 
 
 class Operator:
@@ -46,11 +46,11 @@ class Operator:
             check_bits(c, arity)
             if image.n_qubits != arity:
                 raise ValueError(f"the image of |{c}> must be a {arity}-qubit ket")
+            if image.has_symbols:
+                raise ValueError(f"the image of |{c}> contains formal symbols")
             if image.terms:
-                # as_scalar rejects images with formal symbols
-                values = [(r, a.as_scalar()) for r, a in image.terms.items()]
                 self.by_column[c] = [(r, v, 1 if v == ONE else -1 if v == MINUS_ONE else 0)
-                                     for r, v in values]
+                                     for r, v in image.terms.items()]
                 self.columns[c] = image
 
     @classmethod

@@ -10,8 +10,14 @@ skips the gcd altogether.  A pair of ``Fraction`` parts would pay a gcd and
 an object for each part of each partial product instead.  ``.re`` and
 ``.im`` still read as ``Fraction``.
 
-Amplitudes are polynomials in commuting formal symbols.  Every value is
-canonical on construction and equality is structural.
+Amplitudes are polynomials in commuting formal symbols.  One rule holds
+for every value: it is a ``SymbolicAmplitude`` while at least one monomial
+of degree 1 or more remains, and a ``GaussianRational`` otherwise, so
+``amp(3)`` is a ``GaussianRational`` and ``alpha - alpha`` is ``ZERO``.
+Only a sum whose symbols cancel, or a product with zero, turns a symbolic
+value into a scalar; a product of two symbolic values stays symbolic, as
+there are no zero divisors.  Every value is canonical when it is built, and
+equality is structural.
 
 Scalars and amplitudes are immutable, so results share them freely: an
 amplitude scaled by 1 is the same object, one scaled by -1 is its negation
@@ -27,7 +33,7 @@ import sys
 from fractions import Fraction
 from itertools import groupby
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 Rational = int | Fraction
 
@@ -65,7 +71,7 @@ class GaussianRational:
 
     __slots__ = ("_a", "_b", "_d")
 
-    # a scalar is also a ket amplitude free of symbols
+    # a scalar is the amplitude free of symbols
     has_symbols = False
 
     def __init__(self, re: Rational = 0, im: Rational = 0) -> None:
@@ -86,9 +92,6 @@ class GaussianRational:
     @property
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
-
-    def as_scalar(self) -> GaussianRational:
-        return self
 
     def inverse(self) -> GaussianRational:
         a, b = self._a, self._b
@@ -221,32 +224,27 @@ Monomial = tuple[str, ...]
 
 
 class SymbolicAmplitude:
-    """Polynomial over formal symbols with Gaussian-rational coefficients.
+    """Polynomial over formal symbols with Gaussian-rational coefficients,
+    of degree 1 or more.
 
     Canonical form: monomials are sorted name tuples, zero coefficients are
     dropped, and terms iterate in lexicographic monomial order.  Immutable;
-    ``_text`` caches the rendering.
+    ``_text`` caches the rendering.  There is no public constructor: build
+    values with ``amp`` and arithmetic.
     """
 
     __slots__ = ("_terms", "_text")
 
-    def __init__(self, terms: Mapping[Iterable[str], GaussianRational] | None = None) -> None:
-        canon: dict[Monomial, GaussianRational] = {}
-        for mono, coeff in (terms or {}).items():
-            key = tuple(sorted(mono))
-            acc = canon.get(key, ZERO) + coeff
-            if acc:
-                canon[key] = acc
-            else:
-                canon.pop(key, None)
-        self._terms = dict(sorted(canon.items()))
-        self._text = None
+    has_symbols = True
+
+    def __new__(cls, *args: object, **kwargs: object) -> SymbolicAmplitude:
+        raise TypeError("SymbolicAmplitude has no public constructor; use amp() and arithmetic")
 
     @classmethod
     def _canonical(cls, terms: dict[Monomial, GaussianRational]) -> SymbolicAmplitude:
-        """Wrap terms whose monomials are sorted tuples and whose coefficients
-        are nonzero, putting them in monomial order.  For results built from
-        canonical operands; outside input goes through ``__init__``."""
+        """Wrap terms whose monomials are sorted tuples, at least one of them
+        nonempty, and whose coefficients are nonzero, putting them in
+        monomial order.  For results built from canonical operands."""
         a = object.__new__(cls)
         a._terms = dict(sorted(terms.items())) if len(terms) > 1 else terms
         a._text = None
@@ -259,30 +257,21 @@ class SymbolicAmplitude:
         return self._terms.get(tuple(sorted(mono)), ZERO)
 
     def degree(self) -> int:
-        """The largest total degree of a monomial; 0 for scalars and zero."""
-        return max(map(len, self._terms), default=0)
+        """The largest total degree of a monomial, at least 1."""
+        return max(map(len, self._terms))
 
-    @property
-    def has_symbols(self) -> bool:
-        return any(m for m in self._terms)
-
-    def as_scalar(self) -> GaussianRational:
-        if not self._terms:
-            return ZERO
-        if self.has_symbols:
-            raise ValueError(f"amplitude {self} contains formal symbols")
-        return self._terms[()]
-
-    def __add__(self, other: object) -> SymbolicAmplitude:
-        w = _amp_coerce(other)
-        if w is None:
-            return NotImplemented
-        if not w._terms:
-            return self
-        if not self._terms:
-            return w
+    def __add__(self, other: object) -> Amplitude:
+        if type(other) is SymbolicAmplitude:
+            terms = other._terms
+        else:
+            g = _coerce(other)
+            if g is None:
+                return NotImplemented
+            if not g:
+                return self
+            terms = {(): g}
         merged = dict(self._terms)
-        for mono, coeff in w._terms.items():
+        for mono, coeff in terms.items():
             prev = merged.get(mono)
             if prev is None:
                 merged[mono] = coeff
@@ -292,39 +281,40 @@ class SymbolicAmplitude:
                     merged[mono] = acc
                 else:
                     del merged[mono]
-        return SymbolicAmplitude._canonical(merged)
+        # the symbols cancelled when no monomial but () is left
+        if len(merged) > 1 or merged and () not in merged:
+            return SymbolicAmplitude._canonical(merged)
+        return merged.get((), ZERO)
 
     __radd__ = __add__
 
-    def __sub__(self, other: object) -> SymbolicAmplitude:
-        w = _amp_coerce(other)
-        if w is None:
+    def __sub__(self, other: object) -> Amplitude:
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
-        return self + (-w)
+        return self + -other
 
-    def __rsub__(self, other: object) -> SymbolicAmplitude:
-        w = _amp_coerce(other)
-        if w is None:
+    def __rsub__(self, other: object) -> Amplitude:
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
-        return w + (-self)
+        return -self + other
 
-    def __mul__(self, other: object) -> SymbolicAmplitude:
-        g = _coerce(other)
-        if g is not None:
+    def __mul__(self, other: object) -> Amplitude:
+        if type(other) is not SymbolicAmplitude:
+            g = _coerce(other)
+            if g is None:
+                return NotImplemented
+            if not g:
+                return ZERO
             if g._d == 1 and not g._b:
                 if g._a == 1:
                     return self
                 if g._a == -1:
                     return -self
             # scaling keeps every monomial and, with no zero divisors, every term
-            return SymbolicAmplitude._canonical(
-                {m: c * g for m, c in self._terms.items()} if g else {})
-        w = _amp_coerce(other)
-        if w is None:
-            return NotImplemented
+            return SymbolicAmplitude._canonical({m: c * g for m, c in self._terms.items()})
         out: dict[Monomial, GaussianRational] = {}
         for m1, c1 in self._terms.items():
-            for m2, c2 in w._terms.items():
+            for m2, c2 in other._terms.items():
                 key = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
                 prev = out.get(key)
                 if prev is None:
@@ -336,6 +326,8 @@ class SymbolicAmplitude:
                         out[key] = acc
                     else:
                         del out[key]
+        # with no zero divisors, a product of two polynomials of degree >= 1
+        # has degree >= 2, so it keeps a symbol
         return SymbolicAmplitude._canonical(out)
 
     __rmul__ = __mul__
@@ -344,17 +336,14 @@ class SymbolicAmplitude:
         return SymbolicAmplitude._canonical({m: -c for m, c in self._terms.items()})
 
     def __len__(self) -> int:
-        """The number of terms; zero only for the zero amplitude."""
+        """The number of terms, at least 1."""
         return len(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        g = _coerce(other)
-        if g is not None:
-            return self._terms == ({(): g} if g else {})
-        w = _amp_coerce(other)
-        if w is None:
+        # a scalar has no symbols, so it never equals a SymbolicAmplitude
+        if type(other) is not SymbolicAmplitude:
             return NotImplemented
-        return self._terms == w._terms
+        return self._terms == other._terms
 
     __hash__ = None  # mutable-adjacent container; structural eq only
 
@@ -367,23 +356,21 @@ class SymbolicAmplitude:
         return f"SymbolicAmplitude({self})"
 
 
-def _amp_coerce(x: object) -> SymbolicAmplitude | None:
-    if isinstance(x, SymbolicAmplitude):
-        return x
-    g = _coerce(x)
-    if g is None:
-        return None
-    return SymbolicAmplitude._canonical({(): g} if g else {})
+Amplitude = GaussianRational | SymbolicAmplitude
+_OPERANDS = (SymbolicAmplitude, GaussianRational, int, Fraction)
 
 
-def amp(value: object) -> SymbolicAmplitude:
-    """Coerce ints, Fractions, Gaussian rationals, or a symbol name."""
+def amp(value: object) -> Amplitude:
+    """A symbol name as its ``SymbolicAmplitude``; an int, Fraction or
+    Gaussian rational as a ``GaussianRational``; an amplitude as itself."""
     if isinstance(value, str):
         return SymbolicAmplitude._canonical({(value,): ONE})
-    w = _amp_coerce(value)
-    if w is None:
+    if isinstance(value, SymbolicAmplitude):
+        return value
+    g = _coerce(value)
+    if g is None:
         raise TypeError(f"cannot coerce {value!r} to an amplitude")
-    return w
+    return g
 
 
 def _mono_str(mono: Monomial) -> str:

@@ -2,10 +2,9 @@
 
 Qubit 0 is the leftmost character of a basis bitstring.  States are never
 normalized; the zero vector (empty term map) is a legal value.  An
-amplitude is a ``GaussianRational`` until a symbol appears in it, so a ket
-free of symbols pays for no polynomial arithmetic; no ket operation turns a
-scalar into a ``SymbolicAmplitude``.  One whose symbols cancel may stay a
-``SymbolicAmplitude``; it compares and renders as its scalar.  Kets are
+amplitude is a ``SymbolicAmplitude`` exactly while a symbol remains in it
+and a ``GaussianRational`` otherwise, so a ket free of symbols pays for no
+polynomial arithmetic, and one whose symbols cancel holds scalars.  Kets are
 immutable value objects, shared freely: a circuit step holds the amplitude
 objects the gate passed through unchanged, and each ket and each amplitude
 caches its text the first time it is rendered.  ``Ket(...)`` validates
@@ -18,17 +17,9 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-from .scalars import GaussianRational, SymbolicAmplitude, amp, join_terms, scaled_str
+from .scalars import Amplitude, amp, join_terms, scaled_str
 
 MAX_QUBITS = 6
-
-Amplitude = GaussianRational | SymbolicAmplitude
-
-
-def _amplitude(value: object) -> Amplitude:
-    """``value`` as a ket amplitude: a Gaussian rational unless symbols remain."""
-    a = amp(value)
-    return a if a.has_symbols else a.as_scalar()
 
 
 def check_bits(bits: str, n: int) -> None:
@@ -84,7 +75,7 @@ class Ket:
         canon: dict[str, Amplitude] = {}
         for bits, value in (terms or {}).items():
             check_bits(bits, n_qubits)
-            a = _amplitude(value)
+            a = amp(value)
             if a:
                 canon[bits] = a
         self.n_qubits = n_qubits
@@ -138,7 +129,7 @@ class Ket:
         return Ket._canonical(self.n_qubits, {b: -a for b, a in self.terms.items()})
 
     def __mul__(self, value: object) -> Ket:
-        a = _amplitude(value)
+        a = amp(value)
         return Ket._canonical(self.n_qubits, {b: x * a for b, x in self.terms.items()})
 
     __rmul__ = __mul__

@@ -8,6 +8,7 @@ from bhqc.circuit import (MATCH, MATCH_UP_TO_SCALAR, MISMATCH, ApplyGate,
                           Circuit, Expect, Project, compare_kets,
                           instruction_text, run)
 from bhqc.claims import CLAIMS
+from bhqc.dsl import parse_circuit
 from bhqc.operators import GATES
 from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
@@ -72,6 +73,15 @@ class TestExecutor:
         circuit = Circuit(2, Ket.basis("00"), (
             ApplyGate("LL1", (0, 1)), ApplyGate("STAR", (0,)), ApplyGate("STAR", (1,))))
         assert run(circuit).final_state == Ket(2, {"01": 1, "10": 1})
+
+    def test_an_amplitude_whose_symbols_cancel_is_stored_as_a_scalar(self):
+        # HPLUS sends |0> to |0> + |1> and |1> to -|0> + |1>
+        circuit = parse_circuit("qubits 1\nsymbols alpha\n"
+                                "state (alpha)|0> + (1 - alpha)|1>\napply HPLUS 0\n")
+        final = run(circuit).final_state
+        assert type(final.terms["1"]) is GaussianRational
+        assert final.terms["1"] == GaussianRational(1)
+        assert final.terms["0"] == 2 * amp("alpha") - 1
 
     def test_expect_records_without_advancing(self):
         circuit = Circuit(1, Ket.basis("0"), (

@@ -70,6 +70,12 @@ class TestKetExpressions:
         ("|01> + 2|1>", (1, 7, "expected 2-qubit kets throughout")),
         pytest.param("(" * 101 + "1" + ")" * 101 + "|00>",
                      (1, 101, "parentheses nest at most 100 deep"), id="101-deep"),
+        # numbers and bits are ASCII digits only
+        ("(\u0663/\uff14)|0>", (1, 2, "expected a number, symbol, 'i', or '('")),
+        ("(3/\uff14)|0>", (1, 4, "expected a denominator")),
+        ("|0> + \u0662|1>", (1, 7, "expected a coefficient or '|'")),
+        ("(a^\u0662)|0>", (1, 4, "expected a number")),
+        ("|0\u0661>", (1, 3, "expected '>'")),
     ])
     def test_exact_error_positions(self, text, where):
         with pytest.raises(DslError) as excinfo:
@@ -107,10 +113,11 @@ class TestKetExpressions:
         assert excinfo.value.col == 1
 
     def test_digit_characters_int_cannot_read_are_parse_errors(self):
-        # "\u00b2" (superscript two) passes str.isdigit but not int()
-        with pytest.raises(DslError, match="invalid number") as excinfo:
+        # "\u00b2" (superscript two) passes str.isdigit but is no ASCII digit
+        with pytest.raises(DslError) as excinfo:
             parse_ket("(\u00b2)|0>")
-        assert excinfo.value.col == 2
+        assert (excinfo.value.col, excinfo.value.message) == (
+            2, "expected a number, symbol, 'i', or '('")
 
 
 class TestAmplitudeExpressions:
@@ -237,7 +244,7 @@ class TestExponentBound:
         assert mixed.coefficient(("a",) * half + ("b",) * half) == 1
         assert mixed.coefficient(("b",) * half) == 3
         for zero in (f"0*a^{MAX_EXPONENT}*a", f"a^{MAX_EXPONENT}*0*a^{MAX_EXPONENT}"):
-            assert len(amplitude_of(zero)) == 0
+            assert amplitude_of(zero) == 0
         with pytest.raises(DslError):
             amplitude_of(f"a^{MAX_EXPONENT + 1}")
 
@@ -373,6 +380,11 @@ class TestCircuitParsing:
         ("qubits 2\napply CNOT 0 +1\n", (2, 14, "target must be an integer")),
         ("qubits 2\nproject 01 0 1_0\n", (2, 14, "target must be an integer")),
         ("qubits 2\napply STAR -1\n", (2, 12, "target qubit -1 out of range")),
+        # integers and numbers are ASCII digits only
+        ("qubits \u0662\n", (1, 8, "qubit count must be an integer")),
+        ("qubits 2\napply STAR \uff10\n", (2, 12, "target must be an integer")),
+        ("qubits 1\nstate (\u0663/\uff14)|0>\n", (2, 8, "expected a number, symbol, 'i', or '('")),
+        ("qubits 1\nstate (3/\uff14)|0>\n", (2, 10, "expected a denominator")),
     ])
     def test_exact_error_positions(self, text, where):
         # (line, col, message) of each single-fault input, as the parser has

@@ -43,29 +43,33 @@ class TestGaussianRational:
 
 
 class TestSymbolicAmplitude:
-    def test_additive_inverse_gives_empty_term_map(self):
+    def test_additive_inverse_is_zero(self):
         a = amp("alpha")
         assert not (a + (-1) * a)
-        assert a + (-1) * a == SymbolicAmplitude()
+        assert type(a + (-1) * a) is GaussianRational
+        assert a + (-1) * a == ZERO
 
     def test_rational_coefficients_accumulate(self):
-        half = SymbolicAmplitude({("alpha",): GaussianRational(Fraction(1, 2))})
+        half = amp(Fraction(1, 2)) * amp("alpha")
         assert half + half == amp("alpha")
 
     def test_formal_product(self):
-        assert amp("alpha") * amp("beta") == SymbolicAmplitude({("alpha", "beta"): ONE})
+        assert dict((amp("alpha") * amp("beta")).items()) == {("alpha", "beta"): ONE}
 
     def test_ring_identity_difference_of_squares(self):
         a, b = amp("alpha"), amp("beta")
         lhs = (a + b) * (a - b)
-        rhs = SymbolicAmplitude({("alpha", "alpha"): ONE,
-                                 ("beta", "beta"): MINUS_ONE})
-        assert lhs == rhs
+        assert dict(lhs.items()) == {("alpha", "alpha"): ONE, ("beta", "beta"): MINUS_ONE}
 
-    def test_as_scalar_rejects_symbols(self):
-        with pytest.raises(ValueError):
-            amp("alpha").as_scalar()
-        assert amp(5).as_scalar() == GaussianRational(5)
+    def test_only_a_symbol_name_gives_a_symbolic_amplitude(self):
+        for value in (5, Fraction(1, 2), GaussianRational(1, -1)):
+            assert type(amp(value)) is GaussianRational
+        assert amp(5) == GaussianRational(5)
+        assert type(amp("alpha")) is SymbolicAmplitude
+        assert amp("alpha") != amp(1) and amp(1) != amp("alpha")
+        for args in ((), ({("alpha",): ONE},)):
+            with pytest.raises(TypeError, match="no public constructor"):
+                SymbolicAmplitude(*args)  # values come from amp and arithmetic
 
     @pytest.mark.parametrize("value, text", [
         (amp("alpha"), "alpha"),
@@ -75,7 +79,7 @@ class TestSymbolicAmplitude:
         (amp("alpha") - amp("beta"), "alpha - beta"),
         (amp(2) * amp("alpha"), "(2)*alpha"),
         (amp(GaussianRational(Fraction(1, 2), -3)) * amp("alpha"), "((1/2)+(-3)i)*alpha"),
-        (SymbolicAmplitude(), "0"),
+        (amp("alpha") - amp("alpha"), "0"),
     ])
     def test_rendering(self, value, text):
         assert str(value) == text
@@ -85,7 +89,29 @@ _rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 _scalars = st.builds(GaussianRational, _rationals, _rationals)
 _names = st.sampled_from(["a", "a~", "b", "b~", "c"])
 _monomials = st.lists(_names, max_size=3).map(tuple)
-_amps = st.dictionaries(_monomials, _scalars, max_size=4).map(SymbolicAmplitude)
+_term_maps = st.dictionaries(_monomials, _scalars, max_size=4)
+
+
+def _build(terms):
+    """The sum of ``coeff * name * ...`` over ``terms``, built with ``amp`` and arithmetic."""
+    total = amp(0)
+    for mono, coeff in terms.items():
+        term = amp(coeff)
+        for name in mono:
+            term = term * amp(name)
+        total = total + term
+    return total
+
+
+def _terms(a):
+    """The term map of an amplitude; a scalar is its constant term."""
+    if type(a) is SymbolicAmplitude:
+        return dict(a.items())
+    assert type(a) is GaussianRational
+    return {(): a} if a else {}
+
+
+_amps = _term_maps.map(_build)
 
 
 @settings(max_examples=80)
@@ -109,12 +135,46 @@ def test_symbol_free_modulus_is_real_and_nonnegative(z):
 @settings(max_examples=80)
 @given(_amps, _amps)
 def test_results_of_amplitude_arithmetic_are_canonical(a, b):
-    for r in (a + b, a - b, a * b, -a, a * I, amp(a.coefficient(()))):
-        monos = [m for m, _ in r.items()]
+    for r in (a + b, a - b, a * b, -a, a * I, amp(_terms(a).get((), ZERO))):
+        monos = list(_terms(r))
         assert monos == sorted(monos)
         assert all(m == tuple(sorted(m)) for m in monos)
-        assert all(c for _, c in r.items())
-        assert r == SymbolicAmplitude(dict(r.items()))
+        assert all(_terms(r).values())
+        # a SymbolicAmplitude keeps a symbol; a symbol-free value is a scalar
+        assert (type(r) is SymbolicAmplitude) == any(monos)
+        assert r == _build(_terms(r))
+
+
+def _ref_sum(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, ZERO) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_product(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            key = tuple(sorted(m1 + m2))
+            out[key] = out.get(key, ZERO) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+@settings(max_examples=120)
+@given(_amps, _amps, st.one_of(_names, _rationals, _scalars, st.integers(-3, 3)))
+@example(amp("a") + 1, amp("a"), 0)
+@example(amp("a") * amp("b"), amp(0), "a")
+def test_a_value_is_symbolic_exactly_while_a_symbol_remains(a, b, x):
+    p, q = _terms(a), _terms(b)
+    minus_q = {m: -c for m, c in q.items()}
+    cases = [(a + b, _ref_sum(p, q)), (a - b, _ref_sum(p, minus_q)),
+             (a * b, _ref_product(p, q)), (-a, {m: -c for m, c in p.items()}),
+             (amp(x), {(x,): ONE} if isinstance(x, str) else {(): ZERO + x} if x else {})]
+    for r, want in cases:
+        assert type(r) in (GaussianRational, SymbolicAmplitude)
+        assert (type(r) is SymbolicAmplitude) == any(want)
+        assert _terms(r) == want
 
 
 # -- differential test against a plain (Fraction, Fraction) reference -------
@@ -214,23 +274,24 @@ _factors = st.one_of(st.sampled_from([1, -1, ONE, MINUS_ONE, Fraction(-1), I, -I
 
 @settings(max_examples=120)
 @given(_amps, _factors, st.booleans())
-def test_scaling_matches_the_public_constructor_term_by_term(x, g, rendered):
+def test_scaling_multiplies_every_term(x, g, rendered):
     if rendered:
         str(x)  # fill x's text cache before it is shared
-    want = SymbolicAmplitude({m: c * g for m, c in x.items()})
+    want = {m: c * g for m, c in _terms(x).items() if c * g}
     for got in (x * g, g * x):
-        assert got == want
-        assert str(got) == str(want)
+        assert _terms(got) == want
+        assert str(got) == str(_build(want))
 
 
 @settings(max_examples=80)
-@given(_amps, st.booleans())
-def test_sharing_leaves_the_operand_and_its_text_unchanged(x, rendered):
-    fresh = SymbolicAmplitude(dict(x.items()))
+@given(_term_maps, st.booleans())
+def test_sharing_leaves_the_operand_and_its_text_unchanged(terms, rendered):
+    x, fresh = _build(terms), _build(terms)
     if rendered:
         str(x)
-    assert x * 1 is x and x * ONE is x
-    assert x + 0 is x and 0 + x is x
+    if type(x) is SymbolicAmplitude:
+        assert x * 1 is x and x * ONE is x
+        assert x + 0 is x and 0 + x is x
     neg = -x
     assert str(x) == str(fresh)
     assert str(neg) == str(-fresh)
