@@ -52,10 +52,44 @@ _DEMOS = {"bell": "bell_chain", "teleport": "teleport", "ghz": "ghz",
           "class-change": "class_change"}
 
 
-def _print_json(obj: object) -> None:
-    import json
+def _json_text(obj: object) -> str:
+    """``json.dumps(obj, indent=2, ensure_ascii=False)``, byte for byte.
 
-    print(json.dumps(obj, indent=2, ensure_ascii=False))
+    CPython 3.10-3.13 drops to its pure-Python encoder whenever ``indent``
+    is set.  This writer pads the containers itself and sends every string
+    through the C escaper that ``ensure_ascii=False`` uses.  Dict keys are
+    strings.
+    """
+    from json import dumps
+    from json.encoder import encode_basestring as string
+    from math import isfinite
+
+    def text(value: object, pad: str) -> str:
+        # pad: the newline and indent of the line that holds value
+        if isinstance(value, str):
+            return string(value)
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            inner = pad + "  "
+            # a string value, the common leaf, skips a call
+            items = [string(k) + ": " + (string(v) if type(v) is str else text(v, inner))
+                     for k, v in value.items()]
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            inner = pad + "  "
+            return "[" + inner + ("," + inner).join([text(v, inner) for v in value]) + pad + "]"
+        if type(value) is int or type(value) is float and isfinite(value):
+            return repr(value)  # the text json itself writes for them
+        return dumps(value)  # bools, None, NaN and the infinities
+
+    return text(obj, "\n")
+
+
+def _print_json(obj: object) -> None:
+    print(_json_text(obj))
 
 
 def _claim_json(record, with_states: bool = False) -> dict:

@@ -349,7 +349,7 @@ class SymbolicAmplitude:
 
     def __str__(self) -> str:
         if self._text is None:
-            self._text = join_terms(_term_str(m, c) for m, c in self._terms.items())
+            self._text = join_terms([_term_str(m, c) for m, c in self._terms.items()])
         return self._text
 
     def __repr__(self) -> str:
@@ -374,6 +374,8 @@ def amp(value: object) -> Amplitude:
 
 
 def _mono_str(mono: Monomial) -> str:
+    if len(set(mono)) == len(mono):  # no name repeats, so no powers
+        return "*".join(mono)
     parts = []
     for name, run in groupby(mono):
         k = len(tuple(run))
@@ -385,24 +387,27 @@ def _term_str(mono: Monomial, coeff: GaussianRational) -> str:
     return scaled_str(coeff, _mono_str(mono), "*") if mono else str(coeff)
 
 
-def scaled_str(coeff: object, body: str, sep: str = "") -> str:
-    """``body`` times ``coeff``: bare for 1, ``-body`` for -1, else ``(coeff)`` sep body."""
-    text = str(coeff)
-    if text == "1":
-        return body
-    if text == "-1":
-        return f"-{body}"
-    return f"({text}){sep}{body}"
+def scaled_str(coeff: Amplitude, body: str, sep: str = "") -> str:
+    """``body`` times ``coeff``: bare for 1, ``-body`` for -1, else ``(coeff)`` sep body.
+
+    An integer coefficient is read from its numerator; any other one never
+    renders as ``1`` or ``-1``.
+    """
+    if type(coeff) is GaussianRational and coeff._d == 1 and not coeff._b:
+        n = coeff._a
+        if n == 1:
+            return body
+        if n == -1:
+            return "-" + body
+        return f"({_int_str(n)}){sep}{body}"
+    return f"({coeff}){sep}{body}"
 
 
-def join_terms(parts: Iterable[str]) -> str:
-    """Join term renderings with sign folding: a + b, a - b."""
-    out = ""
-    for p in parts:
-        if not out:
-            out = p
-        elif p.startswith("-"):
-            out += f" - {p[1:]}"
-        else:
-            out += f" + {p}"
-    return out or "0"
+def join_terms(parts: list[str]) -> str:
+    """Join term renderings with sign folding: a + b, a - b.
+
+    No term's text holds `` + -``: a coefficient's own terms were folded
+    when it was rendered, and scalars, bits and symbol names (identifiers)
+    hold no blanks.  So folding after one join touches only the joints.
+    """
+    return " + ".join(parts).replace(" + -", " - ") if parts else "0"

@@ -162,8 +162,8 @@ class Ket:
 
     def __str__(self) -> str:
         if self._text is None:
-            self._text = join_terms(scaled_str(a, f"|{bits}>")
-                                    for bits, a in self.terms.items())
+            self._text = join_terms([scaled_str(a, f"|{bits}>")
+                                     for bits, a in self.terms.items()])
         return self._text
 
     def __repr__(self) -> str:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bhqc.classify import (COSET_CHAIN, SymbolicStateError, _entropy, _rank_2xm,
                            classify, transition_report)
-from bhqc.operators import GATES, apply
+from bhqc.operators import GATES, Operator, apply
 from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
 
@@ -311,3 +311,37 @@ def test_classify_on_non_unit_denominators(vec):
         assert report.three_tangle_exact == 16 * (want.re ** 2 + want.im ** 2) / norm ** 4
     else:
         assert report.three_tangle_exact is None
+
+
+# -- SLOCC covariance: a local map A on one party acts on Det as det(A)^2 ----
+
+def _local(a, b, c, d):
+    """The one-qubit operator [[a, b], [c, d]]: |0> -> a|0> + c|1>, |1> -> b|0> + d|1>."""
+    return Operator(1, {"0": Ket(1, {"0": a, "1": c}), "1": Ket(1, {"0": b, "1": d})})
+
+
+@settings(max_examples=120)
+@given(st.sampled_from([2, 3]).flatmap(
+           lambda n: st.tuples(st.just(n), st.lists(_entries, min_size=2 ** n, max_size=2 ** n),
+                               st.integers(0, n - 1))),
+       st.tuples(_entries, _entries, _entries, _entries))
+@example((3, [_1, _Z, _Z, _Z, _Z, _Z, _Z, _1], 1), (_1, _1, _1, _1))  # GHZ to biseparable
+@example((2, [_1, _Z, _Z, _1], 0), (_Z, _Z, _Z, _Z))                  # to the zero ket
+def test_a_local_map_keeps_the_class_or_raises_no_rank(case, matrix):
+    n, vec, party = case
+    state = ket_from_vec(vec, n)
+    moved = apply(_local(*matrix), state, [party])
+    before, after = classify(state), classify(moved)
+    a, b, c, d = matrix
+    det = a * d - b * c
+    if det:
+        # invertible: the SLOCC orbit, its FTS rank and Det up to det(A)^2 are kept
+        assert (after.label, after.fts_rank) == (before.label, before.fts_rank)
+        assert after.flattening_ranks == before.flattening_ranks
+        if n == 3:
+            assert after.hyperdeterminant == det * det * before.hyperdeterminant
+    else:
+        assert all(r1 <= r0 for r0, r1 in zip(before.flattening_ranks, after.flattening_ranks))
+    if moved.is_zero:
+        assert after.slocc_class == "NULL"
+        assert after.flattening_ranks == (0,) * n

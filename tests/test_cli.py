@@ -1,16 +1,19 @@
 import importlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bhqc
 import bhqc.cli
-from bhqc.cli import main
+from bhqc.cli import _json_text, main
 from bhqc.dsl import parse_ket
 
 from _shipped import CIRCUITS
@@ -28,6 +31,11 @@ def invoke(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_indented_json(out):
+    """``out`` is the text ``json.dumps(..., indent=2, ensure_ascii=False)`` prints for its value."""
+    assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n"
 
 
 class TestRun:
@@ -71,6 +79,36 @@ class TestRun:
         assert payload["claims"] and all(c["verdict"] == "MATCH"
                                          for c in payload["claims"])
         assert payload["steps"][-1]["state"] == "(alpha)|000> + (beta)|001>"
+
+    def test_coefficients_past_the_str_digit_limit(self, tmp_path, capsys):
+        n = "9" * 2200
+        # (10^2200 - 1)^2 has 4400 digits, past the interpreter's default
+        # 4300-digit int-to-str limit
+        d = "9" * 2199 + "8" + "0" * 2199 + "1"
+        path = tmp_path / "long.bhqc"
+        path.write_text(f"qubits 1\nstate (({n})*({n}))|0> - (({n})*({n}))|1>\napply STAR 0\n")
+        limit = sys.get_int_max_str_digits()
+        code, out, err = invoke(capsys, "run", str(path))
+        assert (code, err) == (0, "")
+        assert out == f"final: (-{d})|0> + (-{d})|1>\n"
+        code, out, err = invoke(capsys, "run", str(path), "--json")
+        assert (code, err) == (0, "")
+        assert [s["state"] for s in json.loads(out)["steps"]] == [
+            f"({d})|0> + (-{d})|1>", f"(-{d})|0> + (-{d})|1>"]
+        assert_indented_json(out)
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_symbolic_json_layout(self, tmp_path, capsys):
+        path = tmp_path / "five.bhqc"
+        path.write_text("qubits 5\nsymbols alpha beta\n"
+                        "state (alpha)|00000> + (beta~)|11111> - (2*alpha*beta)|01010>\n"
+                        "apply CNOT 0 1\napply HPLUS 2\napply STAR 4\n")
+        code, out, err = invoke(capsys, "run", str(path), "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["steps"][-1]["state"] == (
+            "(-alpha)|00000> + (-alpha)|00100> + ((2)*alpha*beta)|01010>"
+            " + ((2)*alpha*beta)|01110> + (-beta~)|10011> + (beta~)|10111>")
+        assert_indented_json(out)
 
     def test_json_states_round_trip_through_the_grammar(self, capsys):
         for name in ("bell_chain.bhqc", "teleport.bhqc", "ghz.bhqc",
@@ -199,6 +237,7 @@ class TestClassify:
         code, out, err = invoke(capsys, "classify", state, "--json")
         assert (code, err) == (0, "")
         assert json.loads(out)["tau3"] == "4e-800"
+        assert_indented_json(out)
 
     def test_tau3_within_the_float_range_is_a_number(self, capsys):
         state = f"({'9' * 70})|000>+|111>"
@@ -223,6 +262,7 @@ class TestClassify:
         payload = json.loads(out)
         assert payload["det"] == {"re": det, "im": "0"}
         assert payload["entropy"] == "3.14159265359e+2200"
+        assert_indented_json(out)
         assert sys.get_int_max_str_digits() == limit
 
     def test_json_schema(self, capsys):
@@ -241,6 +281,15 @@ class TestClassify:
             "brane_note": "four D3-branes intersecting over a string",
             "entropy": 3.14159265359,
         }
+
+    def test_two_qubit_json_prints_null_fields(self, capsys):
+        code, out, _ = invoke(capsys, "classify", "|00>+|11>", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["class"] == "ENTANGLED"
+        assert [k for k, v in payload.items() if v is None] == [
+            "fts_rank", "det", "tau3", "susy", "size", "brane_note", "entropy"]
+        assert_indented_json(out)
 
 
 class TestVerifyPaper:
@@ -400,3 +449,24 @@ class TestImports:
         final = run(circuit).final_state
         assert final == Ket(3, {"000": amp("alpha"), "001": amp("beta")})
         assert str(apply(GATES["HPLUS"], Ket.basis("1"))) == "-|0> + |1>"
+
+
+# -- the JSON writer: json.dumps(indent=2, ensure_ascii=False), byte for byte --
+
+# quotes, backslashes, control characters, non-ASCII and the line separators
+_json_strings = st.text(st.sampled_from('"\\/\x00\x08\t\n\r\x1b\x1f\x7f\x85\u2028\u2029\ufeff'
+                                        'é中€😀 a'))
+_json_leaves = (st.none() | st.booleans() | st.integers() | st.integers(-10**80, 10**80)
+                | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+                | _json_strings)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(_json_strings, kids, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=200)
+@given(_json_values)
+def test_json_text_is_json_dumps_with_indent_2(value):
+    assert _json_text(value) == json.dumps(value, indent=2, ensure_ascii=False)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bhqc.scalars import GaussianRational, I, MINUS_ONE, ONE, SymbolicAmplitude, ZERO, amp
+from bhqc.scalars import (GaussianRational, I, MINUS_ONE, ONE, SymbolicAmplitude, ZERO, amp,
+                          join_terms, scaled_str)
 
 
 class TestGaussianRational:
@@ -296,3 +297,42 @@ def test_sharing_leaves_the_operand_and_its_text_unchanged(terms, rendered):
     assert str(x) == str(fresh)
     assert str(neg) == str(-fresh)
     assert -neg == x and str(-neg) == str(x)
+
+
+# -- term text: read from an integer's numerator, as the coefficient's text says --
+
+def _scaled_by_text(coeff, body, sep):
+    """``scaled_str``'s rule applied to ``str(coeff)``."""
+    text = str(coeff)
+    if text == "1":
+        return body
+    if text == "-1":
+        return f"-{body}"
+    return f"({text}){sep}{body}"
+
+
+def _joined_one_by_one(parts):
+    out = ""
+    for p in parts:
+        if not out:
+            out = p
+        elif p.startswith("-"):
+            out += f" - {p[1:]}"
+        else:
+            out += f" + {p}"
+    return out or "0"
+
+
+# (10^k - 1) with k past the interpreter's 4300-digit int-to-str limit
+_long_integers = st.builds(lambda k, sign: GaussianRational(sign * (10 ** k - 1)),
+                           st.integers(4250, 4400), st.sampled_from([1, -1]))
+_coefficients = st.one_of(_scalars, st.sampled_from([ONE, MINUS_ONE]), _long_integers, _amps)
+
+
+@settings(max_examples=150)
+@given(st.lists(_coefficients, max_size=5), st.sampled_from(["", "*"]))
+@example([ONE, MINUS_ONE, GaussianRational(-2), amp("a") - amp("b")], "*")
+def test_term_text_is_the_rule_read_off_the_coefficient_text(coeffs, sep):
+    parts = [scaled_str(c, f"X{k}", sep) for k, c in enumerate(coeffs)]
+    assert parts == [_scaled_by_text(c, f"X{k}", sep) for k, c in enumerate(coeffs)]
+    assert join_terms(parts) == _joined_one_by_one(parts)
