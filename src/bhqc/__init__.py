@@ -5,9 +5,7 @@ imports its module on first access (PEP 562), so a caller pays only for the
 modules it uses.
 """
 
-import sys
 from importlib import import_module
-from types import ModuleType
 
 __version__ = "0.1.0"
 
@@ -16,13 +14,11 @@ _EXPORTS = {
     "scalars": ("GaussianRational", "SymbolicAmplitude", "amp"),
     "states": ("MAX_QUBITS", "Ket"),
     "operators": ("GATES", "Operator", "apply", "gate_named"),
-    "circuit": ("MATCH", "MATCH_UP_TO_SCALAR", "MISMATCH", "ApplyGate", "Circuit",
-                "ClaimRecord", "Expect", "Instruction", "Project", "RunResult", "TraceStep",
-                "compare_kets", "instruction_text", "run"),
+    "circuit": ("MATCH", "MATCH_UP_TO_SCALAR", "MISMATCH", "ApplyGate", "Circuit", "Expect",
+                "Project", "compare_kets", "instruction_text", "run"),
     "dsl": ("DslError", "parse_circuit", "parse_ket"),
     "claims": ("CLAIMS", "KNOWN_MISMATCHES", "KNOWN_SCALAR_MATCHES", "verify_claims"),
-    "classify": ("COSET_CHAIN", "GHZ_BRANE_NOTE", "SUSY_PHRASE", "EntanglementReport",
-                 "SymbolicStateError", "TransitionReport", "classify", "transition_report"),
+    "classifier": ("COSET_CHAIN", "SUSY_PHRASE", "classify", "transition_report"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
@@ -40,13 +36,3 @@ def __getattr__(name: str) -> object:
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
-
-class _Package(ModuleType):
-    def __setattr__(self, name: str, value: object) -> None:
-        # Importing a submodule binds it on the package; bhqc.classify must
-        # stay the function, not become the module of the same name.
-        if not (name in _HOME and isinstance(value, ModuleType)):
-            super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

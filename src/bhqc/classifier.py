@@ -24,10 +24,6 @@ from .scalars import GaussianRational, ZERO, _reduced, rat_str
 from .states import Ket
 
 
-class SymbolicStateError(ValueError):
-    """The state carries formal symbols, so sign/zero tests are undecidable."""
-
-
 GHZ_BRANE_NOTE = "four D3-branes intersecting over a string"
 COSET_CHAIN = "SL(2,C)×SL(2,C)×SL(2,C) → SL(2,C)×SL(4,C) → SL(6,C)"
 
@@ -57,7 +53,7 @@ def _scalar_amplitudes(state: Ket) -> tuple[list[GaussianRational], int]:
     """The amplitude vector times ``scale``, the lcm of its denominators, and
     ``scale``: every entry of the vector is a Gaussian integer."""
     if state.has_symbols:
-        raise SymbolicStateError("symbolic amplitudes are not classifiable")
+        raise ValueError("symbolic amplitudes are not classifiable")
     scale = math.lcm(*(z._d for z in state.terms.values()))
     vec = [ZERO] * (1 << state.n_qubits)
     for bits, z in state.terms.items():
@@ -254,19 +250,10 @@ def _display_root(x: Fraction, k: int, factor: float = 1.0) -> float | Decimal:
         return (+value).normalize()
 
 
-class TransitionReport:
-    __slots__ = ("susy_change", "size_change", "rank_change", "rank_increased")
-
-    def __init__(self, susy_change: str, size_change: str, rank_change: str,
-                 rank_increased: bool) -> None:
-        self.susy_change = susy_change
-        self.size_change = size_change
-        self.rank_change = rank_change
-        self.rank_increased = rank_increased
-
-
-def transition_report(before: EntanglementReport, after: EntanglementReport) -> TransitionReport:
-    """Templated deltas between the classifications of two states."""
+def transition_report(before: EntanglementReport, after: EntanglementReport) -> dict:
+    """Templated deltas between the classifications of two states, as
+    ``demo --json`` prints them: ``susy``, ``size`` and ``rank`` texts, and
+    ``coset``, the coset chain when the FTS rank rose, else None."""
     b, a = before, after
     if b.susy_fraction == a.susy_fraction:
         susy = "unchanged"
@@ -286,4 +273,5 @@ def transition_report(before: EntanglementReport, after: EntanglementReport) -> 
         rank = f"{b.fts_rank or 'none'} → {a.fts_rank or 'none'}"
     rb, ra = b.fts_rank, a.fts_rank
     increased = rb is not None and ra is not None and ra[0] > rb[0]  # "2a" has level 2
-    return TransitionReport(susy, size, rank, increased)
+    return {"susy": susy, "size": size, "rank": rank,
+            "coset": COSET_CHAIN if increased else None}

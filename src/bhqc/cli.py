@@ -17,34 +17,31 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .circuit import RunResult
-    from .classify import EntanglementReport, TransitionReport
+    from .classifier import EntanglementReport
 
 # command -> the names it calls, read from the package (which imports each
-# name's module on first access) and bound into this module on the command's
-# first call, so a process imports only what its command runs
+# name's module on first access) and bound into this module when the command
+# runs, so a process imports only what its command runs
 _IMPORTS = {
     "run": ("DslError", "parse_circuit", "MATCH_UP_TO_SCALAR", "instruction_text", "run"),
     "demo": ("parse_circuit", "MATCH_UP_TO_SCALAR", "instruction_text", "run",
-             "COSET_CHAIN", "SUSY_PHRASE", "classify", "transition_report"),
+             "SUSY_PHRASE", "classify", "transition_report"),
     "classify": ("DslError", "parse_ket", "SUSY_PHRASE", "classify"),
     "verify-paper": ("MATCH", "MATCH_UP_TO_SCALAR", "MISMATCH", "verify_claims"),
 }
-_loaded: set[str] = set()
 
 
 def _load(command: str) -> None:
-    """Bind the names ``command`` calls here, once.
+    """Bind the names ``command`` calls here.
 
     Commands call these names as globals of this module.  A name already
     bound is left alone, so a wrapper put in its place (a tracer's, say)
     survives a later command that needs the same name.
     """
-    if command in _loaded:
-        return
     package = sys.modules[__package__]
+    bound = globals()
     for name in _IMPORTS[command]:
-        globals().setdefault(name, getattr(package, name))
-    _loaded.add(command)
+        bound.setdefault(name, getattr(package, name))
 
 
 # demo name -> stem of its file in circuits/
@@ -142,17 +139,12 @@ def _report_lines(report: EntanglementReport) -> list[str]:
     return lines
 
 
-def _transition_lines(t: TransitionReport) -> list[str]:
-    lines = [f"SUSY: {t.susy_change}", f"size: {t.size_change}", f"rank: {t.rank_change}"]
-    if t.rank_increased:
-        lines.append(f"coset: {COSET_CHAIN}")
-    return lines
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     path = Path(args.path)
     try:
-        text = path.read_text(encoding="utf-8")
+        # a leading byte-order mark is no text; decoding it as utf-8 (not
+        # utf-8-sig) keeps the byte offsets of decode errors true
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -187,7 +179,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     result = run(circuit)
     try:
         before, report = classify(circuit.initial_state), classify(result.final_state)
-    except ValueError:  # symbolic amplitudes (SymbolicStateError) or a qubit count
+    except ValueError:  # symbolic amplitudes or a qubit count
         report = transition = None
     else:
         transition = transition_report(before, report)
@@ -196,12 +188,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         _print_json({
             **_result_json(result),
             "classification": None if report is None else report.to_json(),
-            "transition": None if transition is None else {
-                "susy": transition.susy_change,
-                "size": transition.size_change,
-                "rank": transition.rank_change,
-                "coset": COSET_CHAIN if transition.rank_increased else None,
-            },
+            "transition": transition,
         })
         return 0
 
@@ -217,8 +204,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         for line in _report_lines(report):
             print(f"  {line}")
         print("transition (initial → final):")
-        for line in _transition_lines(transition):
-            print(f"  {line}")
+        for key, value in transition.items():
+            if value is not None:
+                print(f"  {'SUSY' if key == 'susy' else key}: {value}")
     return 0
 
 
@@ -230,7 +218,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         return 1
     try:
         report = classify(state)
-    except ValueError as exc:  # also SymbolicStateError, a ValueError
+    except ValueError as exc:  # symbolic amplitudes or a qubit count
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:

@@ -362,8 +362,15 @@ _OPERANDS = (SymbolicAmplitude, GaussianRational, int, Fraction)
 
 def amp(value: object) -> Amplitude:
     """A symbol name as its ``SymbolicAmplitude``; an int, Fraction or
-    Gaussian rational as a ``GaussianRational``; an amplitude as itself."""
+    Gaussian rational as a ``GaussianRational``; an amplitude as itself.
+
+    A name is what the DSL reads back: an ASCII identifier other than ``i``,
+    optionally followed by one ``~``.
+    """
     if isinstance(value, str):
+        base = value.removesuffix("~")
+        if not (base.isascii() and base.isidentifier()) or base == "i":
+            raise ValueError(f"invalid symbol name {value!r}")
         return SymbolicAmplitude._canonical({(value,): ONE})
     if isinstance(value, SymbolicAmplitude):
         return value

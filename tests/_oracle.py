@@ -2,7 +2,7 @@
 
 Independent of bhqc: it reads kets through ``_exact`` and computes on
 ``bench/exact.py``'s scalars (ints where they can be, else ``Q``), not with
-bhqc.classify's rank/hyperdeterminant table.  A party is separable iff an
+bhqc.classifier's rank/hyperdeterminant table.  A party is separable iff an
 explicit factorization a[b][rest] = u[b] * chi[rest] can be constructed and
 verified entrywise.  Only the GHZ/W split reuses
 Cayley's polynomial (by its sign test), as there is no cheaper exact

@@ -14,7 +14,7 @@ import pytest
 
 from bhqc.circuit import MATCH, MATCH_UP_TO_SCALAR, MISMATCH, instruction_text, run
 from bhqc.claims import verify_claims
-from bhqc.classify import classify, transition_report
+from bhqc.classifier import classify, transition_report
 from bhqc.dsl import DslError, parse_circuit
 from bhqc.operators import GATES, Operator, apply
 from bhqc.scalars import GaussianRational, amp
@@ -151,7 +151,7 @@ def test_criterion_08_class_interchange():
         report = classify(computed)
         assert report.slocc_class == "BISEPARABLE"
         transition = transition_report(classify(Ket.basis("000")), report)
-        assert transition.susy_change == "1/2 → 1/4 preserved"
+        assert transition["susy"] == "1/2 → 1/4 preserved"
 
 
 def test_criterion_09_classifier_oracle_equivalence():

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bhqc.classify import (COSET_CHAIN, SymbolicStateError, _entropy, _rank_2xm,
-                           classify, transition_report)
+from bhqc.classifier import COSET_CHAIN, _entropy, _rank_2xm, classify, transition_report
 from bhqc.operators import GATES, Operator, apply
 from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
@@ -125,7 +124,7 @@ class TestClassifyThreeQubits:
         assert report.three_tangle is None
 
     def test_symbolic_rejected(self):
-        with pytest.raises(SymbolicStateError):
+        with pytest.raises(ValueError, match="symbolic"):
             classify(Ket(3, {"000": amp("alpha")}))
 
     def test_wrong_arity_rejected(self):
@@ -157,24 +156,21 @@ class TestTransitions:
     def test_separable_to_biseparable(self):
         after = Ket(3, {"101": 1, "110": 1})
         t = transition_report(classify(Ket.basis("000")), classify(after))
-        assert t.susy_change == "1/2 → 1/4 preserved"
-        assert t.rank_change == "1 → 2a"
-        assert t.size_change == "unchanged"
-        assert t.rank_increased
+        assert t == {"susy": "1/2 → 1/4 preserved", "size": "unchanged", "rank": "1 → 2a",
+                     "coset": COSET_CHAIN}
 
     def test_small_to_large(self):
         before = Ket(2, {"00": 1, "11": 1}).tensor(Ket.basis("0"))
         t = transition_report(classify(before), classify(GHZ))
-        assert t.size_change == "small → large (attractor)"
-        assert t.rank_change == "2c → 4"
-        assert t.susy_change == "1/4 → 1/8 preserved or completely broken"
-        assert t.rank_increased
+        assert t["size"] == "small → large (attractor)"
+        assert t["rank"] == "2c → 4"
+        assert t["susy"] == "1/4 → 1/8 preserved or completely broken"
+        assert t["coset"] == COSET_CHAIN
 
     def test_unchanged(self):
         t = transition_report(classify(GHZ), classify(GHZ))
-        assert (t.susy_change, t.size_change, t.rank_change) == \
-            ("unchanged", "unchanged", "unchanged")
-        assert not t.rank_increased
+        assert t == {"susy": "unchanged", "size": "unchanged", "rank": "unchanged",
+                     "coset": None}
 
     def test_coset_chain_text(self):
         assert COSET_CHAIN.startswith("SL(2,C)×SL(2,C)×SL(2,C)")

@@ -72,6 +72,30 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "UTF-8" in err
 
+    def test_a_leading_byte_order_mark_is_not_read(self, tmp_path, capsys):
+        plain = CIRCUITS / "bell_b1.bhqc"
+        marked = tmp_path / "marked.bhqc"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for flags in ((), ("--trace",), ("--json",)):
+            want = invoke(capsys, "run", str(plain), *flags)
+            assert want[0] == 0
+            assert invoke(capsys, "run", str(marked), *flags) == want
+
+    def test_only_a_leading_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        bad = tmp_path / "bad.bhqc"
+        bad.write_text("\ufeffqubits 1\n\ufeffstate |0>\n", encoding="utf-8")
+        code, _, err = invoke(capsys, "run", str(bad))
+        assert code == 1
+        assert err.startswith(f"{bad}:2:1: ")
+
+    def test_a_decode_error_after_a_byte_order_mark_gives_its_true_offset(self, tmp_path,
+                                                                         capsys):
+        bad = tmp_path / "bad.bhqc"
+        bad.write_bytes(b"\xef\xbb\xbfqubits 1\n\xff\n")
+        code, _, err = invoke(capsys, "run", str(bad))
+        assert code == 1
+        assert err == f"error: {bad}: not UTF-8 text (invalid start byte at byte 12)\n"
+
     def test_teleport_json_contains_matching_claim(self, capsys):
         code, out, _ = invoke(capsys, "run", str(CIRCUITS / "teleport.bhqc"), "--json")
         assert code == 0
@@ -384,13 +408,13 @@ COMMANDS = {
 
 class TestImports:
     @pytest.mark.parametrize("command, used, unused", [
-        ("classify", {"bhqc.dsl", "bhqc.classify"},
+        ("classify", {"bhqc.dsl", "bhqc.classifier"},
          {"bhqc.operators", "bhqc.circuit", "bhqc.claims"}),
         ("run", {"bhqc.dsl", "bhqc.circuit", "bhqc.operators"},
-         {"bhqc.claims", "bhqc.classify"}),
+         {"bhqc.claims", "bhqc.classifier"}),
         ("verify-paper", {"bhqc.claims", "bhqc.circuit", "bhqc.operators"},
-         {"bhqc.dsl", "bhqc.classify"}),
-        ("demo", {"bhqc.dsl", "bhqc.classify"}, {"bhqc.claims"}),
+         {"bhqc.dsl", "bhqc.classifier"}),
+        ("demo", {"bhqc.dsl", "bhqc.classifier"}, {"bhqc.claims"}),
     ])
     def test_a_command_imports_only_the_modules_it_runs(self, command, used, unused):
         result = subprocess.run(
@@ -421,7 +445,6 @@ class TestImports:
         calls = []
         original = bhqc.cli.run
         monkeypatch.setattr(bhqc.cli, "run", lambda c: calls.append(c) or original(c))
-        monkeypatch.setattr(bhqc.cli, "_loaded", set())  # demo binds its names afresh
         assert main(COMMANDS["demo"]) == 0
         assert main(COMMANDS["run"]) == 0
         capsys.readouterr()
@@ -435,10 +458,20 @@ class TestImports:
         with pytest.raises(AttributeError):
             bhqc.no_such_name
 
-    def test_importing_the_classify_module_first_leaves_the_classify_export(self):
-        code = ("import sys, bhqc.classify\n"
-                "from bhqc import classify\n"
-                "assert classify is sys.modules['bhqc.classify'].classify, classify\n")
+    def test_no_exported_name_is_a_module_name(self):
+        stems = {path.stem for path in Path(bhqc.__file__).parent.glob("*.py")}
+        assert "classifier" in stems
+        assert not stems & set(bhqc.__all__)
+
+    def test_importing_every_module_first_leaves_every_export(self):
+        # importing a submodule binds it on the package, after which each
+        # export must still be its home module's object
+        code = ("import importlib, pkgutil, bhqc\n"
+                "for m in pkgutil.iter_modules(bhqc.__path__):\n"
+                "    importlib.import_module(f'bhqc.{m.name}')\n"
+                "for name in bhqc.__all__:\n"
+                "    home = importlib.import_module(f'bhqc.{bhqc._HOME[name]}')\n"
+                "    assert getattr(bhqc, name) is getattr(home, name), name\n")
         subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=child_env(), check=True)
 
     def test_the_readme_import_line(self):

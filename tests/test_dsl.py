@@ -5,7 +5,7 @@ from functools import reduce
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bhqc.circuit import ApplyGate, Circuit, Expect, Project
@@ -223,6 +223,25 @@ def _evaluate(node):
 def test_parsed_amplitude_equals_the_tree_evaluated_factor_by_factor(tree, blanks):
     text = _render(tree, blanks)
     assert amplitude_of(text) == _evaluate(tree), text
+
+
+# names of both kinds: identifiers with an optional ~, and short strings of
+# the characters a name can be confused with
+_symbol_names = st.one_of(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}~?", fullmatch=True),
+                          st.text(st.sampled_from("ai_~0 +-*/()|>é"), max_size=4))
+
+
+@settings(max_examples=300)
+@given(_symbol_names)
+@example("i")
+@example("x + -y")
+def test_every_name_amp_accepts_reads_back_from_a_ket(name):
+    try:
+        a = amp(name)
+    except ValueError:
+        return
+    ket = Ket(2, {"00": a, "01": 2 * a * a - I, "10": a * amp("b") + 1, "11": a - amp("b~")})
+    assert parse_ket(str(ket)) == ket, str(ket)
 
 
 class TestExponentBound:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from bhqc.scalars import (GaussianRational, I, MINUS_ONE, ONE, SymbolicAmplitude, ZERO, amp,
                           join_terms, scaled_str)
+from bhqc.states import Ket
 
 
 class TestGaussianRational:
@@ -71,6 +72,15 @@ class TestSymbolicAmplitude:
         for args in ((), ({("alpha",): ONE},)):
             with pytest.raises(TypeError, match="no public constructor"):
                 SymbolicAmplitude(*args)  # values come from amp and arithmetic
+
+    # i is the imaginary unit, and the rest are no DSL name: each rendered
+    # as text that reads back as something else, or not at all
+    @pytest.mark.parametrize("name", ["i", "i~", "", "2", "x + -y", "a b", "x~~", "~", "é"])
+    def test_a_name_the_dsl_cannot_read_back_is_rejected(self, name):
+        with pytest.raises(ValueError, match="invalid symbol name"):
+            amp(name)
+        with pytest.raises(ValueError, match="invalid symbol name"):
+            Ket(1, {"0": name, "1": 1})
 
     @pytest.mark.parametrize("value, text", [
         (amp("alpha"), "alpha"),
