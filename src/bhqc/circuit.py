@@ -1,16 +1,16 @@
 """Circuit IR, the deterministic executor, and claim verdicts.
 
 ``check_instruction`` is the one check of an instruction, for ``Circuit``
-and ``parse_circuit`` alike.  A ``Circuit`` is checked when it is built;
-``run`` checks each step again, since ``apply`` and ``Ket.project`` check
-their operands on every call.
+and ``parse_circuit`` alike.  A ``Circuit`` is checked once, when it is
+built, and is immutable after that, in the same way as ``Ket``; so ``run``
+trusts it, and calls the unchecked gate action and projection.
 """
 
 from __future__ import annotations
 
 from typing import Union
 
-from .operators import apply, gate_named
+from .operators import GATES, act, gate_named
 from .scalars import GaussianRational
 from .states import Ket, check_projection, check_targets
 
@@ -106,6 +106,7 @@ class Circuit(_Record):
             raise ValueError("initial state has the wrong qubit count")
         if mode_labels is not None and len(mode_labels) != n_qubits:
             raise ValueError("label count must match qubit count")
+        instructions = tuple(instructions)
         for ins in instructions:
             check_instruction(ins, n_qubits)
         self.n_qubits = n_qubits
@@ -195,7 +196,9 @@ def run(circuit: Circuit) -> RunResult:
 
     ApplyGate and Project each advance one step; Expect records a claim
     against the current state without changing it, named by its claim_id
-    and location if it has them, else ``expect-N`` at ``step K``.
+    and location if it has them, else ``expect-N`` at ``step K``.  A MATCH
+    record's ``computed`` is the stated ket itself, which equals the state
+    and renders the same text.
     """
     state = circuit.initial_state
     steps = [TraceStep(None, state)]
@@ -203,15 +206,17 @@ def run(circuit: Circuit) -> RunResult:
     n_expect = 0
     for ins in circuit.instructions:
         if isinstance(ins, ApplyGate):
-            state = apply(gate_named(ins.gate), state, ins.targets)
+            state = act(GATES[ins.gate], state, ins.targets)
             steps.append(TraceStep(ins, state))
         elif isinstance(ins, Project):
-            state = state.project(ins.targets, ins.bits)
+            state = state._kept(ins.targets, ins.bits)
             steps.append(TraceStep(ins, state))
         else:
             n_expect += 1
             verdict, scalar = compare_kets(ins.expected, state)
             claims.append(ClaimRecord(ins.claim_id or f"expect-{n_expect}",
                                       ins.location or f"step {len(steps) - 1}",
-                                      ins.expected, state, verdict, scalar))
+                                      ins.expected,
+                                      ins.expected if verdict == MATCH else state,
+                                      verdict, scalar))
     return RunResult(steps, claims)

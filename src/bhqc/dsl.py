@@ -252,6 +252,8 @@ class _Expr:
             self.i = m.end()
             if name == "i":
                 return I
+            if name == "i~":  # amp rejects it, and no circuit can declare it
+                self.err("'i' is reserved for the imaginary unit", pos=start)
             if self.declared is not None and name not in self.declared:
                 self.err(f"undeclared symbol '{name}'", pos=start)
             if self.peek() != "^":
@@ -342,10 +344,13 @@ def parse_circuit(text: str) -> Circuit:
         lines.pop()  # a final line break ends a line and starts none
     for lineno, raw in enumerate(lines, start=1):
         body = raw.split("#", 1)[0]
-        tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(body)]
-        if not tokens:
+        first = _TOKEN.search(body)
+        if first is None:
             continue
-        (word, col), args = tokens[0], tokens[1:]
+        word, col, end = first.group(), first.start() + 1, first.end()
+        # the ket parser reads the rest of a state or expect line itself
+        args = [] if word in ("state", "expect") else [
+            (m.group(), m.start() + 1) for m in _TOKEN.finditer(body, end)]
 
         if n_qubits is None and word != "qubits":
             raise DslError(lineno, col, "first directive must be 'qubits'")
@@ -385,8 +390,7 @@ def parse_circuit(text: str) -> Circuit:
                 raise DslError(lineno, col, "duplicate 'state' directive")
             if instructions:
                 raise DslError(lineno, col, "'state' must come before instructions")
-            expr_start = col - 1 + len(word)
-            state = _Expr(body[expr_start:], lineno, expr_start + 1, declared).ket_expr(n_qubits)
+            state = _Expr(body[end:], lineno, end + 1, declared).ket_expr(n_qubits)
 
         elif word in _INSTRUCTIONS:
             min_args, usage = _INSTRUCTIONS[word]
@@ -404,8 +408,7 @@ def parse_circuit(text: str) -> Circuit:
             instructions.append(ins)
 
         elif word == "expect":
-            expr_start = col - 1 + len(word)
-            expected = _Expr(body[expr_start:], lineno, expr_start + 1, declared).ket_expr(n_qubits)
+            expected = _Expr(body[end:], lineno, end + 1, declared).ket_expr(n_qubits)
             instructions.append(Expect(expected, location=f"line {lineno}"))
 
         else:

@@ -8,12 +8,13 @@ lower are nilpotent) and carry no normalization factors.  All derived gates
 are built *from* the generators; their stated action tables are checked
 elsewhere, never hard-coded here.
 
-A k-qubit gate acts in place: ``apply`` rewrites each basis term's bits at
+A k-qubit gate acts in place: ``act`` rewrites each basis term's bits at
 the gate's targets through the gate's by-column table; no 2^n x 2^n matrix
 is built.  The table carries each entry's sign, so a term moves through a
 +1 or -1 entry (every entry of a registry gate) as itself or its negation,
 and only another value, such as the 2 in ``LL2 @ LL1``, costs a multiply.
-Composition ``a @ b`` is ``apply`` of ``a`` to each column of ``b``.
+``apply`` is ``act`` behind the target check; a checked circuit step calls
+``act`` itself.  Composition ``a @ b`` is ``a`` acting on each column of ``b``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class Operator:
 
     ``columns`` maps each basis bitstring c to the nonzero ket that |c>
     goes to.  ``by_column`` holds the same table as (row bits, value, sign)
-    triples per column, the index ``apply`` reads; the sign is 1 or -1 for
+    triples per column, the index ``act`` reads; the sign is 1 or -1 for
     a value of +1 or -1 and 0 for any other.
     """
 
@@ -73,7 +74,9 @@ class Operator:
             return NotImplemented
         if other.arity != self.arity:
             raise ValueError("operator arity mismatch")
-        return Operator(self.arity, {c: apply(self, image) for c, image in other.columns.items()})
+        all_qubits = tuple(range(self.arity))
+        return Operator(self.arity, {c: act(self, image, all_qubits)
+                                     for c, image in other.columns.items()})
 
     def tensor(self, other: Operator) -> Operator:
         arity = self.arity + other.arity
@@ -99,12 +102,22 @@ def apply(op: Operator, state: Ket, targets: Sequence[int] | None = None) -> Ket
     """``op`` acting on the qubits ``targets`` of ``state`` (default: all, in order).
 
     ``targets[j]`` receives qubit j of ``op``, so ``apply(GATES["CNOT"], s, [2, 1])``
-    uses qubit 2 as control and qubit 1 as target.
+    uses qubit 2 as control and qubit 1 as target.  The checked entry point:
+    raises OperandError unless ``targets`` are ``op.arity`` distinct qubits of
+    ``state``, then calls ``act``.
     """
     n = state.n_qubits
     targets = tuple(range(n)) if targets is None else tuple(targets)
     check_targets(targets, n, op.arity,
                   lambda: f"an arity-{op.arity} operator needs {op.arity} targets")
+    return act(op, state, targets)
+
+
+def act(op: Operator, state: Ket, targets: Sequence[int]) -> Ket:
+    """``op`` acting on ``targets``, with no check of them: the caller has
+    checked that they are ``op.arity`` distinct qubits of ``state``, as
+    ``apply`` and ``Circuit`` do."""
+    n = state.n_qubits
     by_column = op.by_column
     out: dict[str, Amplitude] = {}
     for bits, a in state.terms.items():

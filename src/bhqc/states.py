@@ -89,7 +89,8 @@ class Ket:
         outside input goes through ``__init__``."""
         k = object.__new__(cls)
         k.n_qubits = n_qubits
-        k.terms = {b: a for b, a in sorted(terms.items()) if a}
+        items = sorted(terms.items()) if len(terms) > 1 else terms.items()
+        k.terms = {b: a for b, a in items if a}
         k._text = None
         return k
 
@@ -146,9 +147,16 @@ class Ket:
         return Ket._canonical(n, out)
 
     def project(self, targets: Sequence[int], bits: str) -> Ket:
-        """Keep exactly the terms whose restriction to ``targets`` equals ``bits``."""
+        """Keep exactly the terms whose restriction to ``targets`` equals ``bits``.
+
+        Raises OperandError for a bad projection, then calls ``_kept``.
+        """
         targets = tuple(targets)
         check_projection(bits, targets, self.n_qubits)
+        return self._kept(targets, bits)
+
+    def _kept(self, targets: Sequence[int], bits: str) -> Ket:
+        """``project`` with no check of its operands, for a checked circuit step."""
         kept = {b: a for b, a in self.terms.items()
                 if all(b[t] == bits[k] for k, t in enumerate(targets))}
         return Ket._canonical(self.n_qubits, kept)

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,13 +15,28 @@ from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
 
 from _exact import run as run_exact, vector
-from _shipped import shipped
+from _shipped import CIRCUITS, shipped
 
+
+def _two_qubit(*instructions):
+    return lambda: Circuit(2, Ket.basis("00"), instructions)
+
+
+# every fault of an instruction, which ``run`` trusts the constructor to catch
 _VALIDATION_ERRORS = [
     ("needs 2 targets", lambda: Circuit(1, Ket.basis("0"), (ApplyGate("CNOT", (0,)),))),
-    ("out of range", lambda: Circuit(2, Ket.basis("00"), (ApplyGate("STAR", (5,)),))),
+    ("out of range", _two_qubit(ApplyGate("STAR", (5,)))),
+    ("target qubit -1 out of range", _two_qubit(ApplyGate("STAR", (-1,)))),
+    ("duplicate target qubit 1", _two_qubit(ApplyGate("CNOT", (1, 1)))),
     ("unknown gate", lambda: Circuit(1, Ket.basis("0"), (ApplyGate("LX", (0,)),))),
     ("wrong qubit count", lambda: Circuit(2, Ket.basis("0"))),
+    ("projection bits must be 0/1", _two_qubit(Project("", ()))),
+    ("bits must be 0/1", _two_qubit(Project("2", (0,)))),
+    ("expected 2 targets for 2 projection bits", _two_qubit(Project("00", (0,)))),
+    ("target qubit 2 out of range", _two_qubit(Project("0", (2,)))),
+    ("duplicate target qubit 0", _two_qubit(Project("00", (0, 0)))),
+    ("expected state has the wrong qubit count", _two_qubit(Expect(Ket.basis("0")))),
+    ("expected state has the wrong qubit count", _two_qubit(Expect(Ket.basis("000")))),
 ]
 
 
@@ -168,6 +184,32 @@ class TestExecutor:
     def test_circuits_are_checked_when_built(self, match, build):
         with pytest.raises(ValueError, match=match):
             build()
+
+
+def _records_and_states(circuit):
+    """Each claim record of ``run(circuit)`` paired with the state at its expect."""
+    result = run(circuit)
+    step, states = 0, []
+    for ins in circuit.instructions:
+        if isinstance(ins, Expect):
+            states.append(result.steps[step].state)
+        else:
+            step += 1
+    return list(zip(result.claims, states, strict=True))
+
+
+def test_a_match_record_holds_the_stated_ket_and_any_other_the_state():
+    circuits = [*CLAIMS, *(shipped(p.stem) for p in sorted(CIRCUITS.glob("*.bhqc")))]
+    verdicts = Counter()
+    for circuit in circuits:
+        for record, state in _records_and_states(circuit):
+            verdicts[record.verdict] += 1
+            if record.verdict == MATCH:
+                assert record.computed is record.expected
+            else:
+                assert record.computed is state
+            assert str(record.computed) == str(state), record.claim_id
+    assert verdicts[MATCH] and verdicts[MATCH_UP_TO_SCALAR] and verdicts[MISMATCH]
 
 
 _SCALARS = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3),

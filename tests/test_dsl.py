@@ -76,6 +76,7 @@ class TestKetExpressions:
         ("|0> + \u0662|1>", (1, 7, "expected a coefficient or '|'")),
         ("(a^\u0662)|0>", (1, 4, "expected a number")),
         ("|0\u0661>", (1, 3, "expected '>'")),
+        ("(a + 2*i~)|0>", (1, 8, "'i' is reserved for the imaginary unit")),
     ])
     def test_exact_error_positions(self, text, where):
         with pytest.raises(DslError) as excinfo:
@@ -244,6 +245,22 @@ def test_every_name_amp_accepts_reads_back_from_a_ket(name):
     assert parse_ket(str(ket)) == ket, str(ket)
 
 
+@settings(max_examples=300)
+@given(_symbol_names)
+@example("i~")
+@example("a*b~")
+def test_every_symbol_a_ket_reads_amp_accepts(name):
+    try:
+        ket = parse_ket(f"({name})|0>")
+    except DslError:
+        return
+    for a in ket.terms.values():
+        if a.has_symbols:
+            for mono, _ in a.items():
+                for symbol in mono:
+                    amp(symbol)
+
+
 class TestExponentBound:
     def test_huge_exponent_is_rejected_at_its_position(self):
         started = time.perf_counter()
@@ -404,6 +421,7 @@ class TestCircuitParsing:
         ("qubits 2\napply STAR \uff10\n", (2, 12, "target must be an integer")),
         ("qubits 1\nstate (\u0663/\uff14)|0>\n", (2, 8, "expected a number, symbol, 'i', or '('")),
         ("qubits 1\nstate (3/\uff14)|0>\n", (2, 10, "expected a denominator")),
+        ("qubits 1\nsymbols a\nexpect (a*i~)|0>\n", (3, 11, "'i' is reserved for the imaginary unit")),
     ])
     def test_exact_error_positions(self, text, where):
         # (line, col, message) of each single-fault input, as the parser has

@@ -16,6 +16,8 @@ from _shipped import CIRCUITS as SHIPPED_DIR
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CIRCUITS = sorted(SHIPPED_DIR.glob("*.bhqc"))
+# the state behind each classify-<name> golden; the CI wheel step runs the same
+CLASSIFY = {"ghz": "|000>+|111>", "w": "|001>+|010>+|100>", "bell": "|00>+|11>"}
 
 
 def _stdout(capsys, argv, code):
@@ -39,6 +41,13 @@ def test_verify_paper(capsys, flags, name):
 def test_demo(capsys, name, flags, suffix):
     expected = (GOLDEN / f"demo-{name}.{suffix}").read_text(encoding="utf-8")
     assert _stdout(capsys, ["demo", name, *flags], 0) == expected
+
+
+@pytest.mark.parametrize("name", CLASSIFY)
+@pytest.mark.parametrize("flags, suffix", [([], "txt"), (["--json"], "json")])
+def test_classify(capsys, name, flags, suffix):
+    expected = (GOLDEN / f"classify-{name}.{suffix}").read_text(encoding="utf-8")
+    assert _stdout(capsys, ["classify", CLASSIFY[name], *flags], 0) == expected
 
 
 @pytest.mark.parametrize("path", CIRCUITS, ids=lambda p: p.stem)

@@ -150,3 +150,32 @@ def test_results_of_ket_operations_are_canonical(x, y):
         assert all(r.terms.values())
         assert r == Ket(r.n_qubits, dict(r.terms))
         assert str(r) == str(Ket(r.n_qubits, dict(r.terms)))
+
+
+# one term of a two-qubit ket: its bits and the parts its amplitude sums
+_term_parts = st.tuples(
+    st.sampled_from(["00", "01", "10", "11"]),
+    st.lists(st.sampled_from([amp("a"), -amp("a"), amp("b~") * 2, amp("a") * amp("b"),
+                              amp(1), amp(-1), amp(GaussianRational(Fraction(1, 2), -3)),
+                              amp(GaussianRational(0, 1))]),
+             min_size=1, max_size=3))
+
+
+def _summed(terms, reverse_parts):
+    ket = Ket.zero(2)
+    for bits, parts in terms:
+        a = parts[::-1] if reverse_parts else parts
+        ket = ket + Ket(2, {bits: sum(a[1:], a[0])})
+    return ket
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_equal_kets_built_in_different_term_orders_render_the_same_text(data):
+    terms = data.draw(st.lists(_term_parts, max_size=6))
+    order = data.draw(st.permutations(range(len(terms))))
+    x = _summed(terms, False)
+    y = _summed([terms[k] for k in order], True)
+    z = Ket._canonical(2, dict(reversed(x.terms.items())))
+    assert x == y == z
+    assert str(x) == str(y) == str(z)
