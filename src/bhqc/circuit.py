@@ -2,8 +2,8 @@
 
 ``check_instruction`` is the one check of an instruction, for ``Circuit``
 and ``parse_circuit`` alike.  A ``Circuit`` is checked once, when it is
-built, and is immutable after that, in the same way as ``Ket``; so ``run``
-trusts it, and calls the unchecked gate action and projection.
+built; it and its instruction records refuse assignment after that, so
+``run`` trusts it, and calls the unchecked gate action and projection.
 """
 
 from __future__ import annotations
@@ -19,10 +19,22 @@ MATCH_UP_TO_SCALAR = "MATCH_UP_TO_SCALAR"
 MISMATCH = "MISMATCH"
 
 
+# sets a slot of a record, which refuses plain assignment
+_set = object.__setattr__
+
+
 class _Record:
-    """Base of the records compared by value: every slot but ``location`` counts."""
+    """Base of the immutable records compared by value: every slot but
+    ``location`` counts.  Each ``__init__`` sets the slots with ``_set``;
+    assigning or deleting one afterwards raises AttributeError."""
 
     __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__ if name != "location")
@@ -43,16 +55,16 @@ class ApplyGate(_Record):
     __slots__ = ("gate", "targets")
 
     def __init__(self, gate: str, targets: tuple[int, ...]) -> None:
-        self.gate = gate
-        self.targets = targets
+        _set(self, "gate", gate)
+        _set(self, "targets", tuple(targets))
 
 
 class Project(_Record):
     __slots__ = ("bits", "targets")
 
     def __init__(self, bits: str, targets: tuple[int, ...]) -> None:
-        self.bits = bits
-        self.targets = targets
+        _set(self, "bits", bits)
+        _set(self, "targets", tuple(targets))
 
 
 class Expect(_Record):
@@ -60,9 +72,9 @@ class Expect(_Record):
 
     def __init__(self, expected: Ket, claim_id: str | None = None,
                  location: str | None = None) -> None:
-        self.expected = expected
-        self.claim_id = claim_id
-        self.location = location
+        _set(self, "expected", expected)
+        _set(self, "claim_id", claim_id)
+        _set(self, "location", location)
 
 
 Instruction = Union[ApplyGate, Project, Expect]
@@ -109,10 +121,10 @@ class Circuit(_Record):
         instructions = tuple(instructions)
         for ins in instructions:
             check_instruction(ins, n_qubits)
-        self.n_qubits = n_qubits
-        self.initial_state = initial_state
-        self.instructions = instructions
-        self.mode_labels = mode_labels
+        _set(self, "n_qubits", n_qubits)
+        _set(self, "initial_state", initial_state)
+        _set(self, "instructions", instructions)
+        _set(self, "mode_labels", mode_labels)
 
 
 class ClaimRecord:

@@ -8,9 +8,12 @@ entropy) is exact rational arithmetic; the entropy is a Decimal when it is
 too large for a float.
 
 The classifier works on the state scaled by the lcm of its denominators, a
-vector of Gaussian integers whose products need no gcd: flattening ranks do
-not change under rescaling, and the hyperdeterminant is homogeneous of
-degree 4, so the state's Det is the scaled one over ``scale**4``.
+vector of Gaussian integers: flattening ranks do not change under
+rescaling, and the hyperdeterminant is homogeneous of degree 4, so the
+state's Det is the scaled one over ``scale**4``.  The kernel holds that
+vector as two int lists, real and imaginary parts, and writes each complex
+product out on ints, so it builds no scalar object and takes no gcd; only
+the reported Det becomes a ``GaussianRational``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import sys
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 
-from .scalars import GaussianRational, ZERO, _reduced, rat_str
+from .scalars import GaussianRational, _reduced, rat_str
 from .states import Ket
 
 
@@ -49,65 +52,68 @@ SUSY_PHRASE = {
     "1/8-or-broken": "1/8 preserved or completely broken",
 }
 
-def _scalar_amplitudes(state: Ket) -> tuple[list[GaussianRational], int]:
-    """The amplitude vector times ``scale``, the lcm of its denominators, and
-    ``scale``: every entry of the vector is a Gaussian integer."""
+def _scalar_amplitudes(state: Ket) -> tuple[list[int], list[int], int]:
+    """The amplitude vector times ``scale``, the lcm of its denominators, as
+    the int lists ``re`` and ``im`` of its parts, and ``scale``."""
     if state.has_symbols:
         raise ValueError("symbolic amplitudes are not classifiable")
     scale = math.lcm(*(z._d for z in state.terms.values()))
-    vec = [ZERO] * (1 << state.n_qubits)
+    re, im = [0] * (1 << state.n_qubits), [0] * (1 << state.n_qubits)
     for bits, z in state.terms.items():
-        k = scale // z._d
-        vec[int(bits, 2)] = GaussianRational(z._a * k, z._b * k)
-    return vec, scale
+        k, j = scale // z._d, int(bits, 2)
+        re[j], im[j] = z._a * k, z._b * k
+    return re, im, scale
 
 
-def _party_rows(vec: list[GaussianRational], n: int,
-                party: int) -> tuple[list[GaussianRational], list[GaussianRational]]:
-    """2 x 2^(n-1) flattening of the amplitude tensor along one party."""
-    shift = n - 1 - party
-    rows: tuple[list, list] = ([], [])
-    for idx, value in enumerate(vec):
-        rows[(idx >> shift) & 1].append(value)
-    return rows
-
-
-def _rank_2xm(row0: list[GaussianRational], row1: list[GaussianRational]) -> int:
-    """Exact rank of the 2 x m matrix with rows ``row0`` and ``row1``."""
-    for j, p in enumerate(row0):
-        if p:
+def _rank_2xm(re0: list[int], im0: list[int], re1: list[int], im1: list[int]) -> int:
+    """Exact rank of the 2 x m Gaussian-integer matrix with rows
+    ``re0 + i*im0`` and ``re1 + i*im1``."""
+    for j, (a, b) in enumerate(zip(re0, im0)):
+        if a or b:
             break
     else:
-        return 1 if any(row1) else 0
+        return 1 if any(re1) or any(im1) else 0
     # rank 1 iff row1 is a multiple of row0: every minor through the pivot
     # column j vanishes (left of j, where row0 is zero, that means row1 is)
-    q = row1[j]
-    if any(row1[:j]):
+    if any(re1[:j]) or any(im1[:j]):
         return 2
-    for x, y in zip(row0[j + 1:], row1[j + 1:]):
-        if p * y != q * x:
+    c, d = re1[j], im1[j]
+    # (a + bi)(y + y'i) == (c + di)(x + x'i), part by part
+    for x, xi, y, yi in zip(re0[j + 1:], im0[j + 1:], re1[j + 1:], im1[j + 1:]):
+        if a * y - b * yi != c * x - d * xi or a * yi + b * y != c * xi + d * x:
             return 2
     return 1
 
 
-def _ranks(vec: list[GaussianRational]) -> tuple[int, int, int]:
-    return tuple(_rank_2xm(*_party_rows(vec, 3, p)) for p in range(3))  # type: ignore[return-value]
+def _ranks(re: list[int], im: list[int]) -> tuple[int, int, int]:
+    # the flattening along A takes halves, along B pairs of quarters, along C parity
+    return (_rank_2xm(re[:4], im[:4], re[4:], im[4:]),
+            _rank_2xm(re[:2] + re[4:6], im[:2] + im[4:6], re[2:4] + re[6:], im[2:4] + im[6:]),
+            _rank_2xm(re[::2], im[::2], re[1::2], im[1::2]))
 
 
-def _hyperdet(a: list[GaussianRational]) -> GaussianRational:
-    sq = (a[0b000] * a[0b000] * a[0b111] * a[0b111]
-          + a[0b001] * a[0b001] * a[0b110] * a[0b110]
-          + a[0b010] * a[0b010] * a[0b101] * a[0b101]
-          + a[0b100] * a[0b100] * a[0b011] * a[0b011])
-    pairs = (a[0b000] * a[0b001] * a[0b110] * a[0b111]
-             + a[0b000] * a[0b010] * a[0b101] * a[0b111]
-             + a[0b000] * a[0b100] * a[0b011] * a[0b111]
-             + a[0b001] * a[0b010] * a[0b101] * a[0b110]
-             + a[0b001] * a[0b100] * a[0b011] * a[0b110]
-             + a[0b010] * a[0b100] * a[0b011] * a[0b101])
-    quads = (a[0b000] * a[0b011] * a[0b101] * a[0b110]
-             + a[0b001] * a[0b010] * a[0b100] * a[0b111])
-    return sq - 2 * pairs + 4 * quads
+def _mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _hyperdet(re: list[int], im: list[int]) -> tuple[int, int]:
+    """Cayley's hyperdeterminant of ``re + i*im``, as its two parts.
+
+    With p, q, r, s = a000 a111, a001 a110, a010 a101, a100 a011 it is
+    p^2 + q^2 + r^2 + s^2 - 2(pq + pr + ps + qr + qs + rs)
+    + 4(a000 a011 a101 a110 + a001 a010 a100 a111), and the first two sums
+    are (p - q)^2 + (r - s)^2 - 2(p + q)(r + s).
+    """
+    a = list(zip(re, im))
+    p, q, r, s = (_mul(a[k], a[7 - k]) for k in range(4))
+    p_q = p[0] - q[0], p[1] - q[1]
+    r_s = r[0] - s[0], r[1] - s[1]
+    cross = _mul((p[0] + q[0], p[1] + q[1]), (r[0] + s[0], r[1] + s[1]))
+    quads = (_mul(_mul(a[0], a[3]), _mul(a[5], a[6])),
+             _mul(_mul(a[1], a[2]), _mul(a[4], a[7])))
+    sq_pq, sq_rs = _mul(p_q, p_q), _mul(r_s, r_s)
+    return (sq_pq[0] + sq_rs[0] - 2 * cross[0] + 4 * (quads[0][0] + quads[1][0]),
+            sq_pq[1] + sq_rs[1] - 2 * cross[1] + 4 * (quads[0][1] + quads[1][1]))
 
 
 class EntanglementReport:
@@ -169,15 +175,15 @@ def classify(state: Ket) -> EntanglementReport:
     n = state.n_qubits
     if n not in (2, 3):
         raise ValueError("classification covers 2- and 3-qubit states only")
-    vec, scale = _scalar_amplitudes(state)
+    re, im, scale = _scalar_amplitudes(state)
     if n == 2:
-        return _classify_two(vec)
-    return _classify_three(vec, scale)
+        return _classify_two(re, im)
+    return _classify_three(re, im, scale)
 
 
-def _classify_two(vec: list[GaussianRational]) -> EntanglementReport:
+def _classify_two(re: list[int], im: list[int]) -> EntanglementReport:
     # a 2x2 matrix has rank 2 exactly when its determinant is nonzero
-    rank = _rank_2xm(vec[:2], vec[2:])
+    rank = _rank_2xm(re[:2], im[:2], re[2:], im[2:])
     slocc = ("NULL", "SEPARABLE", "ENTANGLED")[rank]
     return EntanglementReport(
         n_qubits=2, flattening_ranks=(rank, rank), slocc_class=slocc,
@@ -185,10 +191,10 @@ def _classify_two(vec: list[GaussianRational]) -> EntanglementReport:
         three_tangle=None, entropy_display=None)
 
 
-def _classify_three(vec: list[GaussianRational], scale: int) -> EntanglementReport:
-    ranks = _ranks(vec)
-    det = _hyperdet(vec)  # of the scaled state, a Gaussian integer
-    abs_sq = det._a * det._a + det._b * det._b
+def _classify_three(re: list[int], im: list[int], scale: int) -> EntanglementReport:
+    ranks = _ranks(re, im)
+    dr, di = _hyperdet(re, im)  # of the scaled state, a Gaussian integer
+    abs_sq = dr * dr + di * di
     party = None
     if ranks == (0, 0, 0):
         slocc = "NULL"
@@ -197,20 +203,20 @@ def _classify_three(vec: list[GaussianRational], scale: int) -> EntanglementRepo
     elif ranks.count(1) == 1:
         slocc, party = "BISEPARABLE", _PARTIES[ranks.index(1)]
     elif ranks == (2, 2, 2):
-        slocc = "GHZ" if det else "W"
+        slocc = "GHZ" if abs_sq else "W"
     else:  # a rank pattern like (1, 1, 2) cannot occur for a valid tensor
         raise AssertionError(f"impossible flattening ranks {ranks}")
 
     # the squared normalized 3-tangle 16|Det|^2 / <x|x>^4, invariant under
     # rescaling, and its display value tau3 = 4|Det| of the normalized state
     tangle_exact = tangle = None
-    norm_sq = sum(z._a * z._a + z._b * z._b for z in vec)  # <x|x> of the scaled state
+    norm_sq = sum(x * x for x in re) + sum(y * y for y in im)  # <x|x> of the scaled state
     if norm_sq:
         tangle_exact = Fraction(16 * abs_sq, norm_sq ** 4)
         tangle = _display_root(tangle_exact, 2)
     return EntanglementReport(
         n_qubits=3, flattening_ranks=ranks, slocc_class=slocc,
-        separated_party=party, hyperdeterminant=_reduced(det._a, det._b, scale ** 4),
+        separated_party=party, hyperdeterminant=_reduced(dr, di, scale ** 4),
         three_tangle_exact=tangle_exact, three_tangle=tangle,
         entropy_display=_entropy(Fraction(abs_sq, scale ** 8)))
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re as _re
 from typing import TYPE_CHECKING, NoReturn
 
-from .scalars import GaussianRational, I, ONE, ZERO, Monomial, SymbolicAmplitude, _reduced
+from .scalars import GaussianRational, I, ONE, ZERO, Monomial, SymbolicAmplitude, _gr, _reduced
 from .states import MAX_QUBITS, Ket, OperandError
 
 if TYPE_CHECKING:  # parse_circuit imports circuit when called
@@ -60,13 +60,16 @@ _IDENT = _re.compile(_NAME.pattern + "~?")
 # a directive's words; space and tab are the only blanks, as in the ket grammar
 _TOKEN = _re.compile(r"[^ \t]+")
 # only ASCII digits: \d and str.isdigit also take other scripts' digits
-_DIGITS = _re.compile(r"[0-9]*")
+_DIGITS = _re.compile(r"[0-9]+")
 # a directive's integer: an optional minus, then a digit run as in a ket
 _INT = _re.compile(r"-?[0-9]+")
 _BITS = _re.compile(r"[01]*")
 # an ``i`` that ends a number or a parenthesis, not one that starts a name
 # (\w is str.isalnum() and "_")
 _IMAG = _re.compile(r"i(?![\w~])")
+# a number literal: an unsigned integer or ``p/q`` (group 1: numerator 2,
+# denominator 3), then an optional ``i`` suffix (group 4)
+_LITERAL = _re.compile(r"(([0-9]+)(?:/([0-9]*))?)(" + _IMAG.pattern + ")?")
 
 
 class _Expr:
@@ -151,7 +154,7 @@ class _Expr:
             a = self._paren_amp()
             ch = self.ws()
         elif "0" <= ch <= "9":
-            a = self._number()
+            a = self._literal(suffix=False)
             ch = self.peek()
         elif ch == "|":
             a = ONE
@@ -243,8 +246,7 @@ class _Expr:
         if ch == "(":
             return self._paren_amp()
         if "0" <= ch <= "9":
-            q = self._number()
-            return q * I if self._imag_suffix() else q
+            return self._literal(suffix=True)
         m = _IDENT.match(self.s, self.i)
         if m:
             start = self.i
@@ -260,7 +262,7 @@ class _Expr:
                 return (name,)
             self.i += 1
             pstart = self.i
-            power = self._int("expected a number")
+            power = self._int()
             if power < 1:
                 self.err("exponent must be positive", pos=start)
             if power > MAX_EXPONENT:
@@ -278,37 +280,43 @@ class _Expr:
             self.err("expected ')'")
         self.i += 1
         self.depth -= 1
-        return a * I if self._imag_suffix() else a
-
-    def _imag_suffix(self) -> bool:
         if _IMAG.match(self.s, self.i) is None:
-            return False
+            return a
         self.i += 1
-        return True
+        if type(a) is GaussianRational:
+            return _gr(-a._b, a._a, a._d)  # times i: a rotation keeps lowest terms
+        return a * I
 
-    def _number(self) -> GaussianRational:
-        """An unsigned integer or ``p/q``."""
-        num = self._int("expected a number")
-        if self.peek() != "/":
-            return GaussianRational(num)
-        self.i += 1
-        dstart = self.i
-        den = self._int("expected a denominator")
-        if not den:
-            self.err("denominator cannot be zero", pos=dstart)
+    def _literal(self, suffix: bool) -> GaussianRational:
+        """The unsigned integer or ``p/q`` at the cursor, times ``i`` when an
+        ``i`` suffix follows and ``suffix`` allows one."""
+        m = _LITERAL.match(self.s, self.i)
+        num, den = self._digits(m, 2), 1
+        if m.group(3) is not None:
+            if not m.group(3):
+                self.err("expected a denominator", pos=m.start(3))
+            den = self._digits(m, 3)
+            if not den:
+                self.err("denominator cannot be zero", pos=m.start(3))
+        if suffix and m.group(4):
+            self.i = m.end()
+            return _reduced(0, num, den)
+        self.i = m.end(1)
         return _reduced(num, 0, den)
 
-    def _int(self, missing: str) -> int:
-        """The digit run at the cursor; ``missing`` is the error when there is none."""
-        s, start = self.s, self.i
-        end = _DIGITS.match(s, start).end()
-        if end == start:
-            self.err(missing)
-        self.i = end
+    def _int(self) -> int:
+        """The digit run at the cursor."""
+        m = _DIGITS.match(self.s, self.i)
+        if m is None:
+            self.err("expected a number")
+        self.i = m.end()
+        return self._digits(m, 0)
+
+    def _digits(self, m: _re.Match, group: int) -> int:
         try:
-            return int(s[start:end])
+            return int(m.group(group))
         except ValueError:  # past the interpreter's int-to-str length limit
-            self.err("invalid number", pos=start)
+            self.err("invalid number", pos=m.start(group))
 
 
 def parse_ket(text: str, *, n_qubits: int | None = None) -> Ket:

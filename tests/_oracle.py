@@ -46,13 +46,15 @@ def _cayley_det(a):
 
 
 def brute_classify(state) -> tuple[str, str | None]:
-    """(class family, separated party) of a 3-qubit bhqc ket, by explicit
-    decomposition search."""
+    """(class family, separated party) of a 2- or 3-qubit bhqc ket, by
+    explicit decomposition search."""
     polys = vector(state)
     assert all(set(p) <= {()} for p in polys), "formal symbols"
     vec = [p.get((), 0) for p in polys]
     if not any(vec):
         return "NULL", None
+    if state.n_qubits == 2:
+        return "SEPARABLE" if _party_separates(vec, 2, 0) else "ENTANGLED", None
     separating = [p for p in range(3) if _party_separates(vec, 3, p)]
     assert len(separating) in (0, 1, 3), separating
     if len(separating) == 3:

@@ -185,6 +185,23 @@ class TestExecutor:
         with pytest.raises(ValueError, match=match):
             build()
 
+    @pytest.mark.parametrize("targets", [(0, 1), (7,)])
+    def test_a_checked_circuit_cannot_be_changed(self, targets):
+        # run trusts what the constructor checked, so no record may change after it
+        gate = ApplyGate("STAR", [0])
+        project, expect = Project("0", [1]), Expect(Ket.basis("00"))
+        circuit = Circuit(2, Ket.basis("00"), [gate, project, expect])
+        assert gate.targets == (0,) and project.targets == (1,)
+        with pytest.raises(AttributeError):
+            gate.targets = targets
+        for record, name in [(gate, "gate"), (project, "targets"), (expect, "expected"),
+                             (circuit, "instructions")]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert run(circuit).final_state == Ket(2, {"00": -1})
+
 
 def _records_and_states(circuit):
     """Each claim record of ``run(circuit)`` paired with the state at its expect."""

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -266,6 +267,13 @@ def _pairwise_rank(row0, row1):
     return 1 if any(row0) or any(row1) else 0
 
 
+def _int_rows(*rows):
+    """Each row's real and imaginary parts as int lists, all scaled by the
+    lcm of the denominators, which keeps the rank."""
+    scale = math.lcm(*(x.denominator for row in rows for z in row for x in (z.re, z.im)))
+    return [[int(getattr(z, part) * scale) for z in row] for row in rows for part in ("re", "im")]
+
+
 _q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 _entries = (st.sampled_from([0, 0, 0, 1, -1, 2]).map(GaussianRational)
             | st.builds(GaussianRational, _q, _q))
@@ -277,31 +285,57 @@ _Z, _1 = GaussianRational(0), GaussianRational(1)
        st.none() | _entries)
 @example([(_Z, _Z), (_1, _Z), (_Z, _1)], None)
 @example([(_Z, _Z), (_Z, _1)], None)
+@example([(_Z, GaussianRational(0, 1)), (_1, _Z)], None)  # only i left of row0's pivot
+@example([(GaussianRational(0, 1), _Z), (_1, _Z)], GaussianRational(1, 1))  # complex ratio
 def test_rank_2xm_matches_the_pairwise_minors(columns, scale):
     row0 = [x for x, _ in columns]
     # with a scale, row1 is a multiple of row0, so rank 1 is common
     row1 = [y for _, y in columns] if scale is None else [scale * x for x in row0]
-    assert _rank_2xm(row0, row1) == _pairwise_rank(row0, row1)
-    assert _rank_2xm(row1, row0) == _pairwise_rank(row1, row0)
+    assert _rank_2xm(*_int_rows(row0, row1)) == _pairwise_rank(row0, row1)
+    assert _rank_2xm(*_int_rows(row1, row0)) == _pairwise_rank(row1, row0)
 
 
 _q9 = st.fractions(min_value=-2, max_value=2, max_denominator=9)
 _entries9 = st.just(_Z) | st.builds(GaussianRational, _q9, _q9)
+# as classify-mix draws them: ~20-bit numerators over 1..9, complex parts
+_q20 = st.builds(Fraction, st.integers(-2 ** 20, 2 ** 20), st.integers(1, 9))
+_entries20 = st.builds(GaussianRational, _q20, _q20)
 
 
-@settings(max_examples=200)
-@given(st.lists(_entries9, min_size=8, max_size=8))
+def _product(u, chi, party, n):
+    """The n-qubit vector u (x) chi, with u on ``party``: a separated party."""
+    shift = n - 1 - party
+    low = (1 << shift) - 1
+    return [u[(k >> shift) & 1] * chi[(k >> 1) & ~low | k & low] for k in range(1 << n)]
+
+
+def _vectors(n):
+    entries = _entries9 | _entries20
+    return (st.lists(entries, min_size=1 << n, max_size=1 << n)
+            | st.builds(_product, st.lists(entries, min_size=2, max_size=2),
+                        st.lists(entries, min_size=1 << (n - 1), max_size=1 << (n - 1)),
+                        st.integers(0, n - 1), st.just(n)))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([2, 3]).flatmap(_vectors))
 @example([_Z, GaussianRational(Fraction(1, 2)), GaussianRational(Fraction(1, 3)), _Z,
           GaussianRational(0, Fraction(-1, 9)), _Z, _Z, _Z])  # W
 @example([GaussianRational(Fraction(1, 6)), _Z, _Z, GaussianRational(Fraction(2, 9), 1),
           _Z, _Z, _Z, _Z])  # A-BC
+@example([GaussianRational(Fraction(1, 6)), GaussianRational(0, Fraction(1, 3)),
+          GaussianRational(0, Fraction(-1, 3)), GaussianRational(Fraction(2, 3))])  # separable
 def test_classify_on_non_unit_denominators(vec):
-    state = ket_from_vec(vec)
+    n = len(vec).bit_length() - 1
+    state = ket_from_vec(vec, n)
     report = classify(state)
+    assert (report.slocc_class, report.separated_party) == brute_classify(state)
+    if n == 2:
+        assert report.hyperdeterminant is report.three_tangle_exact is None
+        return
     det = report.hyperdeterminant
     want = _cayley_det([Q(z.re, z.im) for z in vec])
     assert Q(det.re, det.im) == want
-    assert (report.slocc_class, report.separated_party) == brute_classify(state)
     norm = sum(z.re ** 2 + z.im ** 2 for z in vec)  # <x|x> of the unscaled state
     if norm:
         assert report.three_tangle_exact == 16 * (want.re ** 2 + want.im ** 2) / norm ** 4

@@ -77,6 +77,16 @@ class TestKetExpressions:
         ("(a^\u0662)|0>", (1, 4, "expected a number")),
         ("|0\u0661>", (1, 3, "expected '>'")),
         ("(a + 2*i~)|0>", (1, 8, "'i' is reserved for the imaginary unit")),
+        # a number literal: p/q, then an "i" suffix only inside parentheses
+        ("(3/)|0>", (1, 4, "expected a denominator")),
+        ("(3/ 4)|0>", (1, 4, "expected a denominator")),
+        ("(3/0)i|0>", (1, 4, "denominator cannot be zero")),
+        ("3i|0>", (1, 2, "expected '|'")),
+        ("(3) i|0>", (1, 5, "expected '|'")),
+        ("(2ix)|0>", (1, 3, "expected ')'")),
+        ("(2i~)|0>", (1, 3, "expected ')'")),
+        pytest.param("(1/" + "9" * 5000 + ")|0>", (1, 4, "invalid number"),
+                     id="5000-digit-denominator"),
     ])
     def test_exact_error_positions(self, text, where):
         with pytest.raises(DslError) as excinfo:
