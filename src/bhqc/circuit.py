@@ -3,7 +3,8 @@
 ``check_instruction`` is the one check of an instruction, for ``Circuit``
 and ``parse_circuit`` alike.  A ``Circuit`` is checked once, when it is
 built; it and its instruction records refuse assignment after that, so
-``run`` trusts it, and calls the unchecked gate action and projection.
+``run`` trusts it and calls the unchecked gate action.  A project step
+calls ``Ket.project``, whose check costs little beside the filtering.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def run(circuit: Circuit) -> RunResult:
             state = act(GATES[ins.gate], state, ins.targets)
             steps.append(TraceStep(ins, state))
         elif isinstance(ins, Project):
-            state = state._kept(ins.targets, ins.bits)
+            state = state.project(ins.targets, ins.bits)
             steps.append(TraceStep(ins, state))
         else:
             n_expect += 1

@@ -26,7 +26,7 @@ _IMPORTS = {
     "run": ("DslError", "parse_circuit", "MATCH_UP_TO_SCALAR", "instruction_text", "run"),
     "demo": ("parse_circuit", "MATCH_UP_TO_SCALAR", "instruction_text", "run",
              "SUSY_PHRASE", "classify", "transition_report"),
-    "classify": ("DslError", "parse_ket", "SUSY_PHRASE", "classify"),
+    "classify": ("parse_ket", "SUSY_PHRASE", "classify"),
     "verify-paper": ("MATCH", "MATCH_UP_TO_SCALAR", "MISMATCH", "verify_claims"),
 }
 
@@ -212,13 +212,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     try:
-        state = parse_ket(args.state)
-    except DslError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        report = classify(state)
-    except ValueError as exc:  # symbolic amplitudes or a qubit count
+        report = classify(parse_ket(args.state))
+    except ValueError as exc:  # a DslError, symbolic amplitudes or a qubit count
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:

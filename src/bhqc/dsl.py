@@ -198,8 +198,8 @@ class _Expr:
         if self.ws() != "*":
             return SymbolicAmplitude._canonical({factor: ONE}) if type(factor) is tuple else factor
         # The product is coeff * names * poly, of `count` terms and degree
-        # `degree`: one-term factors fold into coeff and names, so only a
-        # multi-term factor is multiplied out.
+        # `degree`: numbers and symbol powers fold into coeff and names, so
+        # only a parenthesised symbolic factor is multiplied out.
         coeff, names, poly = ONE, [], None
         count, degree, star = 1, 0, None
         while True:
@@ -222,10 +222,6 @@ class _Expr:
                 names += factor
             elif type(factor) is GaussianRational:
                 coeff = coeff * factor
-            elif rcount == 1:
-                (mono, c), = factor.items()
-                names += mono
-                coeff = coeff * c
             else:
                 poly = factor if poly is None else poly * factor
                 count = len(poly)

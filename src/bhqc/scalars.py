@@ -20,11 +20,11 @@ there are no zero divisors.  Every value is canonical when it is built, and
 equality is structural.
 
 Scalars and amplitudes are immutable, so results share them freely: an
-amplitude scaled by 1 is the same object, one scaled by -1 is its negation
-with no coefficient multiply, and one added to zero is the other operand.
-Every entry of the registry's gates is +1 or -1, so amplitudes pass from
-one circuit step to the next unchanged or negated.  An amplitude caches its
-text on the first ``str``, so a shared amplitude renders once per run.
+amplitude added to zero is the other operand.  Every entry of the
+registry's gates is +1 or -1, and ``operators.act`` moves a term through
+such an entry by its sign, so amplitudes pass from one circuit step to the
+next unchanged or negated, with no multiply.  An amplitude caches its text
+on the first ``str``, so a shared amplitude renders once per run.
 """
 
 from __future__ import annotations
@@ -161,8 +161,6 @@ class GaussianRational:
         # (hash(Fraction(n)) == hash(n)); a complex value as its parts
         if not self._b:
             return hash(Fraction(self._a, self._d))
-        if self._d == 1:
-            return hash((self._a, self._b))
         return hash((self.re, self.im))
 
     def __str__(self) -> str:
@@ -305,11 +303,6 @@ class SymbolicAmplitude:
                 return NotImplemented
             if not g:
                 return ZERO
-            if g._d == 1 and not g._b:
-                if g._a == 1:
-                    return self
-                if g._a == -1:
-                    return -self
             # scaling keeps every monomial and, with no zero divisors, every term
             return SymbolicAmplitude._canonical({m: c * g for m, c in self._terms.items()})
         out: dict[Monomial, GaussianRational] = {}

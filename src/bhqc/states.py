@@ -149,14 +149,11 @@ class Ket:
     def project(self, targets: Sequence[int], bits: str) -> Ket:
         """Keep exactly the terms whose restriction to ``targets`` equals ``bits``.
 
-        Raises OperandError for a bad projection, then calls ``_kept``.
+        Raises OperandError for a bad projection, which a circuit's project
+        step, checked when the circuit was built, never is.
         """
         targets = tuple(targets)
         check_projection(bits, targets, self.n_qubits)
-        return self._kept(targets, bits)
-
-    def _kept(self, targets: Sequence[int], bits: str) -> Ket:
-        """``project`` with no check of its operands, for a checked circuit step."""
         kept = {b: a for b, a in self.terms.items()
                 if all(b[t] == bits[k] for k, t in enumerate(targets))}
         return Ket._canonical(self.n_qubits, kept)

@@ -218,14 +218,15 @@ class TestClassify:
         assert "class: SEPARABLE" in out
 
     def test_symbolic_state_rejected(self, capsys):
-        code, _, err = invoke(capsys, "classify", "(alpha)|000>")
-        assert code == 1
-        assert "symbolic amplitudes are not classifiable" in err
+        assert invoke(capsys, "classify", "(alpha)|000>") == (
+            1, "", "error: symbolic amplitudes are not classifiable\n")
 
     def test_parse_error(self, capsys):
-        code, _, err = invoke(capsys, "classify", "|0")
-        assert code == 1
-        assert "expected" in err
+        assert invoke(capsys, "classify", "|0") == (1, "", "error: line 1, col 3: expected '>'\n")
+
+    def test_one_qubit_state_rejected(self, capsys):
+        assert invoke(capsys, "classify", "|0> - |1>") == (
+            1, "", "error: classification covers 2- and 3-qubit states only\n")
 
     def test_too_wide_ket_exits_one_with_one_line(self, capsys):
         code, out, err = invoke(capsys, "classify", "|0000000>")
@@ -427,18 +428,35 @@ class TestImports:
         assert used <= loaded
         assert not unused & loaded
 
+    @staticmethod
+    def _probes(monkeypatch):
+        """``bench/probes.py``, loaded from its file."""
+        spec = importlib.util.spec_from_file_location("bench_probes", ROOT / "bench" / "probes.py")
+        probes = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, probes)  # its dataclasses look it up
+        spec.loader.exec_module(probes)
+        return probes
+
     def test_names_the_tracer_wraps_are_bound_after_each_command_ran(self, capsys,
                                                                       monkeypatch):
         for argv in COMMANDS.values():
             assert main(argv) in (0, 2)
         capsys.readouterr()
-        spec = importlib.util.spec_from_file_location("bench_probes", ROOT / "bench" / "probes.py")
-        probes = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, probes)  # its dataclasses look it up
-        spec.loader.exec_module(probes)
+        probes = self._probes(monkeypatch)
         wanted = {p.attr for p in probes.PROBES if p.owner == "bhqc.cli"}
         assert {"main", "build_parser", "parse_ket", "classify"} <= wanted
         assert wanted <= set(vars(bhqc.cli))
+
+    def test_a_run_calls_every_ket_method_the_tracer_wraps(self, capsys, monkeypatch):
+        # the teleport circuit has a project step, and --trace renders every step
+        probes = self._probes(monkeypatch)
+        on_ket = [p for p in probes.PROBES if p.owner == "bhqc.states:Ket"]
+        assert {p.attr for p in on_ket} >= {"project", "__str__"}
+        with probes.Tracer(on_ket) as tracer:
+            assert main(["run", str(CIRCUITS / "teleport.bhqc"), "--trace"]) == 0
+        capsys.readouterr()
+        assert not tracer.absent
+        assert set(tracer.calls()) == {p.name for p in on_ket}
 
     def test_a_later_command_keeps_a_wrapper_around_a_bound_name(self, capsys, monkeypatch):
         assert main(COMMANDS["run"]) == 0

@@ -14,6 +14,8 @@ from bhqc.dsl import (MAX_EXPONENT, MAX_NESTING, MAX_PRODUCT_TERMS, DslError, pa
 from bhqc.scalars import GaussianRational, I, amp
 from bhqc.states import Ket
 
+from _exact import Q, vector
+
 
 def amplitude_of(text):
     """The amplitude ``text`` denotes, read as the coefficient of ``(text)|0>``.
@@ -21,6 +23,10 @@ def amplitude_of(text):
     The ``(`` puts each character of ``text`` one column further right.
     """
     return parse_ket(f"({text})|0>").terms.get("0", amp(0))
+
+
+# a 64-term sum: its square has 2080 terms
+WIDE = "(" + "+".join(f"s{k}" for k in range(64)) + ")"
 
 
 class TestKetExpressions:
@@ -87,6 +93,11 @@ class TestKetExpressions:
         ("(2i~)|0>", (1, 3, "expected ')'")),
         pytest.param("(1/" + "9" * 5000 + ")|0>", (1, 4, "invalid number"),
                      id="5000-digit-denominator"),
+        # bounds passed at a parenthesised one-term factor
+        ("((a^1000)*(a^30))|0>", (1, 10, "degree must be at most 1024")),
+        ("(b*(a^1000)*(a^30))|0>", (1, 12, "degree must be at most 1024")),
+        pytest.param("(" + WIDE + "*(a)*" + WIDE + "*(b)*(c+d))|0>",
+                     (1, 505, "product expands past 4096 terms"), id="wide*(a)*wide*(b)*(c+d)"),
     ])
     def test_exact_error_positions(self, text, where):
         with pytest.raises(DslError) as excinfo:
@@ -145,6 +156,20 @@ class TestAmplitudeExpressions:
     ])
     def test_parse(self, text, expected):
         assert amplitude_of(text) == expected
+
+    @pytest.mark.parametrize("text, poly", [
+        ("(2*alpha)*beta", {("alpha", "beta"): 2}),
+        ("(alpha)*(beta~)*(3)", {("alpha", "beta~"): 3}),
+        ("beta*(alpha)*(alpha+beta)", {("alpha", "alpha", "beta"): 1,
+                                       ("alpha", "beta", "beta"): 1}),
+        ("(0*alpha)*beta", {}),
+        ("(2*alpha)i*(beta)", {("alpha", "beta"): Q(0, 2)}),
+        ("(alpha)i*(beta)*(alpha-beta)", {("alpha", "alpha", "beta"): Q(0, 1),
+                                          ("alpha", "beta", "beta"): Q(0, -1)}),
+    ])
+    def test_products_with_a_parenthesised_one_term_factor(self, text, poly):
+        # read term by term: sorted monomials and no stored zero
+        assert vector(parse_ket(f"({text})|0>")) == [poly, {}]
 
     def test_rendered_amplitudes_round_trip(self):
         values = [

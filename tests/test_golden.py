@@ -16,9 +16,10 @@ from _shipped import CIRCUITS as SHIPPED_DIR
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CIRCUITS = sorted(SHIPPED_DIR.glob("*.bhqc"))
-# the state behind each classify-<name> golden; the CI wheel step runs the same
-CLASSIFY = {"ghz": "|000>+|111>", "w": "|001>+|010>+|100>", "bell": "|00>+|11>",
-            "mixed": "((1/2)+(1/3)i)|000> + (2/5)|011> + ((-3/7)i)|111>"}
+# name<TAB>ket: the state behind each classify-<name> golden, which the CI
+# wheel step reads too
+CLASSIFY = dict(line.split("\t") for line in
+                (GOLDEN / "classify.txt").read_text(encoding="utf-8").splitlines())
 
 
 def _stdout(capsys, argv, code):

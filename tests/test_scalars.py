@@ -283,8 +283,16 @@ _factors = st.one_of(st.sampled_from([1, -1, ONE, MINUS_ONE, Fraction(-1), I, -I
                      _scalars, st.integers(-3, 3))
 
 
+# symbolic values scaled by a unit, either side of it
+_SYMBOLIC = (2 * amp("a") - amp("b~"), amp("a") * amp("b") + GaussianRational(0, Fraction(1, 2)))
+
+
 @settings(max_examples=120)
 @given(_amps, _factors, st.booleans())
+@example(_SYMBOLIC[0], 1, True)
+@example(_SYMBOLIC[0], -1, False)
+@example(_SYMBOLIC[1], MINUS_ONE, True)
+@example(_SYMBOLIC[1], ONE, False)
 def test_scaling_multiplies_every_term(x, g, rendered):
     if rendered:
         str(x)  # fill x's text cache before it is shared
@@ -301,7 +309,7 @@ def test_sharing_leaves_the_operand_and_its_text_unchanged(terms, rendered):
     if rendered:
         str(x)
     if type(x) is SymbolicAmplitude:
-        assert x * 1 is x and x * ONE is x
+        assert x * 1 == x and x * ONE == x
         assert x + 0 is x and 0 + x is x
     neg = -x
     assert str(x) == str(fresh)
