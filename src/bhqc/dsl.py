@@ -70,61 +70,73 @@ _IMAG = _re.compile(r"i(?![\w~])")
 # a number literal: an unsigned integer or ``p/q`` (group 1: numerator 2,
 # denominator 3), then an optional ``i`` suffix (group 4)
 _LITERAL = _re.compile(r"(([0-9]+)(?:/([0-9]*))?)(" + _IMAG.pattern + ")?")
+# the number atom bhqc renders: ``(r)``, ``(-r)`` or ``(ri)``, each optionally
+# followed by ``i``, with a nonzero denominator and blanks where the grammar
+# takes them (groups: minus 1, numerator 2, denominator 3, inner ``i`` 4,
+# outer ``i`` 5).  No two blank runs meet, so a failed match backtracks in
+# time linear in the text it read.
+_ATOM = _re.compile(r"\([ \t]*(?:(-)[ \t]*)?([0-9]+)(?:/(0*[1-9][0-9]*))?(" + _IMAG.pattern
+                    + r")?[ \t]*\)(" + _IMAG.pattern + ")?")
 
 
 class _Expr:
     """Recursive-descent parser for ket and amplitude expressions.
 
+    The cursor ``i`` always sits past blanks, on the character ``ch`` (""
+    at the end): ``_take`` consumes each token, records where it ended as
+    ``end`` and skips the blanks after it.  The rules that take no blank
+    compare against ``end``: ``^`` after a name, ``i`` after ``)``, and
+    ``|`` after a bare number.
+
     An amplitude is a ``SymbolicAmplitude`` while a symbol remains in it and
     a ``GaussianRational`` otherwise, so symbol-free input pays for no
-    polynomial arithmetic.
+    polynomial arithmetic.  A parenthesised number in the form bhqc renders
+    (``(2)``, ``(-1/2)``, ``(3i)``, ``(-3)i``) is read in one match.
     """
 
     def __init__(self, src: str, line: int, col_base: int,
                  declared: set[str] | None) -> None:
         self.s = src
-        self.i = 0
         self.line = line
         self.col_base = col_base
         self.declared = declared  # None accepts every symbol
         self.depth = 0  # parentheses open at the cursor
+        self._take(0)
 
     def err(self, message: str, pos: int | None = None) -> NoReturn:
         at = self.i if pos is None else pos
         raise DslError(self.line, self.col_base + at, message)
 
-    def peek(self) -> str:
-        return self.s[self.i:self.i + 1]
-
-    def ws(self) -> str:
-        """Skip blanks; the character after them, or "" at the end."""
-        s, i = self.s, self.i
-        ch = s[i:i + 1]
+    def _take(self, end: int) -> None:
+        """Consume the text before ``end``: record ``end`` and move the
+        cursor past the blanks after it."""
+        s = self.s
+        self.end = end
+        ch = s[end:end + 1]
         while ch == " " or ch == "\t":
-            i += 1
-            ch = s[i:i + 1]
-        self.i = i
-        return ch
+            end += 1
+            ch = s[end:end + 1]
+        self.i = end
+        self.ch = ch
 
     # -- ket grammar ------------------------------------------------
 
     def ket_expr(self, n_qubits: int | None) -> Ket:
-        ch = self.ws()
-        if self.s[self.i:].strip(" \t") == "0":
+        if self.s[self.i:].rstrip(" \t") == "0":
             if n_qubits is None:
                 self.err("cannot infer the qubit count of the zero state")
-            self.i = len(self.s)
             return Ket.zero(n_qubits)
         # every bitstring and width is checked here, so the sum is wrapped
         # as it stands
         terms: dict[str, GaussianRational | SymbolicAmplitude] = {}
         n = n_qubits
         sign = 1
-        if ch == "-":
-            self.i += 1
+        start = self.i  # a term's position: past the blanks before it, or just past its sign
+        if self.ch == "-":
+            start += 1
+            self._take(start)
             sign = -1
         while True:
-            start = self.i
             bits, a = self._ket_term()
             if n is None:
                 n = len(bits)
@@ -136,66 +148,69 @@ class _Expr:
                 a = -a
             prev = terms.get(bits)
             terms[bits] = a if prev is None else prev + a
-            ch = self.ws()
+            ch = self.ch
             if ch == "+":
                 sign = 1
             elif ch == "-":
                 sign = -1
             else:
                 break
-            self.i += 1
-        if self.i < len(self.s):
+            start = self.i + 1
+            self._take(start)
+        if self.ch:
             self.err("unexpected trailing input")
         return Ket._canonical(n, terms)
 
     def _ket_term(self) -> tuple[str, GaussianRational | SymbolicAmplitude]:
-        ch = self.ws()
+        ch = self.ch
         if ch == "(":
             a = self._paren_amp()
-            ch = self.ws()
+            bar = self.i
         elif "0" <= ch <= "9":
             a = self._literal(suffix=False)
-            ch = self.peek()
+            bar = self.end  # no blank between a bare number and its '|'
         elif ch == "|":
-            a = ONE
+            a, bar = ONE, self.i
         else:
             self.err("expected a coefficient or '|'")
-        if ch != "|":
-            self.err("expected '|'")
-        start = self.i + 1
-        self.i = _BITS.match(self.s, start).end()
-        if self.i == start:
-            self.err("expected bits after '|'")
-        if "0" <= self.peek() <= "9":
-            self.err("bitstring may only contain 0 and 1")
-        if self.peek() != ">":
-            self.err("expected '>'")
-        self.i += 1
-        return self.s[start:self.i - 1], a
+        s = self.s
+        if s[bar:bar + 1] != "|":
+            self.err("expected '|'", pos=bar)
+        start = bar + 1
+        end = _BITS.match(s, start).end()
+        if end == start:
+            self.err("expected bits after '|'", pos=start)
+        ch = s[end:end + 1]
+        if "0" <= ch <= "9":
+            self.err("bitstring may only contain 0 and 1", pos=end)
+        if ch != ">":
+            self.err("expected '>'", pos=end)
+        self._take(end + 1)
+        return s[start:end], a
 
     # -- amplitude grammar ------------------------------------------
 
     def amplitude(self) -> GaussianRational | SymbolicAmplitude:
-        negate = self.ws() == "-"
+        negate = self.ch == "-"
         if negate:
-            self.i += 1
+            self._take(self.i + 1)
         acc = self._aterm()
         if negate:
             acc = -acc
         while True:
-            ch = self.ws()
+            ch = self.ch
             if ch == "+":
-                self.i += 1
+                self._take(self.i + 1)
                 acc = acc + self._aterm()
             elif ch == "-":
-                self.i += 1
+                self._take(self.i + 1)
                 acc = acc - self._aterm()
             else:
                 return acc
 
     def _aterm(self) -> GaussianRational | SymbolicAmplitude:
         factor = self._factor()
-        if self.ws() != "*":
+        if self.ch != "*":
             return SymbolicAmplitude._canonical({factor: ONE}) if type(factor) is tuple else factor
         # The product is coeff * names * poly, of `count` terms and degree
         # `degree`: numbers and symbol powers fold into coeff and names, so
@@ -225,10 +240,10 @@ class _Expr:
             else:
                 poly = factor if poly is None else poly * factor
                 count = len(poly)
-            if self.ws() != "*":
+            if self.ch != "*":
                 break
             star = self.i
-            self.i += 1
+            self._take(star + 1)
             factor = self._factor()
         if not names:
             return coeff if poly is None else poly * coeff
@@ -238,47 +253,66 @@ class _Expr:
     def _factor(self) -> GaussianRational | SymbolicAmplitude | Monomial:
         """A number, ``i`` or parenthesized amplitude, or a symbol power as
         its monomial."""
-        ch = self.ws()
+        ch = self.ch
         if ch == "(":
             return self._paren_amp()
         if "0" <= ch <= "9":
             return self._literal(suffix=True)
-        m = _IDENT.match(self.s, self.i)
-        if m:
-            start = self.i
-            name = m.group()
-            self.i = m.end()
-            if name == "i":
-                return I
-            if name == "i~":  # amp rejects it, and no circuit can declare it
-                self.err("'i' is reserved for the imaginary unit", pos=start)
-            if self.declared is not None and name not in self.declared:
-                self.err(f"undeclared symbol '{name}'", pos=start)
-            if self.peek() != "^":
-                return (name,)
-            self.i += 1
-            pstart = self.i
-            power = self._int()
-            if power < 1:
-                self.err("exponent must be positive", pos=start)
-            if power > MAX_EXPONENT:
-                self.err(f"exponent must be at most {MAX_EXPONENT}", pos=pstart)
-            return (name,) * power
-        self.err("expected a number, symbol, 'i', or '('")
+        start = self.i
+        m = _IDENT.match(self.s, start)
+        if m is None:
+            self.err("expected a number, symbol, 'i', or '('")
+        name = m.group()
+        self._take(m.end())
+        if name == "i":
+            return I
+        if name == "i~":  # amp rejects it, and no circuit can declare it
+            self.err("'i' is reserved for the imaginary unit", pos=start)
+        if self.declared is not None and name not in self.declared:
+            self.err(f"undeclared symbol '{name}'", pos=start)
+        if self.s[self.end:self.end + 1] != "^":
+            return (name,)
+        pstart = self.end + 1  # the exponent's digits follow '^' with no blank
+        m = _DIGITS.match(self.s, pstart)
+        if m is None:
+            self.err("expected a number", pos=pstart)
+        power = self._digits(m, 0)
+        if power < 1:
+            self.err("exponent must be positive", pos=start)
+        if power > MAX_EXPONENT:
+            self.err(f"exponent must be at most {MAX_EXPONENT}", pos=pstart)
+        self._take(m.end())
+        return (name,) * power
 
     def _paren_amp(self) -> GaussianRational | SymbolicAmplitude:
         if self.depth == MAX_NESTING:
             self.err(f"parentheses nest at most {MAX_NESTING} deep")
+        m = _ATOM.match(self.s, self.i)
+        if m is not None:
+            minus, p, q, inner, outer = m.groups()
+            try:
+                num, den = int(p), int(q) if q else 1
+            except ValueError:  # past the int-to-str limit: the rule below says where
+                pass
+            else:
+                self._take(m.end())
+                if minus:
+                    num = -num
+                if inner is None and outer is None:
+                    return _reduced(num, 0, den)
+                if inner is None or outer is None:
+                    return _reduced(0, num, den)
+                return _reduced(-num, 0, den)  # times i twice
         self.depth += 1
-        self.i += 1  # consume '('
-        a = self.amplitude()  # which ends past any blanks
-        if self.peek() != ")":
+        self._take(self.i + 1)  # consume '('
+        a = self.amplitude()
+        if self.ch != ")":
             self.err("expected ')'")
-        self.i += 1
         self.depth -= 1
-        if _IMAG.match(self.s, self.i) is None:
+        self._take(self.i + 1)
+        if _IMAG.match(self.s, self.end) is None:
             return a
-        self.i += 1
+        self._take(self.end + 1)
         if type(a) is GaussianRational:
             return _gr(-a._b, a._a, a._d)  # times i: a rotation keeps lowest terms
         return a * I
@@ -295,18 +329,10 @@ class _Expr:
             if not den:
                 self.err("denominator cannot be zero", pos=m.start(3))
         if suffix and m.group(4):
-            self.i = m.end()
+            self._take(m.end())
             return _reduced(0, num, den)
-        self.i = m.end(1)
+        self._take(m.end(1))
         return _reduced(num, 0, den)
-
-    def _int(self) -> int:
-        """The digit run at the cursor."""
-        m = _DIGITS.match(self.s, self.i)
-        if m is None:
-            self.err("expected a number")
-        self.i = m.end()
-        return self._digits(m, 0)
 
     def _digits(self, m: _re.Match, group: int) -> int:
         try:

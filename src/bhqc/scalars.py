@@ -24,16 +24,19 @@ amplitude added to zero is the other operand.  Every entry of the
 registry's gates is +1 or -1, and ``operators.act`` moves a term through
 such an entry by its sign, so amplitudes pass from one circuit step to the
 next unchanged or negated, with no multiply.  An amplitude caches its text
-on the first ``str``, so a shared amplitude renders once per run.
+on the first ``str``, so a shared amplitude renders once per run, and
+caches its negation both ways, so ``-(-a) is a``: a term that one -1 entry
+flips and a later one flips back keeps its polynomial and its text.
 """
 
 from __future__ import annotations
 
-import sys
+from decimal import Decimal
 from fractions import Fraction
 from itertools import groupby
 from math import gcd, lcm
 from typing import Iterable, Iterator
+from weakref import ref as _weak
 
 Rational = int | Fraction
 
@@ -41,18 +44,13 @@ Rational = int | Fraction
 def _int_str(n: int) -> str:
     """Decimal text of ``n``, also past the interpreter's int-to-str limit.
 
-    The limit guards parsing untrusted text; it is lifted for this one
-    conversion of a computed integer and put back.
+    The limit guards parsing untrusted text, and it is process-wide, so it
+    stays in place: ``Decimal`` renders an int exactly without it.
     """
     try:
         return str(n)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return str(n)
-        finally:
-            sys.set_int_max_str_digits(limit)
+        return str(Decimal(n))
 
 
 def rat_str(num: int, den: int = 1) -> str:
@@ -228,10 +226,13 @@ class SymbolicAmplitude:
     Canonical form: monomials are sorted name tuples, zero coefficients are
     dropped, and terms iterate in lexicographic monomial order.  Immutable;
     ``_text`` caches the rendering.  There is no public constructor: build
-    values with ``amp`` and arithmetic.
+    values with ``amp`` and arithmetic.  ``_neg`` caches the negation both
+    ways: a negation holds its operand, and the operand holds a weak
+    reference to its negation, so ``-(-a) is a`` and ``-a is -a`` while the
+    negation lives.
     """
 
-    __slots__ = ("_terms", "_text")
+    __slots__ = ("_terms", "_text", "_neg", "__weakref__")
 
     has_symbols = True
 
@@ -246,6 +247,7 @@ class SymbolicAmplitude:
         a = object.__new__(cls)
         a._terms = dict(sorted(terms.items())) if len(terms) > 1 else terms
         a._text = None
+        a._neg = None
         return a
 
     def items(self) -> Iterator[tuple[Monomial, GaussianRational]]:
@@ -326,7 +328,22 @@ class SymbolicAmplitude:
     __rmul__ = __mul__
 
     def __neg__(self) -> SymbolicAmplitude:
-        return SymbolicAmplitude._canonical({m: -c for m, c in self._terms.items()})
+        neg = self._neg
+        if neg is not None:
+            if type(neg) is SymbolicAmplitude:  # self is a negation, and neg its operand
+                return neg
+            neg = neg()
+            if neg is not None:
+                return neg
+        # negation keeps the monomial order, so the terms need no sort
+        neg = object.__new__(SymbolicAmplitude)
+        neg._terms = {m: -c for m, c in self._terms.items()}
+        neg._text = None
+        neg._neg = self
+        # the operand's link is weak, so the pair forms no reference cycle
+        # and is freed when the last holder lets go, not at a collection
+        self._neg = _weak(neg)
+        return neg
 
     def __len__(self) -> int:
         """The number of terms, at least 1."""

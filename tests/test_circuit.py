@@ -99,6 +99,13 @@ class TestExecutor:
         assert final.terms["1"] == GaussianRational(1)
         assert final.terms["0"] == 2 * amp("alpha") - 1
 
+    def test_a_sign_flipped_back_is_the_initial_amplitude(self):
+        # a -1 gate entry negates a term and a second one returns the same object
+        c = parse_circuit("qubits 1\nsymbols a b\nstate (a + 2*b~)|0>\n"
+                          "apply STAR 0\napply STAR 0\n")
+        initial = c.initial_state.terms["0"]
+        assert run(c).final_state.terms["0"] is initial
+
     def test_expect_records_without_advancing(self):
         circuit = Circuit(1, Ket.basis("0"), (
             Expect(Ket.basis("0")),

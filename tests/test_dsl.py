@@ -98,6 +98,14 @@ class TestKetExpressions:
         ("(b*(a^1000)*(a^30))|0>", (1, 12, "degree must be at most 1024")),
         pytest.param("(" + WIDE + "*(a)*" + WIDE + "*(b)*(c+d))|0>",
                      (1, 505, "product expands past 4096 terms"), id="wide*(a)*wide*(b)*(c+d)"),
+        # near misses of the number atom bhqc renders, read by the general rule
+        ("( 1/0 )|0>", (1, 5, "denominator cannot be zero")),
+        ("(-1/0)i|0>", (1, 5, "denominator cannot be zero")),
+        ("(- 3/)|0>", (1, 6, "expected a denominator")),
+        ("(3 i)|0>", (1, 4, "expected ')'")),
+        ("(-3)ii|0>", (1, 5, "expected '|'")),
+        pytest.param("(-" + "9" * 5000 + ")|0>", (1, 3, "invalid number"), id="-5000-nines"),
+        ("(\t- 2/4 i )i|0>", (1, 9, "expected ')'")),
     ])
     def test_exact_error_positions(self, text, where):
         with pytest.raises(DslError) as excinfo:
@@ -259,6 +267,39 @@ def _evaluate(node):
 def test_parsed_amplitude_equals_the_tree_evaluated_factor_by_factor(tree, blanks):
     text = _render(tree, blanks)
     assert amplitude_of(text) == _evaluate(tree), text
+
+
+_blanks = st.sampled_from(["", " ", "\t", " \t "])
+
+
+@settings(max_examples=300)
+@given(st.booleans(), st.integers(0, 10 ** 6), st.one_of(st.none(), st.integers(1, 10 ** 6)),
+       st.booleans(), st.booleans(), st.lists(_blanks, min_size=5, max_size=5))
+def test_a_number_atom_with_blanks_reads_as_its_value(negative, p, q, inner, outer, blanks):
+    """``(r)``, ``(-r)``, ``(ri)``, each optionally times ``i``, with blanks beside
+    each parenthesis and the sign, reads as the value its arithmetic gives."""
+    b = blanks
+    text = (f"{b[0]}({b[1]}{'-' if negative else ''}{b[2]}{p}{'' if q is None else f'/{q}'}"
+            f"{'i' if inner else ''}{b[3]}){'i' if outer else ''}{b[4]}|0> + |1>")
+    want = Q(Fraction(-p if negative else p, q or 1))
+    for _ in range(inner + outer):
+        want = want * Q(0, 1)
+    assert vector(parse_ket(text)) == [{(): want} if want else {}, {(): 1}], text
+
+
+@pytest.mark.parametrize("text", [
+    "(" + " " * 200_000 + "x)|0>",
+    "(" + " " * 100_000 + "-" + "\t" * 100_000 + "x)|0>",
+    "(-" + " " * 200_000 + "3i" + " " * 200_000 + "x)|0>",
+    "(1/" + "0" * 200_000 + "x)|0>",
+], ids=["blanks", "blanks-minus-blanks", "minus-blanks-number-blanks", "zero-run"])
+def test_a_near_miss_of_the_number_atom_is_read_within_a_second(text):
+    started = time.perf_counter()
+    try:
+        parse_ket(text)
+    except DslError:
+        pass
+    assert time.perf_counter() - started < 1.0
 
 
 # names of both kinds: identifiers with an optional ~, and short strings of

@@ -1,3 +1,6 @@
+import gc
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -315,6 +318,27 @@ def test_sharing_leaves_the_operand_and_its_text_unchanged(terms, rendered):
     assert str(x) == str(fresh)
     assert str(neg) == str(-fresh)
     assert -neg == x and str(-neg) == str(x)
+    if type(x) is SymbolicAmplitude:
+        # the negation is cached both ways, and the cache is no part of the value
+        assert -neg is x and -x is neg
+        assert x == fresh and neg == -fresh and x != neg
+        with pytest.raises(TypeError):
+            hash(x)
+
+
+def test_a_negation_pair_is_freed_without_the_cycle_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        x = amp("a") * amp("b") + 2
+        neg = -x
+        assert -neg is x
+        refs = weakref.ref(x), weakref.ref(neg)
+        del x, neg
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- term text: read from an integer's numerator, as the coefficient's text says --
@@ -339,6 +363,20 @@ def _joined_one_by_one(parts):
         else:
             out += f" + {p}"
     return out or "0"
+
+
+def test_rendering_past_the_str_digit_limit_leaves_the_limit_alone(monkeypatch):
+    # the limit is process-wide: lifting it, even briefly, lifts it for every thread
+    def refuse(maxdigits):
+        raise AssertionError("the int-to-str limit was changed")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+    n = 10 ** 2200 - 1
+    # (10^2200 - 1)^2 has 4400 digits, past the default 4300-digit limit
+    d = "9" * 2199 + "8" + "0" * 2199 + "1"
+    assert str(GaussianRational(-n * n)) == f"-{d}"
+    assert str(GaussianRational(Fraction(n * n, 7), n * n)) == f"({d}/7)+({d})i"
+    assert scaled_str(GaussianRational(n * n), "X", "*") == f"({d})*X"
 
 
 # (10^k - 1) with k past the interpreter's 4300-digit int-to-str limit
