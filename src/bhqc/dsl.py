@@ -70,13 +70,6 @@ _IMAG = _re.compile(r"i(?![\w~])")
 # a number literal: an unsigned integer or ``p/q`` (group 1: numerator 2,
 # denominator 3), then an optional ``i`` suffix (group 4)
 _LITERAL = _re.compile(r"(([0-9]+)(?:/([0-9]*))?)(" + _IMAG.pattern + ")?")
-# the number atom bhqc renders: ``(r)``, ``(-r)`` or ``(ri)``, each optionally
-# followed by ``i``, with a nonzero denominator and blanks where the grammar
-# takes them (groups: minus 1, numerator 2, denominator 3, inner ``i`` 4,
-# outer ``i`` 5).  No two blank runs meet, so a failed match backtracks in
-# time linear in the text it read.
-_ATOM = _re.compile(r"\([ \t]*(?:(-)[ \t]*)?([0-9]+)(?:/(0*[1-9][0-9]*))?(" + _IMAG.pattern
-                    + r")?[ \t]*\)(" + _IMAG.pattern + ")?")
 
 
 class _Expr:
@@ -90,8 +83,7 @@ class _Expr:
 
     An amplitude is a ``SymbolicAmplitude`` while a symbol remains in it and
     a ``GaussianRational`` otherwise, so symbol-free input pays for no
-    polynomial arithmetic.  A parenthesised number in the form bhqc renders
-    (``(2)``, ``(-1/2)``, ``(3i)``, ``(-3)i``) is read in one match.
+    polynomial arithmetic.
     """
 
     def __init__(self, src: str, line: int, col_base: int,
@@ -214,41 +206,48 @@ class _Expr:
             return SymbolicAmplitude._canonical({factor: ONE}) if type(factor) is tuple else factor
         # The product is coeff * names * poly, of `count` terms and degree
         # `degree`: numbers and symbol powers fold into coeff and names, so
-        # only a parenthesised symbolic factor is multiplied out.
-        coeff, names, poly = ONE, [], None
+        # only a parenthesised symbolic factor is multiplied out.  coeff is
+        # None until a number comes, so the first one costs no multiply.
+        coeff, names, poly = None, [], None
         count, degree, star = 1, 0, None
         while True:
-            if type(factor) is tuple:
+            kind = type(factor)
+            if kind is tuple:
                 rcount, rdegree = 1, len(factor)
-            elif type(factor) is GaussianRational:
-                rcount, rdegree = int(bool(factor)), 0
+            elif kind is GaussianRational:
+                rcount, rdegree = 1 if factor else 0, 0
             else:
                 rcount, rdegree = len(factor), factor.degree()
             if star is not None and count * rcount > MAX_PRODUCT_TERMS:
                 self.err(f"product expands past {MAX_PRODUCT_TERMS} terms", pos=star)
-            # with no zero divisors, degrees add under a product of nonzero
-            # operands; a product with a zero operand is zero, of degree 0
-            degree = degree + rdegree if count and rcount else 0
-            if degree > MAX_EXPONENT:
-                self.err(f"degree must be at most {MAX_EXPONENT}", pos=star)
-            if not (count and rcount):
-                coeff, names, poly, count = ZERO, [], None, 0
-            elif type(factor) is tuple:
-                names += factor
-            elif type(factor) is GaussianRational:
-                coeff = coeff * factor
-            else:
-                poly = factor if poly is None else poly * factor
-                count = len(poly)
+            if count and rcount:
+                # with no zero divisors, degrees add under a product of
+                # nonzero operands
+                degree += rdegree
+                if degree > MAX_EXPONENT:
+                    self.err(f"degree must be at most {MAX_EXPONENT}", pos=star)
+                if kind is tuple:
+                    names += factor
+                elif kind is GaussianRational:
+                    coeff = factor if coeff is None else coeff * factor
+                else:
+                    poly = factor if poly is None else poly * factor
+                    count = len(poly)
+            else:  # a product with a zero operand is zero, of degree 0
+                coeff, names, poly, count, degree = ZERO, [], None, 0, 0
             if self.ch != "*":
                 break
             star = self.i
             self._take(star + 1)
             factor = self._factor()
-        if not names:
-            return coeff if poly is None else poly * coeff
-        term = SymbolicAmplitude._canonical({tuple(sorted(names)): coeff})
-        return term if poly is None else poly * term
+        if names:
+            if coeff is None:
+                coeff = ONE
+            term = SymbolicAmplitude._canonical({tuple(sorted(names)): coeff})
+            return term if poly is None else poly * term
+        if poly is None:
+            return coeff
+        return poly if coeff is None else poly * coeff
 
     def _factor(self) -> GaussianRational | SymbolicAmplitude | Monomial:
         """A number, ``i`` or parenthesized amplitude, or a symbol power as
@@ -287,22 +286,6 @@ class _Expr:
     def _paren_amp(self) -> GaussianRational | SymbolicAmplitude:
         if self.depth == MAX_NESTING:
             self.err(f"parentheses nest at most {MAX_NESTING} deep")
-        m = _ATOM.match(self.s, self.i)
-        if m is not None:
-            minus, p, q, inner, outer = m.groups()
-            try:
-                num, den = int(p), int(q) if q else 1
-            except ValueError:  # past the int-to-str limit: the rule below says where
-                pass
-            else:
-                self._take(m.end())
-                if minus:
-                    num = -num
-                if inner is None and outer is None:
-                    return _reduced(num, 0, den)
-                if inner is None or outer is None:
-                    return _reduced(0, num, den)
-                return _reduced(-num, 0, den)  # times i twice
         self.depth += 1
         self._take(self.i + 1)  # consume '('
         a = self.amplitude()

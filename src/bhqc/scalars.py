@@ -24,8 +24,8 @@ amplitude added to zero is the other operand.  Every entry of the
 registry's gates is +1 or -1, and ``operators.act`` moves a term through
 such an entry by its sign, so amplitudes pass from one circuit step to the
 next unchanged or negated, with no multiply.  An amplitude caches its text
-on the first ``str``, so a shared amplitude renders once per run, and
-caches its negation both ways, so ``-(-a) is a``: a term that one -1 entry
+on the first ``str``, so a shared amplitude renders once per run, and a
+negation holds its operand, so ``-(-a) is a``: a term that one -1 entry
 flips and a later one flips back keeps its polynomial and its text.
 """
 
@@ -36,7 +36,6 @@ from fractions import Fraction
 from itertools import groupby
 from math import gcd, lcm
 from typing import Iterable, Iterator
-from weakref import ref as _weak
 
 Rational = int | Fraction
 
@@ -226,13 +225,12 @@ class SymbolicAmplitude:
     Canonical form: monomials are sorted name tuples, zero coefficients are
     dropped, and terms iterate in lexicographic monomial order.  Immutable;
     ``_text`` caches the rendering.  There is no public constructor: build
-    values with ``amp`` and arithmetic.  ``_neg`` caches the negation both
-    ways: a negation holds its operand, and the operand holds a weak
-    reference to its negation, so ``-(-a) is a`` and ``-a is -a`` while the
-    negation lives.
+    values with ``amp`` and arithmetic.  A negation holds its operand in
+    ``_neg``, so ``-(-a) is a``; the link runs one way, so it forms no
+    reference cycle.
     """
 
-    __slots__ = ("_terms", "_text", "_neg", "__weakref__")
+    __slots__ = ("_terms", "_text", "_neg")
 
     has_symbols = True
 
@@ -328,21 +326,13 @@ class SymbolicAmplitude:
     __rmul__ = __mul__
 
     def __neg__(self) -> SymbolicAmplitude:
-        neg = self._neg
-        if neg is not None:
-            if type(neg) is SymbolicAmplitude:  # self is a negation, and neg its operand
-                return neg
-            neg = neg()
-            if neg is not None:
-                return neg
+        if self._neg is not None:  # self is a negation, and _neg its operand
+            return self._neg
         # negation keeps the monomial order, so the terms need no sort
         neg = object.__new__(SymbolicAmplitude)
         neg._terms = {m: -c for m, c in self._terms.items()}
         neg._text = None
         neg._neg = self
-        # the operand's link is weak, so the pair forms no reference cycle
-        # and is freed when the last holder lets go, not at a collection
-        self._neg = _weak(neg)
         return neg
 
     def __len__(self) -> int:

@@ -1,6 +1,5 @@
 import gc
 import sys
-import weakref
 from fractions import Fraction
 
 import pytest
@@ -319,8 +318,8 @@ def test_sharing_leaves_the_operand_and_its_text_unchanged(terms, rendered):
     assert str(neg) == str(-fresh)
     assert -neg == x and str(-neg) == str(x)
     if type(x) is SymbolicAmplitude:
-        # the negation is cached both ways, and the cache is no part of the value
-        assert -neg is x and -x is neg
+        # a negation holds its operand, and the link is no part of the value
+        assert -neg is x
         assert x == fresh and neg == -fresh and x != neg
         with pytest.raises(TypeError):
             hash(x)
@@ -330,12 +329,13 @@ def test_a_negation_pair_is_freed_without_the_cycle_collector():
     enabled = gc.isenabled()
     gc.disable()
     try:
+        gc.collect()
         x = amp("a") * amp("b") + 2
         neg = -x
         assert -neg is x
-        refs = weakref.ref(x), weakref.ref(neg)
         del x, neg
-        assert [r() for r in refs] == [None, None]
+        # a reference cycle would leave the pair for the collector to find
+        assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
