@@ -8,9 +8,12 @@ lower are nilpotent) and carry no normalization factors.  All derived gates
 are built *from* the generators; their stated action tables are checked
 elsewhere, never hard-coded here.
 
-A k-qubit gate acts in place: ``act`` rewrites each basis term's bits at
-the gate's targets through the gate's by-column table; no 2^n x 2^n matrix
-is built.  The table carries each entry's sign, so a term moves through a
+A k-qubit gate acts in place: ``act`` moves each basis term of the state to
+the basis terms the gate's by-column table sends it to; no 2^n x 2^n matrix
+is built.  Where one basis bitstring goes under a gate at one target tuple
+never changes, so each operator keeps those moves in a table that ``act``
+fills the first time it meets the pair and reads with one lookup per term
+after that.  Each move carries its entry's sign, so a term moves through a
 +1 or -1 entry (every entry of a registry gate) as itself or its negation,
 and only another value, such as the 2 in ``LL2 @ LL1``, costs a multiply.
 ``apply`` is ``act`` behind the target check; a checked circuit step calls
@@ -25,17 +28,26 @@ from typing import Mapping, Sequence
 from .scalars import MINUS_ONE, ONE, Amplitude, GaussianRational
 from .states import MAX_QUBITS, Ket, OperandError, check_bits, check_targets
 
+# one move of a basis term: (output bitstring, entry value, entry sign)
+_Move = tuple[str, GaussianRational, int]
+
 
 class Operator:
     """Sparse linear map on k qubits, stored as its action table.
 
     ``columns`` maps each basis bitstring c to the nonzero ket that |c>
     goes to.  ``by_column`` holds the same table as (row bits, value, sign)
-    triples per column, the index ``act`` reads; the sign is 1 or -1 for
-    a value of +1 or -1 and 0 for any other.
+    triples per column; the sign is 1 or -1 for a value of +1 or -1 and 0
+    for any other.
+
+    ``_moves`` maps a target tuple to {input bitstring: its moves}, the
+    table ``act`` reads; a column with no image moves to ``()``.  It is
+    bounded by the register, not by the traffic: one entry per n-bit
+    bitstring, n <= MAX_QUBITS, at each target tuple.  It needs no lock,
+    because two threads that fill one entry at once store equal tuples.
     """
 
-    __slots__ = ("arity", "columns", "by_column")
+    __slots__ = ("arity", "columns", "by_column", "_moves")
 
     def __init__(self, arity: int, columns: Mapping[str, Ket] | None = None) -> None:
         if not 1 <= arity <= MAX_QUBITS:
@@ -43,6 +55,7 @@ class Operator:
         self.arity = arity
         self.columns: dict[str, Ket] = {}
         self.by_column: dict[str, list[tuple[str, GaussianRational, int]]] = {}
+        self._moves: dict[tuple[int, ...], dict[str, tuple[_Move, ...]]] = {}
         for c, image in (columns or {}).items():
             check_bits(c, arity)
             if image.n_qubits != arity:
@@ -113,27 +126,35 @@ def apply(op: Operator, state: Ket, targets: Sequence[int] | None = None) -> Ket
     return act(op, state, targets)
 
 
-def act(op: Operator, state: Ket, targets: Sequence[int]) -> Ket:
-    """``op`` acting on ``targets``, with no check of them: the caller has
-    checked that they are ``op.arity`` distinct qubits of ``state``, as
-    ``apply`` and ``Circuit`` do."""
-    n = state.n_qubits
-    by_column = op.by_column
+def act(op: Operator, state: Ket, targets: tuple[int, ...]) -> Ket:
+    """``op`` acting on the tuple ``targets``, with no check of them: the
+    caller has checked that they are ``op.arity`` distinct qubits of
+    ``state``, as ``apply`` and ``Circuit`` do."""
+    moves = op._moves.setdefault(targets, {})
     out: dict[str, Amplitude] = {}
     for bits, a in state.terms.items():
-        entries = by_column.get("".join([bits[t] for t in targets]))
+        entries = moves.get(bits)
         if entries is None:
-            continue
-        chars = list(bits)
-        for row, v, sign in entries:
-            # every row sets every target, so one list serves all rows
-            for t, c in zip(targets, row):
-                chars[t] = c
-            key = "".join(chars)
+            entries = _fill(op, moves, bits, targets)
+        for key, v, sign in entries:
             x = a if sign > 0 else -a if sign else a * v
             prev = out.get(key)
             out[key] = x if prev is None else prev + x
-    return Ket._canonical(n, out)
+    return Ket._canonical(state.n_qubits, out)
+
+
+def _fill(op: Operator, moves: dict[str, tuple[_Move, ...]], bits: str,
+          targets: tuple[int, ...]) -> tuple[_Move, ...]:
+    """Store and return the moves of basis term ``bits`` under ``op`` at ``targets``."""
+    chars = list(bits)
+    entries = []
+    for row, v, sign in op.by_column.get("".join([bits[t] for t in targets]), ()):
+        # every row sets every target, so one list serves all rows
+        for t, c in zip(targets, row):
+            chars[t] = c
+        entries.append(("".join(chars), v, sign))
+    moves[bits] = found = tuple(entries)
+    return found
 
 
 _ID = Operator.identity(1)

@@ -55,57 +55,66 @@ class TestKetExpressions:
         with pytest.raises(DslError):
             parse_ket("0")
 
+    # every row names itself, so a row inserted mid-table renames no other test
     @pytest.mark.parametrize("text, where", [
-        ("|0> |1>", (1, 5, "unexpected trailing input")),
-        ("|0>  )", (1, 6, "unexpected trailing input")),
-        ("0", (1, 1, "cannot infer the qubit count of the zero state")),
-        ("(1/)|0>", (1, 4, "expected a denominator")),
-        ("(1/ 2)|0>", (1, 4, "expected a denominator")),
-        ("(1/0)|0>", (1, 4, "denominator cannot be zero")),
-        ("(a^0)|0>", (1, 2, "exponent must be positive")),
-        ("(a^)|0>", (1, 4, "expected a number")),
-        ("(a^ 2)|0>", (1, 4, "expected a number")),
-        ("3 |0>", (1, 2, "expected '|'")),
-        ("(1/2)(3)|0>", (1, 6, "expected '|'")),
-        ("(2))|0>", (1, 4, "expected '|'")),
-        ("| 01>", (1, 2, "expected bits after '|'")),
-        ("(1 + )|0>", (1, 6, "expected a number, symbol, 'i', or '('")),
-        ("(a*b", (1, 5, "expected ')'")),
-        ("|0> + |0", (1, 9, "expected '>'")),
+        pytest.param("|0> |1>", (1, 5, "unexpected trailing input"), id="|0> |1>-where0"),
+        pytest.param("|0>  )", (1, 6, "unexpected trailing input"), id="|0>  )-where1"),
+        pytest.param("0", (1, 1, "cannot infer the qubit count of the zero state"), id="0-where2"),
+        pytest.param("(1/)|0>", (1, 4, "expected a denominator"), id="(1/)|0>-where3"),
+        pytest.param("(1/ 2)|0>", (1, 4, "expected a denominator"), id="(1/ 2)|0>-where4"),
+        pytest.param("(1/0)|0>", (1, 4, "denominator cannot be zero"), id="(1/0)|0>-where5"),
+        pytest.param("(a^0)|0>", (1, 2, "exponent must be positive"), id="(a^0)|0>-where6"),
+        pytest.param("(a^)|0>", (1, 4, "expected a number"), id="(a^)|0>-where7"),
+        pytest.param("(a^ 2)|0>", (1, 4, "expected a number"), id="(a^ 2)|0>-where8"),
+        pytest.param("3 |0>", (1, 2, "expected '|'"), id="3 |0>-where9"),
+        pytest.param("(1/2)(3)|0>", (1, 6, "expected '|'"), id="(1/2)(3)|0>-where10"),
+        pytest.param("(2))|0>", (1, 4, "expected '|'"), id="(2))|0>-where11"),
+        pytest.param("| 01>", (1, 2, "expected bits after '|'"), id="| 01>-where12"),
+        pytest.param("(1 + )|0>", (1, 6, "expected a number, symbol, 'i', or '('"),
+                     id="(1 + )|0>-where13"),
+        pytest.param("(a*b", (1, 5, "expected ')'"), id="(a*b-where14"),
+        pytest.param("|0> + |0", (1, 9, "expected '>'"), id="|0> + |0-where15"),
         pytest.param("(" + "9" * 5000 + ")|0>", (1, 2, "invalid number"), id="5000-nines"),
-        ("|01> + 2|1>", (1, 7, "expected 2-qubit kets throughout")),
+        pytest.param("|01> + 2|1>", (1, 7, "expected 2-qubit kets throughout"),
+                     id="|01> + 2|1>-where17"),
         pytest.param("(" * 101 + "1" + ")" * 101 + "|00>",
                      (1, 101, "parentheses nest at most 100 deep"), id="101-deep"),
         # numbers and bits are ASCII digits only
-        ("(\u0663/\uff14)|0>", (1, 2, "expected a number, symbol, 'i', or '('")),
-        ("(3/\uff14)|0>", (1, 4, "expected a denominator")),
-        ("|0> + \u0662|1>", (1, 7, "expected a coefficient or '|'")),
-        ("(a^\u0662)|0>", (1, 4, "expected a number")),
-        ("|0\u0661>", (1, 3, "expected '>'")),
-        ("(a + 2*i~)|0>", (1, 8, "'i' is reserved for the imaginary unit")),
+        pytest.param("(\u0663/\uff14)|0>", (1, 2, "expected a number, symbol, 'i', or '('"),
+                     id="(\u0663/\uff14)|0>-where19"),
+        pytest.param("(3/\uff14)|0>", (1, 4, "expected a denominator"),
+                     id="(3/\uff14)|0>-where20"),
+        pytest.param("|0> + \u0662|1>", (1, 7, "expected a coefficient or '|'"),
+                     id="|0> + \u0662|1>-where21"),
+        pytest.param("(a^\u0662)|0>", (1, 4, "expected a number"), id="(a^\u0662)|0>-where22"),
+        pytest.param("|0\u0661>", (1, 3, "expected '>'"), id="|0\u0661>-where23"),
+        pytest.param("(a + 2*i~)|0>", (1, 8, "'i' is reserved for the imaginary unit"),
+                     id="(a + 2*i~)|0>-where24"),
         # a number literal: p/q, then an "i" suffix only inside parentheses
-        ("(3/)|0>", (1, 4, "expected a denominator")),
-        ("(3/ 4)|0>", (1, 4, "expected a denominator")),
-        ("(3/0)i|0>", (1, 4, "denominator cannot be zero")),
-        ("3i|0>", (1, 2, "expected '|'")),
-        ("(3) i|0>", (1, 5, "expected '|'")),
-        ("(2ix)|0>", (1, 3, "expected ')'")),
-        ("(2i~)|0>", (1, 3, "expected ')'")),
+        pytest.param("(3/)|0>", (1, 4, "expected a denominator"), id="(3/)|0>-where25"),
+        pytest.param("(3/ 4)|0>", (1, 4, "expected a denominator"), id="(3/ 4)|0>-where26"),
+        pytest.param("(3/0)i|0>", (1, 4, "denominator cannot be zero"), id="(3/0)i|0>-where27"),
+        pytest.param("3i|0>", (1, 2, "expected '|'"), id="3i|0>-where28"),
+        pytest.param("(3) i|0>", (1, 5, "expected '|'"), id="(3) i|0>-where29"),
+        pytest.param("(2ix)|0>", (1, 3, "expected ')'"), id="(2ix)|0>-where30"),
+        pytest.param("(2i~)|0>", (1, 3, "expected ')'"), id="(2i~)|0>-where31"),
         pytest.param("(1/" + "9" * 5000 + ")|0>", (1, 4, "invalid number"),
                      id="5000-digit-denominator"),
         # bounds passed at a parenthesised one-term factor
-        ("((a^1000)*(a^30))|0>", (1, 10, "degree must be at most 1024")),
-        ("(b*(a^1000)*(a^30))|0>", (1, 12, "degree must be at most 1024")),
+        pytest.param("((a^1000)*(a^30))|0>", (1, 10, "degree must be at most 1024"),
+                     id="((a^1000)*(a^30))|0>-where33"),
+        pytest.param("(b*(a^1000)*(a^30))|0>", (1, 12, "degree must be at most 1024"),
+                     id="(b*(a^1000)*(a^30))|0>-where34"),
         pytest.param("(" + WIDE + "*(a)*" + WIDE + "*(b)*(c+d))|0>",
                      (1, 505, "product expands past 4096 terms"), id="wide*(a)*wide*(b)*(c+d)"),
         # parenthesised numbers with blanks, signs, suffixes and bad digits
-        ("( 1/0 )|0>", (1, 5, "denominator cannot be zero")),
-        ("(-1/0)i|0>", (1, 5, "denominator cannot be zero")),
-        ("(- 3/)|0>", (1, 6, "expected a denominator")),
-        ("(3 i)|0>", (1, 4, "expected ')'")),
-        ("(-3)ii|0>", (1, 5, "expected '|'")),
+        pytest.param("( 1/0 )|0>", (1, 5, "denominator cannot be zero"), id="( 1/0 )|0>-where36"),
+        pytest.param("(-1/0)i|0>", (1, 5, "denominator cannot be zero"), id="(-1/0)i|0>-where37"),
+        pytest.param("(- 3/)|0>", (1, 6, "expected a denominator"), id="(- 3/)|0>-where38"),
+        pytest.param("(3 i)|0>", (1, 4, "expected ')'"), id="(3 i)|0>-where39"),
+        pytest.param("(-3)ii|0>", (1, 5, "expected '|'"), id="(-3)ii|0>-where40"),
         pytest.param("(-" + "9" * 5000 + ")|0>", (1, 3, "invalid number"), id="-5000-nines"),
-        ("(\t- 2/4 i )i|0>", (1, 9, "expected ')'")),
+        pytest.param("(\t- 2/4 i )i|0>", (1, 9, "expected ')'"), id="(\t- 2/4 i )i|0>-where42"),
     ])
     def test_exact_error_positions(self, text, where):
         with pytest.raises(DslError) as excinfo:
@@ -437,52 +446,95 @@ class TestCircuitParsing:
         assert excinfo.value.col >= 1
         assert fragment in excinfo.value.message
 
+    # every row names itself, so a row inserted mid-table renames no other test
     @pytest.mark.parametrize("text, where", [
-        ("state |00>\n", (1, 1, "first directive must be 'qubits'")),
-        ("qubits 7\n", (1, 8, "qubit count must be between 1 and 6")),
-        ("qubits two\n", (1, 8, "qubit count must be an integer")),
-        ("qubits 2\napply LX 0\n", (2, 7, "unknown gate 'LX'")),
-        ("qubits 1\nstate |0>\napply CNOT 0\n", (3, 7, "gate CNOT needs 2 targets")),
-        ("qubits 2\napply STAR 5\n", (2, 12, "target qubit 5 out of range")),
-        ("qubits 2\nproject 00 0\n", (2, 9, "expected 2 targets for 2 projection bits")),
-        ("qubits 2\nstate (alpha)|00>\n", (2, 8, "undeclared symbol 'alpha'")),
-        ("qubits 2\nstate |01\n", (2, 10, "expected '>'")),
-        ("qubits 2\nstate |02>\n", (2, 9, "bitstring may only contain 0 and 1")),
-        ("qubits 2\napply CNOT 0 0\n", (2, 14, "duplicate target qubit 0")),
-        ("qubits 2\nlabels a\n", (2, 1, "expected 2 labels")),
-        ("qubits 2\nwiggle 1\n", (2, 1, "unknown directive 'wiggle'")),
-        ("qubits 2\nstate |00>\nstate |11>\n", (3, 1, "duplicate 'state' directive")),
-        ("qubits 2\nsymbols i\n", (2, 9, "'i' is reserved for the imaginary unit")),
-        ("qubits 2\nstate |00> + |1>\n", (2, 13, "expected 2-qubit kets throughout")),
-        ("qubits 2\nproject 2 0\n", (2, 9, "projection bits must be 0/1")),
-        ("qubits 2\nproject 01 0 7\n", (2, 14, "target qubit 7 out of range")),
-        ("qubits 3\napply CNOT 2 2\n", (2, 14, "duplicate target qubit 2")),
-        ("qubits 2\napply STAR\n", (2, 7, "gate STAR needs 1 targets")),
-        ("qubits 2\napply CNOT 0 x\n", (2, 14, "target must be an integer")),
-        ("qubits 2\nstate |00> junk\n", (2, 12, "unexpected trailing input")),
-        ("qubits 2\nexpect |00> junk\n", (2, 13, "unexpected trailing input")),
-        ("qubits 2\nsymbols a a\n", (2, 11, "symbol 'a' already declared")),
-        ("qubits 2\nsymbols 2bad\n", (2, 9, "invalid symbol name '2bad'")),
-        ("qubits 2\nsymbols alpha~\n", (2, 9, "invalid symbol name 'alpha~'")),
-        ("qubits 2\nstate\u30000\n", (2, 1, "unknown directive 'state\u30000'")),
-        ("qubits 2\nexpect 0\x0c\n", (2, 9, "expected '|'")),
+        pytest.param("state |00>\n", (1, 1, "first directive must be 'qubits'"),
+                     id="state |00>\n-where0"),
+        pytest.param("qubits 7\n", (1, 8, "qubit count must be between 1 and 6"),
+                     id="qubits 7\n-where1"),
+        pytest.param("qubits two\n", (1, 8, "qubit count must be an integer"),
+                     id="qubits two\n-where2"),
+        pytest.param("qubits 2\napply LX 0\n", (2, 7, "unknown gate 'LX'"),
+                     id="qubits 2\napply LX 0\n-where3"),
+        pytest.param("qubits 1\nstate |0>\napply CNOT 0\n", (3, 7, "gate CNOT needs 2 targets"),
+                     id="qubits 1\nstate |0>\napply CNOT 0\n-where4"),
+        pytest.param("qubits 2\napply STAR 5\n", (2, 12, "target qubit 5 out of range"),
+                     id="qubits 2\napply STAR 5\n-where5"),
+        pytest.param("qubits 2\nproject 00 0\n", (2, 9, "expected 2 targets for 2 projection bits"),
+                     id="qubits 2\nproject 00 0\n-where6"),
+        pytest.param("qubits 2\nstate (alpha)|00>\n", (2, 8, "undeclared symbol 'alpha'"),
+                     id="qubits 2\nstate (alpha)|00>\n-where7"),
+        pytest.param("qubits 2\nstate |01\n", (2, 10, "expected '>'"),
+                     id="qubits 2\nstate |01\n-where8"),
+        pytest.param("qubits 2\nstate |02>\n", (2, 9, "bitstring may only contain 0 and 1"),
+                     id="qubits 2\nstate |02>\n-where9"),
+        pytest.param("qubits 2\napply CNOT 0 0\n", (2, 14, "duplicate target qubit 0"),
+                     id="qubits 2\napply CNOT 0 0\n-where10"),
+        pytest.param("qubits 2\nlabels a\n", (2, 1, "expected 2 labels"),
+                     id="qubits 2\nlabels a\n-where11"),
+        pytest.param("qubits 2\nwiggle 1\n", (2, 1, "unknown directive 'wiggle'"),
+                     id="qubits 2\nwiggle 1\n-where12"),
+        pytest.param("qubits 2\nstate |00>\nstate |11>\n", (3, 1, "duplicate 'state' directive"),
+                     id="qubits 2\nstate |00>\nstate |11>\n-where13"),
+        pytest.param("qubits 2\nsymbols i\n", (2, 9, "'i' is reserved for the imaginary unit"),
+                     id="qubits 2\nsymbols i\n-where14"),
+        pytest.param("qubits 2\nstate |00> + |1>\n", (2, 13, "expected 2-qubit kets throughout"),
+                     id="qubits 2\nstate |00> + |1>\n-where15"),
+        pytest.param("qubits 2\nproject 2 0\n", (2, 9, "projection bits must be 0/1"),
+                     id="qubits 2\nproject 2 0\n-where16"),
+        pytest.param("qubits 2\nproject 01 0 7\n", (2, 14, "target qubit 7 out of range"),
+                     id="qubits 2\nproject 01 0 7\n-where17"),
+        pytest.param("qubits 3\napply CNOT 2 2\n", (2, 14, "duplicate target qubit 2"),
+                     id="qubits 3\napply CNOT 2 2\n-where18"),
+        pytest.param("qubits 2\napply STAR\n", (2, 7, "gate STAR needs 1 targets"),
+                     id="qubits 2\napply STAR\n-where19"),
+        pytest.param("qubits 2\napply CNOT 0 x\n", (2, 14, "target must be an integer"),
+                     id="qubits 2\napply CNOT 0 x\n-where20"),
+        pytest.param("qubits 2\nstate |00> junk\n", (2, 12, "unexpected trailing input"),
+                     id="qubits 2\nstate |00> junk\n-where21"),
+        pytest.param("qubits 2\nexpect |00> junk\n", (2, 13, "unexpected trailing input"),
+                     id="qubits 2\nexpect |00> junk\n-where22"),
+        pytest.param("qubits 2\nsymbols a a\n", (2, 11, "symbol 'a' already declared"),
+                     id="qubits 2\nsymbols a a\n-where23"),
+        pytest.param("qubits 2\nsymbols 2bad\n", (2, 9, "invalid symbol name '2bad'"),
+                     id="qubits 2\nsymbols 2bad\n-where24"),
+        pytest.param("qubits 2\nsymbols alpha~\n", (2, 9, "invalid symbol name 'alpha~'"),
+                     id="qubits 2\nsymbols alpha~\n-where25"),
+        pytest.param("qubits 2\nstate\u30000\n", (2, 1, "unknown directive 'state\u30000'"),
+                     id="qubits 2\nstate\u30000\n-where26"),
+        pytest.param("qubits 2\nexpect 0\x0c\n", (2, 9, "expected '|'"),
+                     id="qubits 2\nexpect 0\x0c\n-where27"),
         # words of a directive are split at space and tab only, as in kets
-        ("qubits\u30002\n", (1, 1, "first directive must be 'qubits'")),
-        ("qubits 2\napply\u3000STAR 0\n", (2, 1, "unknown directive 'apply\u3000STAR'")),
-        ("qubits 2\napply STAR\x0c0\n", (2, 7, "unknown gate 'STAR\x0c0'")),
-        ("qubits 2\nstate \u3000|00>\n", (2, 7, "expected a coefficient or '|'")),
+        pytest.param("qubits\u30002\n", (1, 1, "first directive must be 'qubits'"),
+                     id="qubits\u30002\n-where28"),
+        pytest.param("qubits 2\napply\u3000STAR 0\n", (2, 1, "unknown directive 'apply\u3000STAR'"),
+                     id="qubits 2\napply\u3000STAR 0\n-where29"),
+        pytest.param("qubits 2\napply STAR\x0c0\n", (2, 7, "unknown gate 'STAR\x0c0'"),
+                     id="qubits 2\napply STAR\x0c0\n-where30"),
+        pytest.param("qubits 2\nstate \u3000|00>\n", (2, 7, "expected a coefficient or '|'"),
+                     id="qubits 2\nstate \u3000|00>\n-where31"),
         # a directive's integer is an optional '-' and a digit run, as in kets
-        ("qubits +2\n", (1, 8, "qubit count must be an integer")),
-        ("qubits 0_3\n", (1, 8, "qubit count must be an integer")),
-        ("qubits 2\napply CNOT 0 +1\n", (2, 14, "target must be an integer")),
-        ("qubits 2\nproject 01 0 1_0\n", (2, 14, "target must be an integer")),
-        ("qubits 2\napply STAR -1\n", (2, 12, "target qubit -1 out of range")),
+        pytest.param("qubits +2\n", (1, 8, "qubit count must be an integer"),
+                     id="qubits +2\n-where32"),
+        pytest.param("qubits 0_3\n", (1, 8, "qubit count must be an integer"),
+                     id="qubits 0_3\n-where33"),
+        pytest.param("qubits 2\napply CNOT 0 +1\n", (2, 14, "target must be an integer"),
+                     id="qubits 2\napply CNOT 0 +1\n-where34"),
+        pytest.param("qubits 2\nproject 01 0 1_0\n", (2, 14, "target must be an integer"),
+                     id="qubits 2\nproject 01 0 1_0\n-where35"),
+        pytest.param("qubits 2\napply STAR -1\n", (2, 12, "target qubit -1 out of range"),
+                     id="qubits 2\napply STAR -1\n-where36"),
         # integers and numbers are ASCII digits only
-        ("qubits \u0662\n", (1, 8, "qubit count must be an integer")),
-        ("qubits 2\napply STAR \uff10\n", (2, 12, "target must be an integer")),
-        ("qubits 1\nstate (\u0663/\uff14)|0>\n", (2, 8, "expected a number, symbol, 'i', or '('")),
-        ("qubits 1\nstate (3/\uff14)|0>\n", (2, 10, "expected a denominator")),
-        ("qubits 1\nsymbols a\nexpect (a*i~)|0>\n", (3, 11, "'i' is reserved for the imaginary unit")),
+        pytest.param("qubits \u0662\n", (1, 8, "qubit count must be an integer"),
+                     id="qubits \u0662\n-where37"),
+        pytest.param("qubits 2\napply STAR \uff10\n", (2, 12, "target must be an integer"),
+                     id="qubits 2\napply STAR \uff10\n-where38"),
+        pytest.param("qubits 1\nstate (\u0663/\uff14)|0>\n", (2, 8, "expected a number, symbol, 'i', or '('"),
+                     id="qubits 1\nstate (\u0663/\uff14)|0>\n-where39"),
+        pytest.param("qubits 1\nstate (3/\uff14)|0>\n", (2, 10, "expected a denominator"),
+                     id="qubits 1\nstate (3/\uff14)|0>\n-where40"),
+        pytest.param("qubits 1\nsymbols a\nexpect (a*i~)|0>\n", (3, 11, "'i' is reserved for the imaginary unit"),
+                     id="qubits 1\nsymbols a\nexpect (a*i~)|0>\n-where41"),
     ])
     def test_exact_error_positions(self, text, where):
         # (line, col, message) of each single-fault input, as the parser has

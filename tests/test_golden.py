@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from bhqc.cli import main
+from bhqc.operators import GATES
 
 from _shipped import CIRCUITS as SHIPPED_DIR
 
@@ -23,10 +24,18 @@ CLASSIFY = dict(line.split("\t") for line in
 
 
 def _stdout(capsys, argv, code):
-    assert main(argv) == code
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    return captured.out
+    """The stdout of ``main(argv)``, the same with the gates' move tables
+    emptied, as the first call finds them, and filled, as the second does."""
+    for op in GATES.values():
+        op._moves.clear()
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    return outputs[0]
 
 
 @pytest.mark.parametrize("flags, name", [

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bhqc.operators import GATES, Operator, apply, gate_named
 from bhqc.scalars import GaussianRational, amp
-from bhqc.states import Ket
+from bhqc.states import MAX_QUBITS, Ket
 
 from _exact import exact, vector
 
@@ -204,12 +204,17 @@ class TestEmbedAndApply:
         assert apply(CNOT, Ket.basis("010"), [2, 1]) == Ket.basis("010")
 
     def test_embed_against_dense_oracle(self):
-        state = symbolic_ket(4)
-        vec = vector(state)
+        # a fresh copy acts through an empty move table, and the registry
+        # gate's second call reads the table its first call filled
+        states = [symbolic_ket(4), *(Ket.basis(format(k, "04b")) for k in range(16))]
         for name, op in GATES.items():
             for targets in permutations(range(4), op.arity):
-                want = exact.apply_gate(name, targets, 4, vec)
-                assert vector(apply(op, state, targets)) == want, (name, targets)
+                for state in states:
+                    want = exact.apply_gate(name, targets, 4, vector(state))
+                    cold = Operator(op.arity, op.columns)
+                    assert vector(apply(cold, state, targets)) == want, (name, targets)
+                    apply(op, state, targets)
+                    assert vector(apply(op, state, targets)) == want, (name, targets)
 
     def test_non_adjacent_cnot_on_six_qubits(self):
         state = symbolic_ket(6)
@@ -250,6 +255,20 @@ class TestEmbedAndApply:
         assert all(out.terms.values())
         assert vector(out) == exact.apply_gate("HPLUS", (0,), 3, vector(state))
         assert str(out) == "((2)*alpha)|100> + ((2)*beta)|101> + ((2)*gamma~)|111>"
+
+    def test_the_move_table_is_bounded_by_the_register(self):
+        # one entry per basis bitstring of each register size at each target tuple
+        for name, gate in GATES.items():
+            op = Operator(gate.arity, gate.columns)
+            sweep = [(targets, Ket.basis(format(k, f"0{n}b")))
+                     for n in range(1, MAX_QUBITS + 1)
+                     for targets in permutations(range(n), op.arity)
+                     for k in range(1 << n)]
+            for _ in range(2):
+                for targets, state in sweep:
+                    apply(op, state, targets)
+                assert sum(map(len, op._moves.values())) == len(sweep), name
+            assert len(sweep) == {1: 642, 2: 2808}[op.arity]
 
     def test_apply_is_linear(self):
         x, y = Ket.basis("01"), Ket.basis("10")
@@ -323,4 +342,6 @@ def test_a_product_with_non_unit_entries_applies_as_its_factors(case):
     product_op = ll2 @ ll1
     assert any(sign == 0 for entries in product_op.by_column.values()
                for _, _, sign in entries)
-    assert apply(product_op, state, targets) == apply(ll2, apply(ll1, state, targets), targets)
+    want = apply(ll2, apply(ll1, state, targets), targets)
+    assert apply(product_op, state, targets) == want
+    assert apply(product_op, state, targets) == want  # read from the filled move table
