@@ -2,9 +2,11 @@
 
 ``check_instruction`` is the one check of an instruction, for ``Circuit``
 and ``parse_circuit`` alike.  A ``Circuit`` is checked once, when it is
-built; it and its instruction records refuse assignment after that, so
-``run`` trusts it and calls the unchecked gate action.  A project step
-calls ``Ket.project``, whose check costs little beside the filtering.
+built (``parse_circuit`` checks each part as it reads it and wraps them
+with ``Circuit._checked``); it and its instruction records refuse
+assignment after that, so ``run`` trusts it and calls the unchecked gate
+action.  A project step calls ``Ket.project``, whose check costs little
+beside the filtering.
 """
 
 from __future__ import annotations
@@ -127,6 +129,19 @@ class Circuit(_Record):
         _set(self, "instructions", instructions)
         _set(self, "mode_labels", mode_labels)
 
+    @classmethod
+    def _checked(cls, n_qubits: int, initial_state: Ket,
+                 instructions: tuple[Instruction, ...],
+                 mode_labels: tuple[str, ...] | None) -> Circuit:
+        """Wrap parts whose every check has passed, as ``parse_circuit`` has
+        them; outside input goes through ``__init__``."""
+        circuit = object.__new__(cls)
+        _set(circuit, "n_qubits", n_qubits)
+        _set(circuit, "initial_state", initial_state)
+        _set(circuit, "instructions", instructions)
+        _set(circuit, "mode_labels", mode_labels)
+        return circuit
+
 
 class ClaimRecord:
     """One re-derived identity: the stated state versus the computed one."""
@@ -184,24 +199,20 @@ def compare_kets(expected: Ket, computed: Ket) -> tuple[str, GaussianRational | 
     return MISMATCH, None
 
 
-class TraceStep:
-    __slots__ = ("instruction", "state")
-
-    def __init__(self, instruction: Instruction | None, state: Ket) -> None:
-        self.instruction = instruction
-        self.state = state
-
-
 class RunResult:
+    """``steps`` holds one ``(instruction, state)`` pair per step, the
+    instruction ``None`` at step 0; ``claims`` holds the verdict records."""
+
     __slots__ = ("steps", "claims")
 
-    def __init__(self, steps: list[TraceStep], claims: list[ClaimRecord]) -> None:
+    def __init__(self, steps: list[tuple[Instruction | None, Ket]],
+                 claims: list[ClaimRecord]) -> None:
         self.steps = steps
         self.claims = claims
 
     @property
     def final_state(self) -> Ket:
-        return self.steps[-1].state
+        return self.steps[-1][1]
 
 
 def run(circuit: Circuit) -> RunResult:
@@ -214,16 +225,16 @@ def run(circuit: Circuit) -> RunResult:
     and renders the same text.
     """
     state = circuit.initial_state
-    steps = [TraceStep(None, state)]
+    steps = [(None, state)]
     claims: list[ClaimRecord] = []
     n_expect = 0
     for ins in circuit.instructions:
         if isinstance(ins, ApplyGate):
             state = act(GATES[ins.gate], state, ins.targets)
-            steps.append(TraceStep(ins, state))
+            steps.append((ins, state))
         elif isinstance(ins, Project):
             state = state.project(ins.targets, ins.bits)
-            steps.append(TraceStep(ins, state))
+            steps.append((ins, state))
         else:
             n_expect += 1
             verdict, scalar = compare_kets(ins.expected, state)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from math import isfinite
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -55,34 +56,61 @@ def _json_text(obj: object) -> str:
     CPython 3.10-3.13 drops to its pure-Python encoder whenever ``indent``
     is set.  This writer pads the containers itself and sends every string
     through the C escaper that ``ensure_ascii=False`` uses.  Dict keys are
-    strings.
+    strings.  The writer is a module-level function handed the buffer's
+    append, so no reference cycle keeps a call's pieces alive until the
+    collector runs.
     """
-    from json import dumps
     from json.encoder import encode_basestring as string
-    from math import isfinite
 
-    def text(value: object, pad: str) -> str:
-        # pad: the newline and indent of the line that holds value
-        if isinstance(value, str):
-            return string(value)
-        if isinstance(value, dict):
-            if not value:
-                return "{}"
-            inner = pad + "  "
+    out: list[str] = []
+    _write(obj, "\n", out.append, string, {})
+    return "".join(out)
+
+
+def _write(value: object, pad: str, put, string, keys: dict[str, str]) -> None:
+    """Append the JSON text of ``value`` to a buffer, piece by piece, with ``put``.
+
+    pad is the newline and indent of the line that holds value; string is
+    the escaper; keys maps each dict key met so far in this call to its
+    escaped text and ``": "``.
+    """
+    if isinstance(value, str):
+        put(string(value))
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = pad + "  "
+        lead, sep = "{" + inner, "," + inner
+        for k, v in value.items():
+            put(lead)
+            key = keys.get(k)
+            if key is None:
+                key = keys[k] = string(k) + ": "
+            put(key)
             # a string value, the common leaf, skips a call
-            items = [string(k) + ": " + (string(v) if type(v) is str else text(v, inner))
-                     for k, v in value.items()]
-            return "{" + inner + ("," + inner).join(items) + pad + "}"
-        if isinstance(value, (list, tuple)):
-            if not value:
-                return "[]"
-            inner = pad + "  "
-            return "[" + inner + ("," + inner).join([text(v, inner) for v in value]) + pad + "]"
-        if type(value) is int or type(value) is float and isfinite(value):
-            return repr(value)  # the text json itself writes for them
-        return dumps(value)  # bools, None, NaN and the infinities
-
-    return text(obj, "\n")
+            if type(v) is str:
+                put(string(v))
+            else:
+                _write(v, inner, put, string, keys)
+            lead = sep
+        put(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = pad + "  "
+        lead, sep = "[" + inner, "," + inner
+        for v in value:
+            put(lead)
+            _write(v, inner, put, string, keys)
+            lead = sep
+        put(pad + "]")
+    elif type(value) is int or type(value) is float and isfinite(value):
+        put(repr(value))  # the text json itself writes for them
+    else:
+        from json import dumps
+        put(dumps(value))  # bools, None, NaN and the infinities
 
 
 def _print_json(obj: object) -> None:
@@ -101,14 +129,14 @@ def _claim_json(record, with_states: bool = False) -> dict:
 
 def _result_json(result: RunResult) -> dict:
     """The steps and claims of a run, as ``run --json`` and ``demo --json`` print them."""
-    return {"steps": [{"instruction": instruction_text(s.instruction), "state": str(s.state)}
-                      for s in result.steps],
+    return {"steps": [{"instruction": instruction_text(ins), "state": str(state)}
+                      for ins, state in result.steps],
             "claims": [_claim_json(c) for c in result.claims]}
 
 
 def _print_steps(result: RunResult) -> None:
-    for index, step in enumerate(result.steps):
-        print(f"step {index:>2}  {instruction_text(step.instruction):<24} {step.state}")
+    for index, (ins, state) in enumerate(result.steps):
+        print(f"step {index:>2}  {instruction_text(ins):<24} {state}")
 
 
 def _print_claims(result: RunResult) -> None:
@@ -226,9 +254,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_verify_paper(args: argparse.Namespace) -> int:
     records = verify_claims()
-    n_match = sum(1 for r in records if r.verdict == MATCH)
-    n_scalar = sum(1 for r in records if r.verdict == MATCH_UP_TO_SCALAR)
-    n_mismatch = sum(1 for r in records if r.verdict == MISMATCH)
+    counts = dict.fromkeys((MATCH, MATCH_UP_TO_SCALAR, MISMATCH), 0)
+    for record in records:
+        counts[record.verdict] += 1
+    n_match, n_scalar, n_mismatch = counts.values()
     if args.json:
         _print_json({
             "claims": [_claim_json(r, with_states=True) for r in records],

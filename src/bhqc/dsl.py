@@ -431,4 +431,6 @@ def parse_circuit(text: str) -> Circuit:
         raise DslError(max(len(lines), 1), 1, "missing 'qubits' directive")
     if state is None:
         state = Ket.basis("0" * n_qubits)
-    return Circuit(n_qubits, state, tuple(instructions), labels)
+    # every part is checked above: the state, each expect and the labels for
+    # their width, each apply and project line by check_instruction
+    return Circuit._checked(n_qubits, state, tuple(instructions), labels)

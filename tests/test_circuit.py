@@ -85,6 +85,17 @@ class TestExecutor:
         assert len(result.steps) == 1
         assert result.final_state == Ket.basis("00")
 
+    def test_steps_are_instruction_state_pairs(self):
+        gate, project = ApplyGate("HPLUS", (0,)), Project("1", (1,))
+        initial = Ket(2, {"00": 1, "01": 1})
+        result = run(Circuit(2, initial, (gate, Expect(initial), project)))
+        assert result.steps == [(None, initial),
+                                (gate, Ket(2, {"00": 1, "10": 1, "01": 1, "11": 1})),
+                                (project, Ket(2, {"01": 1, "11": 1}))]
+        assert result.steps[0][1] is initial
+        assert all(type(step) is tuple for step in result.steps)
+        assert result.final_state is result.steps[-1][1]
+
     def test_bell_b1_sequence(self):
         circuit = Circuit(2, Ket.basis("00"), (
             ApplyGate("LL1", (0, 1)), ApplyGate("STAR", (0,)), ApplyGate("STAR", (1,))))
@@ -172,8 +183,8 @@ class TestExecutor:
     def test_deterministic_traces(self):
         def render_once():
             result = run(shipped("bell_chain"))
-            return "\n".join(f"{k} {instruction_text(s.instruction)} {s.state}"
-                             for k, s in enumerate(result.steps))
+            return "\n".join(f"{k} {instruction_text(ins)} {state}"
+                             for k, (ins, state) in enumerate(result.steps))
         assert render_once() == render_once()
 
     def test_validation_errors(self):
@@ -216,7 +227,8 @@ def _records_and_states(circuit):
     step, states = 0, []
     for ins in circuit.instructions:
         if isinstance(ins, Expect):
-            states.append(result.steps[step].state)
+            _, state = result.steps[step]
+            states.append(state)
         else:
             step += 1
     return list(zip(result.claims, states, strict=True))
@@ -265,6 +277,6 @@ def _scalar_words(draw):
 def test_symbol_free_kets_stay_gaussian_rationals(case):
     state, word = case
     result = run(Circuit(state.n_qubits, state, word))
-    for step in result.steps:
-        assert all(type(a) is GaussianRational for a in step.state.terms.values())
+    for _, step_state in result.steps:
+        assert all(type(a) is GaussianRational for a in step_state.terms.values())
     assert vector(result.final_state) == run_exact(state, word)

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import importlib.util
 import json
@@ -8,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bhqc
@@ -517,7 +518,33 @@ _json_values = st.recursive(
     max_leaves=12)
 
 
+class _Text(str):
+    pass
+
+
 @settings(max_examples=200)
 @given(_json_values)
+@example({"a": {}, "b": [], "c": (), "d": [{}, [[]], ((),)], "e": {"f": {"g": []}}})
+@example({_Text("key"): _Text("value"), "other": [_Text("é\n")], "sub": {_Text("other"): 1}})
+@example([True, None, math.nan, -0.0, 10**80])
 def test_json_text_is_json_dumps_with_indent_2(value):
     assert _json_text(value) == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+def test_json_text_leaves_no_garbage():
+    # the writer's buffer and pieces must go when the call returns, without
+    # waiting in a reference cycle for the collector
+    report = bhqc.classify(parse_ket("|000> + |111>")).to_json()
+    value = {"claims": [{"id": "a", "n": 1, "states": [report, [], {}]}] * 3,
+             "summary": {"total": 3, "tau3": 0.5, "ok": None}}
+    expected = json.dumps(value, indent=2, ensure_ascii=False)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            assert _json_text(value) == expected
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bhqc.circuit
 from bhqc.circuit import ApplyGate, Circuit, Expect, Project
 from bhqc.dsl import (MAX_EXPONENT, MAX_NESTING, MAX_PRODUCT_TERMS, DslError, parse_circuit,
                       parse_ket)
@@ -15,6 +16,7 @@ from bhqc.scalars import GaussianRational, I, amp
 from bhqc.states import Ket
 
 from _exact import Q, vector
+from _shipped import CIRCUITS
 
 
 def amplitude_of(text):
@@ -414,6 +416,20 @@ class TestCircuitParsing:
 
     def test_state_defaults_to_all_zeros(self):
         assert parse_circuit("qubits 3\n").initial_state == Ket.basis("000")
+
+    @pytest.mark.parametrize("path", sorted(CIRCUITS.glob("*.bhqc")), ids=lambda p: p.stem)
+    def test_each_apply_and_project_line_is_checked_once(self, monkeypatch, path):
+        checked = []
+
+        def check_instruction(ins, n_qubits):
+            checked.append(ins)
+            return check(ins, n_qubits)
+
+        check = bhqc.circuit.check_instruction
+        monkeypatch.setattr(bhqc.circuit, "check_instruction", check_instruction)
+        circuit = parse_circuit(path.read_text(encoding="utf-8"))
+        assert checked == [ins for ins in circuit.instructions if not isinstance(ins, Expect)]
+        assert checked
 
     def test_project_and_expect(self):
         text = ("qubits 2\nstate |00> + |11>\nproject 0 0\nexpect |00>\n")
