@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "scalars": ("GaussianRational", "SymbolicAmplitude", "amp"),
     "states": ("MAX_QUBITS", "Ket"),
-    "operators": ("GATES", "Operator", "apply", "gate_named"),
+    "operators": ("GATES", "Operator", "apply"),
     "circuit": ("MATCH", "MATCH_UP_TO_SCALAR", "MISMATCH", "ApplyGate", "Circuit", "Expect",
                 "Project", "compare_kets", "instruction_text", "run"),
     "dsl": ("DslError", "parse_circuit", "parse_ket"),

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from typing import Union
 
-from .operators import GATES, act, gate_named
+from .operators import GATES, act
 from .scalars import GaussianRational
-from .states import Ket, check_projection, check_targets
+from .states import Ket, OperandError, check_projection, check_targets
 
 MATCH = "MATCH"
 MATCH_UP_TO_SCALAR = "MATCH_UP_TO_SCALAR"
@@ -86,7 +86,9 @@ Instruction = Union[ApplyGate, Project, Expect]
 def check_instruction(ins: Instruction, n_qubits: int) -> None:
     """Raise OperandError (a ValueError) for a bad gate, projection or target."""
     if isinstance(ins, ApplyGate):
-        op = gate_named(ins.gate)
+        op = GATES.get(ins.gate)
+        if op is None:
+            raise OperandError(f"unknown gate '{ins.gate}'")
         check_targets(ins.targets, n_qubits, op.arity,
                       lambda: f"gate {ins.gate} needs {op.arity} targets")
     elif isinstance(ins, Project):

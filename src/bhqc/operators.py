@@ -9,7 +9,7 @@ are built *from* the generators; their stated action tables are checked
 elsewhere, never hard-coded here.
 
 A k-qubit gate acts in place: ``act`` moves each basis term of the state to
-the basis terms the gate's by-column table sends it to; no 2^n x 2^n matrix
+the basis terms its action table sends that column to; no 2^n x 2^n matrix
 is built.  Where one basis bitstring goes under a gate at one target tuple
 never changes, so each operator keeps those moves in a table that ``act``
 fills the first time it meets the pair and reads with one lookup per term
@@ -26,7 +26,7 @@ from itertools import product
 from typing import Mapping, Sequence
 
 from .scalars import MINUS_ONE, ONE, Amplitude, GaussianRational
-from .states import MAX_QUBITS, Ket, OperandError, check_bits, check_targets
+from .states import MAX_QUBITS, Ket, check_bits, check_targets
 
 # one move of a basis term: (output bitstring, entry value, entry sign)
 _Move = tuple[str, GaussianRational, int]
@@ -36,25 +36,23 @@ class Operator:
     """Sparse linear map on k qubits, stored as its action table.
 
     ``columns`` maps each basis bitstring c to the nonzero ket that |c>
-    goes to.  ``by_column`` holds the same table as (row bits, value, sign)
-    triples per column; the sign is 1 or -1 for a value of +1 or -1 and 0
-    for any other.
+    goes to.
 
     ``_moves`` maps a target tuple to {input bitstring: its moves}, the
-    table ``act`` reads; a column with no image moves to ``()``.  It is
-    bounded by the register, not by the traffic: one entry per n-bit
-    bitstring, n <= MAX_QUBITS, at each target tuple.  It needs no lock,
-    because two threads that fill one entry at once store equal tuples.
+    table ``act`` reads and ``_fill`` builds from ``columns``; a column with
+    no image moves to ``()``.  It is bounded by the register, not by the
+    traffic: one entry per n-bit bitstring, n <= MAX_QUBITS, at each target
+    tuple.  It needs no lock, because two threads that fill one entry at
+    once store equal tuples.
     """
 
-    __slots__ = ("arity", "columns", "by_column", "_moves")
+    __slots__ = ("arity", "columns", "_moves")
 
     def __init__(self, arity: int, columns: Mapping[str, Ket] | None = None) -> None:
         if not 1 <= arity <= MAX_QUBITS:
             raise ValueError(f"operator arity must be between 1 and {MAX_QUBITS}")
         self.arity = arity
         self.columns: dict[str, Ket] = {}
-        self.by_column: dict[str, list[tuple[str, GaussianRational, int]]] = {}
         self._moves: dict[tuple[int, ...], dict[str, tuple[_Move, ...]]] = {}
         for c, image in (columns or {}).items():
             check_bits(c, arity)
@@ -63,8 +61,6 @@ class Operator:
             if image.has_symbols:
                 raise ValueError(f"the image of |{c}> contains formal symbols")
             if image.terms:
-                self.by_column[c] = [(r, v, 1 if v == ONE else -1 if v == MINUS_ONE else 0)
-                                     for r, v in image.terms.items()]
                 self.columns[c] = image
 
     @classmethod
@@ -145,14 +141,18 @@ def act(op: Operator, state: Ket, targets: tuple[int, ...]) -> Ket:
 
 def _fill(op: Operator, moves: dict[str, tuple[_Move, ...]], bits: str,
           targets: tuple[int, ...]) -> tuple[_Move, ...]:
-    """Store and return the moves of basis term ``bits`` under ``op`` at ``targets``."""
+    """Store and return the moves of basis term ``bits`` under ``op`` at ``targets``.
+
+    A move's sign is 1 or -1 for an entry of +1 or -1 and 0 for any other.
+    """
     chars = list(bits)
     entries = []
-    for row, v, sign in op.by_column.get("".join([bits[t] for t in targets]), ()):
+    image = op.columns.get("".join([bits[t] for t in targets]))
+    for row, v in image.terms.items() if image is not None else ():
         # every row sets every target, so one list serves all rows
         for t, c in zip(targets, row):
             chars[t] = c
-        entries.append(("".join(chars), v, sign))
+        entries.append(("".join(chars), v, 1 if v == ONE else -1 if v == MINUS_ONE else 0))
     moves[bits] = found = tuple(entries)
     return found
 
@@ -188,10 +188,3 @@ GATES: dict[str, Operator] = {
     # lower.raise and raise.lower project it onto |0> and |1>
     "CNOT": (_LOWER @ _RAISE).tensor(_ID) + (_RAISE @ _LOWER).tensor(_L4),
 }
-
-
-def gate_named(name: str) -> Operator:
-    try:
-        return GATES[name]
-    except KeyError:
-        raise OperandError(f"unknown gate '{name}'") from None

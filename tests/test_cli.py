@@ -218,6 +218,12 @@ class TestClassify:
         assert code == 0
         assert "class: SEPARABLE" in out
 
+    def test_a_state_with_a_leading_minus_follows_a_double_dash(self, capsys):
+        # argparse reads "-|00>" as an option; after "--" it is the state
+        code, out, _ = invoke(capsys, "classify", "--", "-|00>")
+        assert code == 0
+        assert "class: SEPARABLE" in out
+
     def test_symbolic_state_rejected(self, capsys):
         assert invoke(capsys, "classify", "(alpha)|000>") == (
             1, "", "error: symbolic amplitudes are not classifiable\n")
@@ -468,6 +474,16 @@ class TestImports:
         assert main(COMMANDS["run"]) == 0
         capsys.readouterr()
         assert len(calls) == 2
+
+    def test_the_exported_names(self):
+        # a new public name must show up here as an edit
+        assert sorted(bhqc.__all__) == [
+            "ApplyGate", "CLAIMS", "COSET_CHAIN", "Circuit", "DslError", "Expect", "GATES",
+            "GaussianRational", "KNOWN_MISMATCHES", "KNOWN_SCALAR_MATCHES", "Ket", "MATCH",
+            "MATCH_UP_TO_SCALAR", "MAX_QUBITS", "MISMATCH", "Operator", "Project",
+            "SUSY_PHRASE", "SymbolicAmplitude", "amp", "apply", "classify", "compare_kets",
+            "instruction_text", "parse_circuit", "parse_ket", "run", "transition_report",
+            "verify_claims"]
 
     def test_every_exported_name_resolves_to_its_module_object(self):
         assert set(bhqc.__all__) <= set(dir(bhqc))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhqc.operators import GATES, Operator, apply, gate_named
+from bhqc.circuit import ApplyGate, check_instruction
+from bhqc.operators import GATES, Operator, apply
 from bhqc.scalars import GaussianRational, amp
 from bhqc.states import MAX_QUBITS, Ket
 
@@ -287,7 +288,7 @@ class TestActionTables:
     def test_zero_images_are_dropped(self):
         assert Operator(1, {"0": Ket.zero(1)}).columns == {}
         assert (RAISE + RAISE @ STAR).columns == {}  # |1> - |1>
-        assert (RAISE @ RAISE).by_column == {}
+        assert (RAISE @ RAISE).columns == {}
 
     @pytest.mark.parametrize("columns, match", [
         ({"2": K0}, "bitstring '2'"),
@@ -312,12 +313,14 @@ class TestRegistry:
         for name, op in GATES.items():
             for image in op.columns.values():
                 assert all(a in (1, -1) for a in image.terms.values()), name
-            for entries in op.by_column.values():
-                assert all(sign == v for _, v, sign in entries), name
+            columns(op)  # fills the move table at the gate's own targets
+            moves = op._moves[tuple(range(op.arity))]
+            assert set(map("".join, product("01", repeat=op.arity))) <= set(moves), name
+            assert all(sign == v for entries in moves.values() for _, v, sign in entries), name
 
     def test_unknown_gate(self):
         with pytest.raises(ValueError, match="unknown gate"):
-            gate_named("LX")
+            check_instruction(ApplyGate("LX", (0,)), 1)
 
     def test_every_gate_matches_the_dense_oracle(self):
         for name, op in GATES.items():
@@ -340,7 +343,8 @@ def test_a_product_with_non_unit_entries_applies_as_its_factors(case):
     state, targets = case
     ll1, ll2 = GATES["LL1"], GATES["LL2"]
     product_op = ll2 @ ll1
-    assert any(sign == 0 for entries in product_op.by_column.values()
+    columns(product_op)  # fills the move table at targets (0, 1)
+    assert any(sign == 0 for entries in product_op._moves[(0, 1)].values()
                for _, _, sign in entries)
     want = apply(ll2, apply(ll1, state, targets), targets)
     assert apply(product_op, state, targets) == want
