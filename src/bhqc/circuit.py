@@ -1,12 +1,12 @@
 """Circuit IR, the deterministic executor, and claim verdicts.
 
-``check_instruction`` is the one check of an instruction, for ``Circuit``
-and ``parse_circuit`` alike.  A ``Circuit`` is checked once, when it is
-built (``parse_circuit`` checks each part as it reads it and wraps them
-with ``Circuit._checked``); it and its instruction records refuse
-assignment after that, so ``run`` trusts it and calls the unchecked gate
-action.  A project step calls ``Ket.project``, whose check costs little
-beside the filtering.
+A circuit takes its width from its initial state.  ``check_instruction``
+is the one check of an instruction, for ``Circuit`` and ``parse_circuit``
+alike.  A ``Circuit`` is checked once, when it is built (``parse_circuit``
+checks each part as it reads it and wraps them with ``Circuit._checked``);
+it and its instruction records refuse assignment after that, so ``run``
+trusts it and calls the unchecked gate action.  A project step calls
+``Ket.project``, whose check costs little beside the filtering.
 """
 
 from __future__ import annotations
@@ -111,34 +111,32 @@ def instruction_text(ins: Instruction | None) -> str:
 
 
 class Circuit(_Record):
-    """A circuit checked when it is built: the constructor raises ValueError
-    (OperandError for a bad gate, projection or target)."""
+    """A circuit as wide as its initial state, checked when it is built: the
+    constructor raises ValueError (OperandError for a bad gate, projection
+    or target)."""
 
-    __slots__ = ("n_qubits", "initial_state", "instructions", "mode_labels")
+    __slots__ = ("initial_state", "instructions", "mode_labels")
 
-    def __init__(self, n_qubits: int, initial_state: Ket,
-                 instructions: tuple[Instruction, ...] = (),
+    def __init__(self, initial_state: Ket, instructions: tuple[Instruction, ...] = (),
                  mode_labels: tuple[str, ...] | None = None) -> None:
-        if initial_state.n_qubits != n_qubits:
-            raise ValueError("initial state has the wrong qubit count")
-        if mode_labels is not None and len(mode_labels) != n_qubits:
-            raise ValueError("label count must match qubit count")
+        n_qubits = initial_state.n_qubits
+        if mode_labels is not None:
+            mode_labels = tuple(mode_labels)
+            if len(mode_labels) != n_qubits:
+                raise ValueError("label count must match qubit count")
         instructions = tuple(instructions)
         for ins in instructions:
             check_instruction(ins, n_qubits)
-        _set(self, "n_qubits", n_qubits)
         _set(self, "initial_state", initial_state)
         _set(self, "instructions", instructions)
         _set(self, "mode_labels", mode_labels)
 
     @classmethod
-    def _checked(cls, n_qubits: int, initial_state: Ket,
-                 instructions: tuple[Instruction, ...],
+    def _checked(cls, initial_state: Ket, instructions: tuple[Instruction, ...],
                  mode_labels: tuple[str, ...] | None) -> Circuit:
         """Wrap parts whose every check has passed, as ``parse_circuit`` has
         them; outside input goes through ``__init__``."""
         circuit = object.__new__(cls)
-        _set(circuit, "n_qubits", n_qubits)
         _set(circuit, "initial_state", initial_state)
         _set(circuit, "instructions", instructions)
         _set(circuit, "mode_labels", mode_labels)
@@ -166,6 +164,16 @@ class ClaimRecord:
         elif self.verdict == MISMATCH:
             head += f" (computed {self.computed})"
         return head
+
+    def to_json(self, with_states: bool = False) -> dict:
+        """The record as ``--json`` prints it; ``verify-paper`` adds both states."""
+        out = {"id": self.claim_id, "location": self.location, "verdict": self.verdict}
+        if self.verdict == MATCH_UP_TO_SCALAR:
+            out["scalar"] = str(self.scalar)
+        if with_states:
+            out["expected"] = str(self.expected)
+            out["computed"] = str(self.computed)
+        return out
 
 
 def _scalar_ratio(computed: Ket, expected: Ket) -> GaussianRational | None:

@@ -40,8 +40,7 @@ def _build_claims() -> tuple[Circuit, ...]:
     claims: list[Circuit] = []
 
     def add(claim_id, location, input_state, steps, expected):
-        claims.append(Circuit(
-            input_state.n_qubits, input_state, (*steps, Expect(expected, claim_id, location))))
+        claims.append(Circuit(input_state, (*steps, Expect(expected, claim_id, location))))
 
     zero1 = Ket.zero(1)
     k0, k1 = Ket.basis("0"), Ket.basis("1")

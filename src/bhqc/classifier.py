@@ -117,16 +117,15 @@ def _hyperdet(re: list[int], im: list[int]) -> tuple[int, int]:
 
 
 class EntanglementReport:
-    __slots__ = ("n_qubits", "flattening_ranks", "slocc_class", "separated_party",
+    __slots__ = ("flattening_ranks", "slocc_class", "separated_party",
                  "hyperdeterminant", "three_tangle_exact", "three_tangle", "fts_rank",
                  "susy_fraction", "size_class", "attractor", "brane_note", "entropy_display")
 
-    def __init__(self, n_qubits: int, flattening_ranks: tuple[int, ...],
+    def __init__(self, flattening_ranks: tuple[int, ...],
                  slocc_class: str, separated_party: str | None,
                  hyperdeterminant: GaussianRational | None,
                  three_tangle_exact: Fraction | None, three_tangle: float | Decimal | None,
                  entropy_display: float | Decimal | None) -> None:
-        self.n_qubits = n_qubits
         self.flattening_ranks = flattening_ranks
         self.slocc_class = slocc_class          # NULL/SEPARABLE/BISEPARABLE/W/GHZ/ENTANGLED
         self.separated_party = separated_party
@@ -141,7 +140,7 @@ class EntanglementReport:
 
     @property
     def label(self) -> str:
-        if self.slocc_class == "SEPARABLE" and self.n_qubits == 3:
+        if self.slocc_class == "SEPARABLE" and len(self.flattening_ranks) == 3:
             return "SEPARABLE(A-B-C)"
         if self.slocc_class == "BISEPARABLE":
             return f"BISEPARABLE({_BIPARTITION[self.separated_party]})"
@@ -162,6 +161,26 @@ class EntanglementReport:
             "brane_note": self.brane_note,
             "entropy": _display_json(self.entropy_display),
         }
+
+    def lines(self) -> list[str]:
+        """The report as ``classify`` prints it, one ``key: value`` text a line."""
+        lines = [f"class: {self.label}", "ranks: " + ",".join(map(str, self.flattening_ranks))]
+        if self.fts_rank is not None:
+            lines.append(f"fts_rank: {self.fts_rank}")
+        if self.hyperdeterminant is not None:
+            lines.append(f"det: {self.hyperdeterminant}")
+        if self.three_tangle is not None:
+            lines.append(f"tau3: {self.three_tangle:.12g}")
+        if self.susy_fraction is not None:
+            lines.append(f"susy: {SUSY_PHRASE[self.susy_fraction]}")
+        if self.size_class is not None:
+            lines.append(f"size: {self.size_class.lower()}")
+        lines.append(f"attractor: {'true' if self.attractor else 'false'}")
+        if self.brane_note is not None:
+            lines.append(f"brane: {self.brane_note}")
+        if self.entropy_display is not None:
+            lines.append(f"entropy: {self.entropy_display:.12g}")
+        return lines
 
 
 def _display_json(value: float | Decimal | None) -> float | str | None:
@@ -186,7 +205,7 @@ def _classify_two(re: list[int], im: list[int]) -> EntanglementReport:
     rank = _rank_2xm(re[:2], im[:2], re[2:], im[2:])
     slocc = ("NULL", "SEPARABLE", "ENTANGLED")[rank]
     return EntanglementReport(
-        n_qubits=2, flattening_ranks=(rank, rank), slocc_class=slocc,
+        flattening_ranks=(rank, rank), slocc_class=slocc,
         separated_party=None, hyperdeterminant=None, three_tangle_exact=None,
         three_tangle=None, entropy_display=None)
 
@@ -215,7 +234,7 @@ def _classify_three(re: list[int], im: list[int], scale: int) -> EntanglementRep
         tangle_exact = Fraction(16 * abs_sq, norm_sq ** 4)
         tangle = _display_root(tangle_exact, 2)
     return EntanglementReport(
-        n_qubits=3, flattening_ranks=ranks, slocc_class=slocc,
+        flattening_ranks=ranks, slocc_class=slocc,
         separated_party=party, hyperdeterminant=_reduced(dr, di, scale ** 4),
         three_tangle_exact=tangle_exact, three_tangle=tangle,
         entropy_display=_entropy(Fraction(abs_sq, scale ** 8)))

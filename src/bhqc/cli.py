@@ -18,16 +18,14 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .circuit import RunResult
-    from .classifier import EntanglementReport
 
 # command -> the names it calls, read from the package (which imports each
 # name's module on first access) and bound into this module when the command
 # runs, so a process imports only what its command runs
 _IMPORTS = {
-    "run": ("DslError", "parse_circuit", "MATCH_UP_TO_SCALAR", "instruction_text", "run"),
-    "demo": ("parse_circuit", "MATCH_UP_TO_SCALAR", "instruction_text", "run",
-             "SUSY_PHRASE", "classify", "transition_report"),
-    "classify": ("parse_ket", "SUSY_PHRASE", "classify"),
+    "run": ("DslError", "parse_circuit", "instruction_text", "run"),
+    "demo": ("parse_circuit", "instruction_text", "run", "classify", "transition_report"),
+    "classify": ("parse_ket", "classify"),
     "verify-paper": ("MATCH", "MATCH_UP_TO_SCALAR", "MISMATCH", "verify_claims"),
 }
 
@@ -117,21 +115,11 @@ def _print_json(obj: object) -> None:
     print(_json_text(obj))
 
 
-def _claim_json(record, with_states: bool = False) -> dict:
-    out = {"id": record.claim_id, "location": record.location, "verdict": record.verdict}
-    if record.verdict == MATCH_UP_TO_SCALAR:
-        out["scalar"] = str(record.scalar)
-    if with_states:
-        out["expected"] = str(record.expected)
-        out["computed"] = str(record.computed)
-    return out
-
-
 def _result_json(result: RunResult) -> dict:
     """The steps and claims of a run, as ``run --json`` and ``demo --json`` print them."""
     return {"steps": [{"instruction": instruction_text(ins), "state": str(state)}
                       for ins, state in result.steps],
-            "claims": [_claim_json(c) for c in result.claims]}
+            "claims": [c.to_json() for c in result.claims]}
 
 
 def _print_steps(result: RunResult) -> None:
@@ -144,27 +132,6 @@ def _print_claims(result: RunResult) -> None:
         print("claims:")
         for record in result.claims:
             print(f"  {record.summary()}")
-
-
-def _report_lines(report: EntanglementReport) -> list[str]:
-    lines = [f"class: {report.label}",
-             "ranks: " + ",".join(map(str, report.flattening_ranks))]
-    if report.fts_rank is not None:
-        lines.append(f"fts_rank: {report.fts_rank}")
-    if report.hyperdeterminant is not None:
-        lines.append(f"det: {report.hyperdeterminant}")
-    if report.three_tangle is not None:
-        lines.append(f"tau3: {report.three_tangle:.12g}")
-    if report.susy_fraction is not None:
-        lines.append(f"susy: {SUSY_PHRASE[report.susy_fraction]}")
-    if report.size_class is not None:
-        lines.append(f"size: {report.size_class.lower()}")
-    lines.append(f"attractor: {'true' if report.attractor else 'false'}")
-    if report.brane_note is not None:
-        lines.append(f"brane: {report.brane_note}")
-    if report.entropy_display is not None:
-        lines.append(f"entropy: {report.entropy_display:.12g}")
-    return lines
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -229,7 +196,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         print("classification: skipped (symbolic amplitudes)")
     else:
         print("classification (final state):")
-        for line in _report_lines(report):
+        for line in report.lines():
             print(f"  {line}")
         print("transition (initial → final):")
         for key, value in transition.items():
@@ -247,7 +214,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.json:
         _print_json(report.to_json())
     else:
-        for line in _report_lines(report):
+        for line in report.lines():
             print(line)
     return 0
 
@@ -260,7 +227,7 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
     n_match, n_scalar, n_mismatch = counts.values()
     if args.json:
         _print_json({
-            "claims": [_claim_json(r, with_states=True) for r in records],
+            "claims": [r.to_json(with_states=True) for r in records],
             "summary": {"total": len(records), "match": n_match,
                         "match_up_to_scalar": n_scalar, "mismatch": n_mismatch},
         })

@@ -433,4 +433,4 @@ def parse_circuit(text: str) -> Circuit:
         state = Ket.basis("0" * n_qubits)
     # every part is checked above: the state, each expect and the labels for
     # their width, each apply and project line by check_instruction
-    return Circuit._checked(n_qubits, state, tuple(instructions), labels)
+    return Circuit._checked(state, tuple(instructions), labels)

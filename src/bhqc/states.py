@@ -47,6 +47,8 @@ def check_targets(targets: Sequence[int], n_qubits: int, count: int,
     if len(targets) != count:
         raise OperandError(count_error())
     for k, t in enumerate(targets):
+        if type(t) is not int:  # a float or a bool would pass the range test
+            raise OperandError(f"target qubit {t!r} is not an int", k)
         if not 0 <= t < n_qubits:
             raise OperandError(f"target qubit {t} out of range", k)
         if t in targets[:k]:

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bhqc.circuit import (MATCH, MATCH_UP_TO_SCALAR, MISMATCH, ApplyGate,
-                          Circuit, Expect, Project, compare_kets,
-                          instruction_text, run)
+                          Circuit, Expect, Project, check_instruction,
+                          compare_kets, instruction_text, run)
 from bhqc.claims import CLAIMS
 from bhqc.dsl import parse_circuit
 from bhqc.operators import GATES
@@ -19,17 +19,20 @@ from _shipped import CIRCUITS, shipped
 
 
 def _two_qubit(*instructions):
-    return lambda: Circuit(2, Ket.basis("00"), instructions)
+    return lambda: Circuit(Ket.basis("00"), instructions)
 
 
-# every fault of an instruction, which ``run`` trusts the constructor to catch
+# every fault a circuit can be built with, which ``run`` trusts the constructor to catch
 _VALIDATION_ERRORS = [
-    ("needs 2 targets", lambda: Circuit(1, Ket.basis("0"), (ApplyGate("CNOT", (0,)),))),
+    ("needs 2 targets", lambda: Circuit(Ket.basis("0"), (ApplyGate("CNOT", (0,)),))),
     ("out of range", _two_qubit(ApplyGate("STAR", (5,)))),
     ("target qubit -1 out of range", _two_qubit(ApplyGate("STAR", (-1,)))),
     ("duplicate target qubit 1", _two_qubit(ApplyGate("CNOT", (1, 1)))),
-    ("unknown gate", lambda: Circuit(1, Ket.basis("0"), (ApplyGate("LX", (0,)),))),
-    ("wrong qubit count", lambda: Circuit(2, Ket.basis("0"))),
+    ("unknown gate", lambda: Circuit(Ket.basis("0"), (ApplyGate("LX", (0,)),))),
+    ("target qubit 0.0 is not an int", _two_qubit(ApplyGate("CNOT", (0.0, 1)))),
+    ("target qubit '0' is not an int", _two_qubit(ApplyGate("STAR", ("0",)))),
+    ("target qubit True is not an int", _two_qubit(Project("1", (True,)))),
+    ("label count must match qubit count", lambda: Circuit(Ket.basis("00"), (), ["a"])),
     ("projection bits must be 0/1", _two_qubit(Project("", ()))),
     ("bits must be 0/1", _two_qubit(Project("2", (0,)))),
     ("expected 2 targets for 2 projection bits", _two_qubit(Project("00", (0,)))),
@@ -81,14 +84,14 @@ class TestCompareKets:
 
 class TestExecutor:
     def test_empty_instruction_list(self):
-        result = run(Circuit(2, Ket.basis("00")))
+        result = run(Circuit(Ket.basis("00")))
         assert len(result.steps) == 1
         assert result.final_state == Ket.basis("00")
 
     def test_steps_are_instruction_state_pairs(self):
         gate, project = ApplyGate("HPLUS", (0,)), Project("1", (1,))
         initial = Ket(2, {"00": 1, "01": 1})
-        result = run(Circuit(2, initial, (gate, Expect(initial), project)))
+        result = run(Circuit(initial, (gate, Expect(initial), project)))
         assert result.steps == [(None, initial),
                                 (gate, Ket(2, {"00": 1, "10": 1, "01": 1, "11": 1})),
                                 (project, Ket(2, {"01": 1, "11": 1}))]
@@ -97,7 +100,7 @@ class TestExecutor:
         assert result.final_state is result.steps[-1][1]
 
     def test_bell_b1_sequence(self):
-        circuit = Circuit(2, Ket.basis("00"), (
+        circuit = Circuit(Ket.basis("00"), (
             ApplyGate("LL1", (0, 1)), ApplyGate("STAR", (0,)), ApplyGate("STAR", (1,))))
         assert run(circuit).final_state == Ket(2, {"01": 1, "10": 1})
 
@@ -118,7 +121,7 @@ class TestExecutor:
         assert run(c).final_state.terms["0"] is initial
 
     def test_expect_records_without_advancing(self):
-        circuit = Circuit(1, Ket.basis("0"), (
+        circuit = Circuit(Ket.basis("0"), (
             Expect(Ket.basis("0")),
             ApplyGate("L4", (0,)),
             Expect(Ket.basis("0")),
@@ -129,7 +132,7 @@ class TestExecutor:
         assert result.claims[0].claim_id == "expect-1"
 
     def test_expect_names_its_record_or_gets_a_numbered_name(self):
-        circuit = Circuit(1, Ket.basis("0"), (
+        circuit = Circuit(Ket.basis("0"), (
             ApplyGate("L4", (0,)),
             Expect(Ket.basis("1"), claim_id="flip", location="Eq.(1)"),
             Expect(Ket.basis("1")),
@@ -145,7 +148,7 @@ class TestExecutor:
             assert expects[0].claim_id and expects[0].location
 
     def test_projection_is_post_selection_without_renormalization(self):
-        circuit = Circuit(2, Ket(2, {"00": 2, "11": 2}), (Project("0", (0,)),))
+        circuit = Circuit(Ket(2, {"00": 2, "11": 2}), (Project("0", (0,)),))
         assert run(circuit).final_state == Ket(2, {"00": 2})
 
     def test_ghz_controls_agree(self):
@@ -175,9 +178,9 @@ class TestExecutor:
                  ApplyGate("STAR", (1,)), ApplyGate("CNOT", (1, 0)))
         x, y = Ket.basis("00"), Ket.basis("11")
         combo = amp("alpha") * x + amp("beta") * y
-        run_x = run(Circuit(2, x, gates)).final_state
-        run_y = run(Circuit(2, y, gates)).final_state
-        run_combo = run(Circuit(2, combo, gates)).final_state
+        run_x = run(Circuit(x, gates)).final_state
+        run_y = run(Circuit(y, gates)).final_state
+        run_combo = run(Circuit(combo, gates)).final_state
         assert run_combo == amp("alpha") * run_x + amp("beta") * run_y
 
     def test_deterministic_traces(self):
@@ -189,13 +192,11 @@ class TestExecutor:
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="needs 2 targets"):
-            run(Circuit(1, Ket.basis("0"), (ApplyGate("CNOT", (0,)),)))
+            run(Circuit(Ket.basis("0"), (ApplyGate("CNOT", (0,)),)))
         with pytest.raises(ValueError, match="out of range"):
-            run(Circuit(2, Ket.basis("00"), (ApplyGate("STAR", (5,)),)))
+            run(Circuit(Ket.basis("00"), (ApplyGate("STAR", (5,)),)))
         with pytest.raises(ValueError, match="unknown gate"):
-            run(Circuit(1, Ket.basis("0"), (ApplyGate("LX", (0,)),)))
-        with pytest.raises(ValueError, match="wrong qubit count"):
-            run(Circuit(2, Ket.basis("0")))
+            run(Circuit(Ket.basis("0"), (ApplyGate("LX", (0,)),)))
 
     @pytest.mark.parametrize("match, build", _VALIDATION_ERRORS,
                              ids=[m for m, _ in _VALIDATION_ERRORS])
@@ -203,12 +204,23 @@ class TestExecutor:
         with pytest.raises(ValueError, match=match):
             build()
 
+    def test_only_an_instruction_is_checked(self):
+        with pytest.raises(TypeError, match="not an instruction"):
+            check_instruction("apply STAR 0", 1)
+
+    def test_a_circuit_keeps_its_own_labels(self):
+        labels = ["a", "b"]
+        circuit = Circuit(Ket.basis("00"), (), labels)
+        labels.append("c")
+        assert circuit.mode_labels == ("a", "b")
+        assert circuit == parse_circuit("qubits 2\nlabels a b")
+
     @pytest.mark.parametrize("targets", [(0, 1), (7,)])
     def test_a_checked_circuit_cannot_be_changed(self, targets):
         # run trusts what the constructor checked, so no record may change after it
         gate = ApplyGate("STAR", [0])
         project, expect = Project("0", [1]), Expect(Ket.basis("00"))
-        circuit = Circuit(2, Ket.basis("00"), [gate, project, expect])
+        circuit = Circuit(Ket.basis("00"), [gate, project, expect])
         assert gate.targets == (0,) and project.targets == (1,)
         with pytest.raises(AttributeError):
             gate.targets = targets
@@ -276,7 +288,7 @@ def _scalar_words(draw):
 @given(_scalar_words())
 def test_symbol_free_kets_stay_gaussian_rationals(case):
     state, word = case
-    result = run(Circuit(state.n_qubits, state, word))
+    result = run(Circuit(state, word))
     for _, step_state in result.steps:
         assert all(type(a) is GaussianRational for a in step_state.terms.values())
     assert vector(result.final_state) == run_exact(state, word)

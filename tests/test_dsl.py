@@ -401,7 +401,7 @@ class TestCircuitParsing:
     def test_bell_example(self):
         text = "qubits 2\nstate |00>\napply LL1 0 1\napply STAR 0\napply STAR 1\n"
         circuit = parse_circuit(text)
-        assert circuit == Circuit(2, Ket.basis("00"), (
+        assert circuit == Circuit(Ket.basis("00"), (
             ApplyGate("LL1", (0, 1)), ApplyGate("STAR", (0,)), ApplyGate("STAR", (1,))))
 
     def test_comments_and_blank_lines(self):
@@ -551,6 +551,21 @@ class TestCircuitParsing:
                      id="qubits 1\nstate (3/\uff14)|0>\n-where40"),
         pytest.param("qubits 1\nsymbols a\nexpect (a*i~)|0>\n", (3, 11, "'i' is reserved for the imaginary unit"),
                      id="qubits 1\nsymbols a\nexpect (a*i~)|0>\n-where41"),
+        pytest.param("qubits 2\nqubits 2", (2, 1, "duplicate 'qubits' directive"),
+                     id="duplicate-qubits"),
+        pytest.param("qubits 2\nsymbols", (2, 1, "usage: symbols name [name ...]"),
+                     id="symbols-without-names"),
+        pytest.param("qubits 2\nlabels a b\nlabels a b", (3, 1, "duplicate 'labels' directive"),
+                     id="duplicate-labels"),
+        pytest.param("qubits 2\napply STAR 0\nstate |00>",
+                     (3, 1, "'state' must come before instructions"), id="state-after-apply"),
+        pytest.param("qubits 2\napply", (2, 1, "usage: apply GATE q [q ...]"),
+                     id="apply-without-gate"),
+        pytest.param("qubits 2\nproject 0", (2, 1, "usage: project BITS q [q ...]"),
+                     id="project-without-targets"),
+        # past the interpreter's int digit limit, a digit run is still no count
+        pytest.param("qubits " + "9" * 5000, (1, 8, "qubit count must be an integer"),
+                     id="qubit-count-past-the-digit-limit"),
     ])
     def test_exact_error_positions(self, text, where):
         # (line, col, message) of each single-fault input, as the parser has

@@ -240,6 +240,8 @@ class TestEmbedAndApply:
             apply(CNOT, state, [1, 1])
         with pytest.raises(ValueError, match="out of range"):
             apply(STAR, state, [3])
+        with pytest.raises(ValueError, match="target qubit 0.0 is not an int"):
+            apply(CNOT, Ket.basis("10"), [0.0, 1.0])
 
     def test_apply_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -299,6 +301,16 @@ class TestActionTables:
     def test_bad_tables_are_rejected(self, columns, match):
         with pytest.raises(ValueError, match=match):
             Operator(1, columns)
+
+    def test_arity_errors(self):
+        with pytest.raises(ValueError, match="arity must be between 1 and 6"):
+            Operator(7)
+        with pytest.raises(ValueError, match="operator arity mismatch"):
+            STAR + CNOT
+        with pytest.raises(ValueError, match="operator arity mismatch"):
+            STAR @ CNOT
+        with pytest.raises(ValueError, match="tensor product exceeds 6 qubits"):
+            CNOT.tensor(CNOT).tensor(CNOT).tensor(STAR)
 
 
 class TestRegistry:

@@ -71,6 +71,8 @@ class TestSymbolicAmplitude:
         assert amp(5) == GaussianRational(5)
         assert type(amp("alpha")) is SymbolicAmplitude
         assert amp("alpha") != amp(1) and amp(1) != amp("alpha")
+        with pytest.raises(TypeError, match="cannot coerce 1.5"):
+            amp(1.5)
         for args in ((), ({("alpha",): ONE},)):
             with pytest.raises(TypeError, match="no public constructor"):
                 SymbolicAmplitude(*args)  # values come from amp and arithmetic

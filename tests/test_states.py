@@ -99,6 +99,8 @@ class TestProjection:
             k.project([0, 0], "00")
         with pytest.raises(ValueError, match="bits"):
             k.project([0, 1], "0")
+        with pytest.raises(ValueError, match="target qubit 1.0 is not an int"):
+            Ket.basis("01").project([1.0], "1")
 
 
 class TestAlgebraAndRendering:
@@ -106,6 +108,10 @@ class TestAlgebraAndRendering:
         k = Ket.basis("01") + Ket.basis("10")
         assert 2 * k == Ket(2, {"01": 2, "10": 2})
         assert (k - k).is_zero
+
+    def test_kets_of_different_widths_do_not_add(self):
+        with pytest.raises(ValueError, match="different qubit counts"):
+            Ket.basis("0") + Ket.basis("00")
 
     def test_operations_keep_scalar_amplitudes(self):
         x = Ket(2, {"00": 1, "01": Fraction(1, 2), "11": GaussianRational(1, 1)})
