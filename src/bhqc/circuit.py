@@ -15,7 +15,7 @@ from typing import Union
 
 from .operators import GATES, act
 from .scalars import GaussianRational
-from .states import Ket, OperandError, check_projection, check_targets
+from .states import Ket, OperandError, check_projection, check_targets, check_type
 
 MATCH = "MATCH"
 MATCH_UP_TO_SCALAR = "MATCH_UP_TO_SCALAR"
@@ -86,7 +86,7 @@ Instruction = Union[ApplyGate, Project, Expect]
 def check_instruction(ins: Instruction, n_qubits: int) -> None:
     """Raise OperandError (a ValueError) for a bad gate, projection or target."""
     if isinstance(ins, ApplyGate):
-        op = GATES.get(ins.gate)
+        op = GATES.get(ins.gate) if type(ins.gate) is str else None
         if op is None:
             raise OperandError(f"unknown gate '{ins.gate}'")
         check_targets(ins.targets, n_qubits, op.arity,
@@ -94,6 +94,7 @@ def check_instruction(ins: Instruction, n_qubits: int) -> None:
     elif isinstance(ins, Project):
         check_projection(ins.bits, ins.targets, n_qubits)
     elif isinstance(ins, Expect):
+        check_type(ins.expected, Ket, "expected state", ValueError)
         if ins.expected.n_qubits != n_qubits:
             raise ValueError("expected state has the wrong qubit count")
     else:
@@ -119,11 +120,14 @@ class Circuit(_Record):
 
     def __init__(self, initial_state: Ket, instructions: tuple[Instruction, ...] = (),
                  mode_labels: tuple[str, ...] | None = None) -> None:
+        check_type(initial_state, Ket, "initial state", ValueError)
         n_qubits = initial_state.n_qubits
         if mode_labels is not None:
             mode_labels = tuple(mode_labels)
             if len(mode_labels) != n_qubits:
                 raise ValueError("label count must match qubit count")
+            for label in mode_labels:
+                check_type(label, str, "mode label", ValueError)
         instructions = tuple(instructions)
         for ins in instructions:
             check_instruction(ins, n_qubits)

@@ -7,13 +7,13 @@ SEPARABLE, or ENTANGLED.  Everything except the display values (3-tangle,
 entropy) is exact rational arithmetic; the entropy is a Decimal when it is
 too large for a float.
 
-The classifier works on the state scaled by the lcm of its denominators, a
-vector of Gaussian integers: flattening ranks do not change under
-rescaling, and the hyperdeterminant is homogeneous of degree 4, so the
-state's Det is the scaled one over ``scale**4``.  The kernel holds that
-vector as two int lists, real and imaginary parts, and writes each complex
-product out on ints, so it builds no scalar object and takes no gcd; only
-the reported Det becomes a ``GaussianRational``.
+The classifier works on the state scaled by the lcm of its denominators: one
+list of Gaussian integers as ``(re, im)`` int pairs, since ranks do not change
+under rescaling and Det, of degree 4, is the scaled one over ``scale**4``.
+Each party cuts it into two 2x2 slices M0, M1, the rows of its flattening, and
+Det is the discriminant B^2 - 4AC of det(s*M0 + t*M1) = A s^2 + B st + C t^2,
+the same along every party (Miyake 2003).  Each complex product is written out
+on ints, so no scalar is built and no gcd taken until the reported Det.
 """
 
 from __future__ import annotations
@@ -52,68 +52,50 @@ SUSY_PHRASE = {
     "1/8-or-broken": "1/8 preserved or completely broken",
 }
 
-def _scalar_amplitudes(state: Ket) -> tuple[list[int], list[int], int]:
+def _scalar_amplitudes(state: Ket) -> tuple[list[tuple[int, int]], int]:
     """The amplitude vector times ``scale``, the lcm of its denominators, as
-    the int lists ``re`` and ``im`` of its parts, and ``scale``."""
+    ``(re, im)`` int pairs, and ``scale``."""
     if state.has_symbols:
         raise ValueError("symbolic amplitudes are not classifiable")
     scale = math.lcm(*(z._d for z in state.terms.values()))
-    re, im = [0] * (1 << state.n_qubits), [0] * (1 << state.n_qubits)
+    a = [(0, 0)] * (1 << state.n_qubits)
     for bits, z in state.terms.items():
-        k, j = scale // z._d, int(bits, 2)
-        re[j], im[j] = z._a * k, z._b * k
-    return re, im, scale
-
-
-def _rank_2xm(re0: list[int], im0: list[int], re1: list[int], im1: list[int]) -> int:
-    """Exact rank of the 2 x m Gaussian-integer matrix with rows
-    ``re0 + i*im0`` and ``re1 + i*im1``."""
-    for j, (a, b) in enumerate(zip(re0, im0)):
-        if a or b:
-            break
-    else:
-        return 1 if any(re1) or any(im1) else 0
-    # rank 1 iff row1 is a multiple of row0: every minor through the pivot
-    # column j vanishes (left of j, where row0 is zero, that means row1 is)
-    if any(re1[:j]) or any(im1[:j]):
-        return 2
-    c, d = re1[j], im1[j]
-    # (a + bi)(y + y'i) == (c + di)(x + x'i), part by part
-    for x, xi, y, yi in zip(re0[j + 1:], im0[j + 1:], re1[j + 1:], im1[j + 1:]):
-        if a * y - b * yi != c * x - d * xi or a * yi + b * y != c * xi + d * x:
-            return 2
-    return 1
-
-
-def _ranks(re: list[int], im: list[int]) -> tuple[int, int, int]:
-    # the flattening along A takes halves, along B pairs of quarters, along C parity
-    return (_rank_2xm(re[:4], im[:4], re[4:], im[4:]),
-            _rank_2xm(re[:2] + re[4:6], im[:2] + im[4:6], re[2:4] + re[6:], im[2:4] + im[6:]),
-            _rank_2xm(re[::2], im[::2], re[1::2], im[1::2]))
+        k = scale // z._d
+        a[int(bits, 2)] = z._a * k, z._b * k
+    return a, scale
 
 
 def _mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def _hyperdet(re: list[int], im: list[int]) -> tuple[int, int]:
-    """Cayley's hyperdeterminant of ``re + i*im``, as its two parts.
+def _slices(a: list[tuple[int, int]]) -> tuple[tuple[list, list], ...]:
+    """``(m0, m1)`` for each party A, B, C (halves, pairs of quarters, parity):
+    the rows of its flattening, and also its two 2x2 slices in row-major order."""
+    return (a[:4], a[4:]), (a[:2] + a[4:6], a[2:4] + a[6:]), (a[::2], a[1::2])
 
-    With p, q, r, s = a000 a111, a001 a110, a010 a101, a100 a011 it is
-    p^2 + q^2 + r^2 + s^2 - 2(pq + pr + ps + qr + qs + rs)
-    + 4(a000 a011 a101 a110 + a001 a010 a100 a111), and the first two sums
-    are (p - q)^2 + (r - s)^2 - 2(p + q)(r + s).
-    """
-    a = list(zip(re, im))
-    p, q, r, s = (_mul(a[k], a[7 - k]) for k in range(4))
-    p_q = p[0] - q[0], p[1] - q[1]
-    r_s = r[0] - s[0], r[1] - s[1]
-    cross = _mul((p[0] + q[0], p[1] + q[1]), (r[0] + s[0], r[1] + s[1]))
-    quads = (_mul(_mul(a[0], a[3]), _mul(a[5], a[6])),
-             _mul(_mul(a[1], a[2]), _mul(a[4], a[7])))
-    sq_pq, sq_rs = _mul(p_q, p_q), _mul(r_s, r_s)
-    return (sq_pq[0] + sq_rs[0] - 2 * cross[0] + 4 * (quads[0][0] + quads[1][0]),
-            sq_pq[1] + sq_rs[1] - 2 * cross[1] + 4 * (quads[0][1] + quads[1][1]))
+
+def _rank_2xm(u: list[tuple[int, int]], v: list[tuple[int, int]]) -> int:
+    """Exact rank of the 2 x m Gaussian-integer matrix with rows u and v."""
+    j = next((j for j, x in enumerate(u) if x != (0, 0)), None)
+    if j is None:
+        return 1 if any(y != (0, 0) for y in v) else 0
+    # rank 1 iff every minor through the pivot column j vanishes (left of j: v is 0)
+    x, y = u[j], v[j]
+    return 1 if all(_mul(x, w) == _mul(y, z) for z, w in zip(u, v)) else 2
+
+
+def _det2(m: list[tuple[int, int]]) -> tuple[int, int]:
+    p, q = _mul(m[0], m[3]), _mul(m[1], m[2])
+    return p[0] - q[0], p[1] - q[1]
+
+
+def _pencil(m0: list[tuple[int, int]], m1: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """``(A, B, C)`` with det(s*M0 + t*M1) = A s^2 + B st + C t^2: A = det M0,
+    C = det M1, and B from det(M0 + M1) = A + B + C."""
+    a, c = _det2(m0), _det2(m1)
+    s = _det2([(x + y, xi + yi) for (x, xi), (y, yi) in zip(m0, m1)])
+    return a, (s[0] - a[0] - c[0], s[1] - a[1] - c[1]), c
 
 
 class EntanglementReport:
@@ -194,15 +176,13 @@ def classify(state: Ket) -> EntanglementReport:
     n = state.n_qubits
     if n not in (2, 3):
         raise ValueError("classification covers 2- and 3-qubit states only")
-    re, im, scale = _scalar_amplitudes(state)
-    if n == 2:
-        return _classify_two(re, im)
-    return _classify_three(re, im, scale)
+    a, scale = _scalar_amplitudes(state)
+    return _classify_two(a) if n == 2 else _classify_three(a, scale)
 
 
-def _classify_two(re: list[int], im: list[int]) -> EntanglementReport:
+def _classify_two(a: list[tuple[int, int]]) -> EntanglementReport:
     # a 2x2 matrix has rank 2 exactly when its determinant is nonzero
-    rank = _rank_2xm(re[:2], im[:2], re[2:], im[2:])
+    rank = _rank_2xm(a[:2], a[2:])
     slocc = ("NULL", "SEPARABLE", "ENTANGLED")[rank]
     return EntanglementReport(
         flattening_ranks=(rank, rank), slocc_class=slocc,
@@ -210,9 +190,13 @@ def _classify_two(re: list[int], im: list[int]) -> EntanglementReport:
         three_tangle=None, entropy_display=None)
 
 
-def _classify_three(re: list[int], im: list[int], scale: int) -> EntanglementReport:
-    ranks = _ranks(re, im)
-    dr, di = _hyperdet(re, im)  # of the scaled state, a Gaussian integer
+def _classify_three(a: list[tuple[int, int]], scale: int) -> EntanglementReport:
+    slices = _slices(a)
+    ranks = tuple(_rank_2xm(m0, m1) for m0, m1 in slices)
+    # Det of the scaled state, a Gaussian integer, from A's pencil
+    A, B, C = _pencil(*slices[0])
+    b2, ac = _mul(B, B), _mul(A, C)
+    dr, di = b2[0] - 4 * ac[0], b2[1] - 4 * ac[1]
     abs_sq = dr * dr + di * di
     party = None
     if ranks == (0, 0, 0):
@@ -229,7 +213,7 @@ def _classify_three(re: list[int], im: list[int], scale: int) -> EntanglementRep
     # the squared normalized 3-tangle 16|Det|^2 / <x|x>^4, invariant under
     # rescaling, and its display value tau3 = 4|Det| of the normalized state
     tangle_exact = tangle = None
-    norm_sq = sum(x * x for x in re) + sum(y * y for y in im)  # <x|x> of the scaled state
+    norm_sq = sum(x * x + y * y for x, y in a)  # <x|x> of the scaled state
     if norm_sq:
         tangle_exact = Fraction(16 * abs_sq, norm_sq ** 4)
         tangle = _display_root(tangle_exact, 2)

@@ -26,7 +26,7 @@ from itertools import product
 from typing import Mapping, Sequence
 
 from .scalars import MINUS_ONE, ONE, Amplitude, GaussianRational
-from .states import MAX_QUBITS, Ket, check_bits, check_targets
+from .states import MAX_QUBITS, Ket, check_bits, check_targets, check_type
 
 # one move of a basis term: (output bitstring, entry value, entry sign)
 _Move = tuple[str, GaussianRational, int]
@@ -49,14 +49,15 @@ class Operator:
     __slots__ = ("arity", "columns", "_moves")
 
     def __init__(self, arity: int, columns: Mapping[str, Ket] | None = None) -> None:
+        check_type(arity, int, "arity")
         if not 1 <= arity <= MAX_QUBITS:
             raise ValueError(f"operator arity must be between 1 and {MAX_QUBITS}")
         self.arity = arity
         self.columns: dict[str, Ket] = {}
         self._moves: dict[tuple[int, ...], dict[str, tuple[_Move, ...]]] = {}
-        for c, image in (columns or {}).items():
+        for c, image in dict(columns or {}).items():
             check_bits(c, arity)
-            if image.n_qubits != arity:
+            if type(image) is not Ket or image.n_qubits != arity:
                 raise ValueError(f"the image of |{c}> must be a {arity}-qubit ket")
             if image.has_symbols:
                 raise ValueError(f"the image of |{c}> contains formal symbols")

@@ -22,7 +22,14 @@ from .scalars import Amplitude, amp, join_terms, scaled_str
 MAX_QUBITS = 6
 
 
+def check_type(value: object, kind: type, name: str, error: type = TypeError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is exactly a ``kind``: a bool is no int."""
+    if type(value) is not kind:
+        raise error(f"{name} must be {kind.__name__}, not {type(value).__name__}")
+
+
 def check_bits(bits: str, n: int) -> None:
+    check_type(bits, str, "bitstring")
     if len(bits) != n or any(c not in "01" for c in bits):
         raise ValueError(f"bitstring {bits!r} must be {n} characters over {{0,1}}")
 
@@ -57,7 +64,7 @@ def check_targets(targets: Sequence[int], n_qubits: int, count: int,
 
 def check_projection(bits: str, targets: Sequence[int], n_qubits: int) -> None:
     """Nonempty 0/1 ``bits``, one for each of ``targets``."""
-    if not bits or any(c not in "01" for c in bits):
+    if type(bits) is not str or not bits or any(c not in "01" for c in bits):
         raise OperandError("projection bits must be 0/1")
     check_targets(targets, n_qubits, len(bits),
                   lambda: f"expected {len(bits)} targets for {len(bits)} projection bits")
@@ -72,10 +79,11 @@ class Ket:
     __slots__ = ("n_qubits", "terms", "_text")
 
     def __init__(self, n_qubits: int, terms: Mapping[str, object] | None = None) -> None:
+        check_type(n_qubits, int, "n_qubits")
         if not 1 <= n_qubits <= MAX_QUBITS:
             raise ValueError(f"qubit count must be between 1 and {MAX_QUBITS}, got {n_qubits}")
         canon: dict[str, Amplitude] = {}
-        for bits, value in (terms or {}).items():
+        for bits, value in dict(terms or {}).items():
             check_bits(bits, n_qubits)
             a = amp(value)
             if a:
@@ -102,6 +110,7 @@ class Ket:
 
     @classmethod
     def basis(cls, bits: str) -> Ket:
+        check_type(bits, str, "bits")
         return cls(len(bits), {bits: 1})
 
     @property

@@ -2,7 +2,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bhqc.circuit import (MATCH, MATCH_UP_TO_SCALAR, MISMATCH, ApplyGate,
@@ -10,7 +10,7 @@ from bhqc.circuit import (MATCH, MATCH_UP_TO_SCALAR, MISMATCH, ApplyGate,
                           compare_kets, instruction_text, run)
 from bhqc.claims import CLAIMS
 from bhqc.dsl import parse_circuit
-from bhqc.operators import GATES
+from bhqc.operators import GATES, Operator
 from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
 
@@ -40,6 +40,18 @@ _VALIDATION_ERRORS = [
     ("duplicate target qubit 0", _two_qubit(Project("00", (0, 0)))),
     ("expected state has the wrong qubit count", _two_qubit(Expect(Ket.basis("0")))),
     ("expected state has the wrong qubit count", _two_qubit(Expect(Ket.basis("000")))),
+    # a part of the wrong type; the messages repeat, so each row names its id
+    pytest.param("initial state must be Ket", lambda: Circuit("|0>"), id="initial state str"),
+    pytest.param("expected state must be Ket", lambda: Circuit(Ket.basis("0"), (Expect("|0>"),)),
+                 id="expected state str"),
+    pytest.param("projection bits must be 0/1", _two_qubit(Project(1, (0,))), id="bits int"),
+    pytest.param("projection bits must be 0/1", _two_qubit(Project(b"0", (0,))), id="bits bytes"),
+    pytest.param("projection bits must be 0/1", _two_qubit(Project(["0"], (0,))), id="bits list"),
+    pytest.param("unknown gate", _two_qubit(ApplyGate(["STAR"], (0,))), id="gate list"),
+    pytest.param("mode label must be str, not int", lambda: Circuit(Ket.basis("00"), (), [1, 2]),
+                 id="labels int"),
+    pytest.param("mode label must be str, not NoneType", lambda: Circuit(Ket.basis("0"), (), [None]),
+                 id="labels None"),
 ]
 
 
@@ -199,7 +211,7 @@ class TestExecutor:
             run(Circuit(Ket.basis("0"), (ApplyGate("LX", (0,)),)))
 
     @pytest.mark.parametrize("match, build", _VALIDATION_ERRORS,
-                             ids=[m for m, _ in _VALIDATION_ERRORS])
+                             ids=[getattr(row, "id", row[0]) for row in _VALIDATION_ERRORS])
     def test_circuits_are_checked_when_built(self, match, build):
         with pytest.raises(ValueError, match=match):
             build()
@@ -231,6 +243,64 @@ class TestExecutor:
             with pytest.raises(AttributeError):
                 delattr(record, name)
         assert run(circuit).final_state == Ket(2, {"00": -1})
+
+
+# values of the wrong type for any part of a ket, an operator or a circuit
+_WRONG = (st.none() | st.floats() | st.binary(max_size=2) | st.text("01i", max_size=3)
+          | st.lists(st.sampled_from(["0", 0, None]), max_size=2)
+          | st.dictionaries(st.sampled_from(["0", "1", 0]), st.integers(-1, 1), max_size=2)
+          | st.booleans())
+_K2 = Ket.basis("00")
+_BUILDS = {
+    "Ket width": lambda w: Ket(w),
+    "Ket terms": lambda w: Ket(1, w),
+    "Ket bitstring": lambda w: Ket(2, {w: 1}),
+    "Ket amplitude": lambda w: Ket(1, {"0": w}),
+    "Ket.basis": lambda w: Ket.basis(w),
+    "Operator arity": lambda w: Operator(w),
+    "Operator columns": lambda w: Operator(1, w),
+    "Operator image": lambda w: Operator(1, {"0": w}),
+    "gate": lambda w: Circuit(_K2, (ApplyGate(w, (0,)),)),
+    "gate targets": lambda w: Circuit(_K2, (ApplyGate("STAR", w),)),
+    "projection bits": lambda w: Circuit(_K2, (Project(w, (0,)),)),
+    "projection targets": lambda w: Circuit(_K2, (Project("0", w),)),
+    "expected state": lambda w: Circuit(_K2, (Expect(w),)),
+    "initial state": lambda w: Circuit(w),
+    "instructions": lambda w: Circuit(_K2, w),
+    "mode labels": lambda w: Circuit(_K2, (), w),
+}
+
+
+def _well_typed(built):
+    """Every part of a built ket, operator or circuit has the type it is declared with."""
+    if isinstance(built, Operator):
+        return type(built.arity) is int and all(map(_well_typed, built.columns.values()))
+    if isinstance(built, Ket):
+        return type(built.n_qubits) is int and all(type(b) is str for b in built.terms)
+    parts = [type(built.initial_state) is Ket, *(type(x) is str for x in built.mode_labels or ())]
+    for ins in built.instructions:
+        parts.append(type(ins.gate) is str if isinstance(ins, ApplyGate)
+                     else type(ins.bits) is str if isinstance(ins, Project)
+                     else type(ins.expected) is Ket)
+    return all(parts)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(_BUILDS)), _WRONG)
+@example("Ket width", 2.0)
+@example("Ket width", True)
+@example("Operator arity", 1.0)
+@example("Ket bitstring", 0)
+@example("Ket.basis", 5)
+@example("projection bits", ["0"])
+@example("mode labels", [None, None])
+def test_a_part_of_the_wrong_type_raises_a_type_or_value_error(part, value):
+    # either the constructor refuses the value, or what it builds is well typed
+    try:
+        built = _BUILDS[part](value)
+    except (TypeError, ValueError):
+        return
+    assert _well_typed(built)
 
 
 def _records_and_states(circuit):

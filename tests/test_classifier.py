@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bhqc.classifier import COSET_CHAIN, _entropy, _rank_2xm, classify, transition_report
+from bhqc.classifier import (COSET_CHAIN, _entropy, _pencil, _rank_2xm, _scalar_amplitudes,
+                             _slices, classify, transition_report)
 from bhqc.operators import GATES, Operator, apply
 from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
@@ -268,10 +269,10 @@ def _pairwise_rank(row0, row1):
 
 
 def _int_rows(*rows):
-    """Each row's real and imaginary parts as int lists, all scaled by the
-    lcm of the denominators, which keeps the rank."""
+    """Each row as ``(re, im)`` int pairs, all scaled by the lcm of the
+    denominators, which keeps the rank."""
     scale = math.lcm(*(x.denominator for row in rows for z in row for x in (z.re, z.im)))
-    return [[int(getattr(z, part) * scale) for z in row] for row in rows for part in ("re", "im")]
+    return [[(int(z.re * scale), int(z.im * scale)) for z in row] for row in rows]
 
 
 _q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -325,6 +326,10 @@ def _vectors(n):
           _Z, _Z, _Z, _Z])  # A-BC
 @example([GaussianRational(Fraction(1, 6)), GaussianRational(0, Fraction(1, 3)),
           GaussianRational(0, Fraction(-1, 3)), GaussianRational(Fraction(2, 3))])  # separable
+@example([_Z, _Z, _Z, _Z, GaussianRational(Fraction(1, 2)), _Z, _Z,
+          GaussianRational(0, Fraction(1, 3))])  # A's slice M0 is zero
+@example([GaussianRational(Fraction(2, 3), 1), _Z, _Z, _Z, _Z, _Z, _Z,
+          GaussianRational(Fraction(2, 3), 1)])  # GHZ: both slices singular, Det is B^2
 def test_classify_on_non_unit_denominators(vec):
     n = len(vec).bit_length() - 1
     state = ket_from_vec(vec, n)
@@ -336,6 +341,11 @@ def test_classify_on_non_unit_denominators(vec):
     det = report.hyperdeterminant
     want = _cayley_det([Q(z.re, z.im) for z in vec])
     assert Q(det.re, det.im) == want
+    # the scaled state's Det is the discriminant of each party's pencil
+    a, scale = _scalar_amplitudes(state)
+    for m0, m1 in _slices(a):
+        A, B, C = (Q(*x) for x in _pencil(m0, m1))
+        assert B * B - 4 * A * C == want * scale ** 4
     norm = sum(z.re ** 2 + z.im ** 2 for z in vec)  # <x|x> of the unscaled state
     if norm:
         assert report.three_tangle_exact == 16 * (want.re ** 2 + want.im ** 2) / norm ** 4

@@ -297,6 +297,7 @@ class TestActionTables:
         ({"00": Ket.basis("00")}, "bitstring '00'"),
         ({"0": Ket.basis("00")}, "1-qubit ket"),
         ({"0": amp("alpha") * K0}, "formal symbols"),
+        ({"0": "|0>"}, "1-qubit ket"),
     ])
     def test_bad_tables_are_rejected(self, columns, match):
         with pytest.raises(ValueError, match=match):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bhqc.dsl import parse_ket
+from bhqc.operators import Operator
 from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
 
@@ -27,6 +28,17 @@ class TestConstruction:
             Ket(2, {"0": 1})
         with pytest.raises(ValueError, match="bitstring"):
             Ket(1, {"2": 1})
+
+    @pytest.mark.parametrize("build, match", [
+        (lambda: Ket(2.0, {}), "n_qubits must be int, not float"),
+        (lambda: Ket(True, {}), "n_qubits must be int, not bool"),
+        (lambda: Ket(2, {0: 1}), "bitstring must be str, not int"),
+        (lambda: Ket.basis(5), "bits must be str, not int"),
+        (lambda: Operator(1.0), "arity must be int, not float"),
+    ], ids=["width float", "width bool", "bitstring int", "basis int", "arity float"])
+    def test_a_wrongly_typed_width_or_bitstring_is_named(self, build, match):
+        with pytest.raises(TypeError, match=match):
+            build()
 
     def test_qubit_count_bounds(self):
         with pytest.raises(ValueError, match="between 1 and 6"):
