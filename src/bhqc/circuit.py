@@ -95,6 +95,9 @@ def check_instruction(ins: Instruction, n_qubits: int) -> None:
         check_projection(ins.bits, ins.targets, n_qubits)
     elif isinstance(ins, Expect):
         check_type(ins.expected, Ket, "expected state", ValueError)
+        for value, name in ((ins.claim_id, "claim id"), (ins.location, "location")):
+            if value is not None:
+                check_type(value, str, name, ValueError)
         if ins.expected.n_qubits != n_qubits:
             raise ValueError("expected state has the wrong qubit count")
     else:

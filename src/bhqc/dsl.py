@@ -70,6 +70,12 @@ _IMAG = _re.compile(r"i(?![\w~])")
 # a number literal: an unsigned integer or ``p/q`` (group 1: numerator 2,
 # denominator 3), then an optional ``i`` suffix (group 4)
 _LITERAL = _re.compile(r"(([0-9]+)(?:/([0-9]*))?)(" + _IMAG.pattern + ")?")
+# a scalar as GaussianRational.__str__ writes one with a nonzero real part,
+# with no blanks and no word character after it: (p/q), or ((p/q)+(r/s)i)
+# when group 1 holds the inner "("; numerators p (group 2) and r (group 4)
+# may be negative, and each denominator (groups 3 and 5) may be left out
+_SCALAR = _re.compile(r"\((\()?(-?[0-9]+)(?:/([0-9]+))?"
+                      r"(?(1)\)\+\((-?[0-9]+)(?:/([0-9]+))?\)i)\)(?!\w)")
 
 
 class _Expr:
@@ -83,7 +89,10 @@ class _Expr:
 
     An amplitude is a ``SymbolicAmplitude`` while a symbol remains in it and
     a ``GaussianRational`` otherwise, so symbol-free input pays for no
-    polynomial arithmetic.
+    polynomial arithmetic.  A parenthesised scalar in the form ``str``
+    renders, such as ``(3/4)`` or ``((1/2)+(-3)i)``, is read with one
+    ``_SCALAR`` match and one gcd; every other text, and every error, goes
+    through the general grammar.
     """
 
     def __init__(self, src: str, line: int, col_base: int,
@@ -286,6 +295,18 @@ class _Expr:
     def _paren_amp(self) -> GaussianRational | SymbolicAmplitude:
         if self.depth == MAX_NESTING:
             self.err(f"parentheses nest at most {MAX_NESTING} deep")
+        m = _SCALAR.match(self.s, self.i)
+        # the complex form opens one more '(', which may pass the bound
+        if m is not None and (m.group(1) is None or self.depth < MAX_NESTING - 1):
+            _, p, q, r, s = m.groups()
+            try:
+                p, q, r, s = int(p), int(q or 1), int(r or 0), int(s or 1)
+            except ValueError:  # past int()'s length limit: the general path reports it
+                pass
+            else:
+                if q and s:  # a zero denominator is the general path's error too
+                    self._take(m.end())
+                    return _reduced(p * s, r * q, q * s)
         self.depth += 1
         self._take(self.i + 1)  # consume '('
         a = self.amplitude()

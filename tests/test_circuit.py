@@ -52,6 +52,12 @@ _VALIDATION_ERRORS = [
                  id="labels int"),
     pytest.param("mode label must be str, not NoneType", lambda: Circuit(Ket.basis("0"), (), [None]),
                  id="labels None"),
+    pytest.param("claim id must be str, not float",
+                 lambda: Circuit(Ket.basis("0"), (Expect(Ket.basis("0"), 1.5),)),
+                 id="claim id float"),
+    pytest.param("location must be str, not list",
+                 lambda: Circuit(Ket.basis("0"), (Expect(Ket.basis("0"), None, ["x"]),)),
+                 id="location list"),
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from fractions import Fraction
 from functools import reduce
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bhqc.circuit
+import bhqc.dsl
 from bhqc.circuit import ApplyGate, Circuit, Expect, Project
 from bhqc.dsl import (MAX_EXPONENT, MAX_NESTING, MAX_PRODUCT_TERMS, DslError, parse_circuit,
                       parse_ket)
@@ -47,6 +49,11 @@ class TestKetExpressions:
         ("|0> - |0>", Ket.zero(1)),
         pytest.param("(" * MAX_NESTING + "1" + ")" * MAX_NESTING + "|00>", Ket.basis("00"),
                      id="deepest-nesting"),
+        # a scalar read in one match opens two parentheses, as the grammar does
+        pytest.param("(" * (MAX_NESTING - 2) + "((1)+(2)i)" + ")" * (MAX_NESTING - 2) + "|0>",
+                     Ket(1, {"0": GaussianRational(1, 2)}), id="deepest-complex-scalar"),
+        pytest.param("((1)+(2)i)i|0>", Ket(1, {"0": GaussianRational(-2, 1)}),
+                     id="rotated-complex-scalar"),
     ])
     def test_parse(self, text, expected):
         assert parse_ket(text) == expected
@@ -117,6 +124,15 @@ class TestKetExpressions:
         pytest.param("(-3)ii|0>", (1, 5, "expected '|'"), id="(-3)ii|0>-where40"),
         pytest.param("(-" + "9" * 5000 + ")|0>", (1, 3, "invalid number"), id="-5000-nines"),
         pytest.param("(\t- 2/4 i )i|0>", (1, 9, "expected ')'"), id="(\t- 2/4 i )i|0>-where42"),
+        # scalars in the rendered form keep the general grammar's errors
+        pytest.param("(" * (MAX_NESTING - 1) + "((1)+(2)i)" + ")" * (MAX_NESTING - 1) + "|0>",
+                     (1, 101, "parentheses nest at most 100 deep"), id="too-deep-complex-scalar"),
+        pytest.param("((1/0)+(1)i)|0>", (1, 5, "denominator cannot be zero"),
+                     id="complex-scalar-zero-real-denominator"),
+        pytest.param("((1)+(1/0)i)|0>", (1, 9, "denominator cannot be zero"),
+                     id="complex-scalar-zero-imaginary-denominator"),
+        pytest.param("((1)+(" + "9" * 5000 + ")i)|0>", (1, 7, "invalid number"),
+                     id="complex-scalar-5000-nines"),
     ])
     def test_exact_error_positions(self, text, where):
         with pytest.raises(DslError) as excinfo:
@@ -190,15 +206,26 @@ class TestAmplitudeExpressions:
         # read term by term: sorted monomials and no stored zero
         assert vector(parse_ket(f"({text})|0>")) == [poly, {}]
 
-    def test_rendered_amplitudes_round_trip(self):
+    def test_rendered_amplitudes_round_trip(self, monkeypatch):
         values = [
             amp(GaussianRational(Fraction(1, 2), -3)),
             2 * amp("alpha") - amp("beta~"),
             amp("alpha") * amp("alpha") * amp("beta"),
             amp(GaussianRational(0, -2)) * amp("gamma"),
+            amp(GaussianRational(Fraction(-7, 3))),
+            amp(GaussianRational(5, Fraction(2, 9))),
         ]
         for value in values:
             assert amplitude_of(str(value)) == value
+
+        # a scalar with a nonzero real part is read in one match
+        def general_grammar(self):
+            raise AssertionError("read by the general grammar")
+
+        monkeypatch.setattr(bhqc.dsl._Expr, "amplitude", general_grammar)
+        for value in values:
+            if type(value) is GaussianRational and value.re:
+                assert amplitude_of(str(value)) == value
 
 
 # Amplitude trees: ("num", p, q, imag) for p, p/q, pi or p/qi; ("sym", name, k)
@@ -296,6 +323,45 @@ def test_a_number_atom_with_blanks_reads_as_its_value(negative, p, q, inner, out
     for _ in range(inner + outer):
         want = want * Q(0, 1)
     assert vector(parse_ket(text)) == [{(): want} if want else {}, {(): 1}], text
+
+
+def _read(text):
+    """``parse_ket(text)`` and its rendering, or the error's line, column and message."""
+    try:
+        ket = parse_ket(text)
+    except DslError as exc:
+        return exc.line, exc.col, exc.message
+    return ket, str(ket)
+
+
+_gaussians = st.builds(GaussianRational, st.fractions(max_denominator=10 ** 6),
+                       st.fractions(max_denominator=10 ** 6))
+
+
+@st.composite
+def _scalar_texts(draw):
+    """A rendered scalar as a coefficient, as it stands or with a blank, an
+    ``i`` suffix or a digit put in."""
+    text = f"({draw(_gaussians)})"
+    edit = draw(st.sampled_from(["none", "blank", "i", "digit"]))
+    k = draw(st.integers(0, len(text) - 1))
+    if edit == "blank":
+        text = text[:k] + draw(st.sampled_from([" ", "\t"])) + text[k:]
+    elif edit == "i":
+        text += "i"
+    elif edit == "digit":
+        text = text[:k] + draw(st.sampled_from("0123456789")) + text[k + 1:]
+    return text + "|0>"
+
+
+@settings(max_examples=300)
+@given(st.one_of(_scalar_texts(), _sums(_factors)), st.data())
+def test_a_scalar_read_in_one_match_reads_as_the_general_grammar_reads_it(source, blanks):
+    text = source if isinstance(source, str) else f"({_render(source, blanks)})|0>"
+    fast = _read(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bhqc.dsl, "_SCALAR", re.compile(r"(?!)"))
+        assert _read(text) == fast, text
 
 
 # names of both kinds: identifiers with an optional ~, and short strings of
