@@ -48,6 +48,10 @@ _DEMOS = {"bell": "bell_chain", "teleport": "teleport", "ghz": "ghz",
           "class-change": "class_change"}
 
 
+# json's C string escaper, imported on the first _json_text call
+_escape = None
+
+
 def _json_text(obj: object) -> str:
     """``json.dumps(obj, indent=2, ensure_ascii=False)``, byte for byte.
 
@@ -58,10 +62,11 @@ def _json_text(obj: object) -> str:
     append, so no reference cycle keeps a call's pieces alive until the
     collector runs.
     """
-    from json.encoder import encode_basestring as string
-
+    global _escape
+    if _escape is None:
+        from json.encoder import encode_basestring as _escape
     out: list[str] = []
-    _write(obj, "\n", out.append, string, {})
+    _write(obj, "\n", out.append, _escape, {})
     return "".join(out)
 
 

@@ -76,6 +76,14 @@ _LITERAL = _re.compile(r"(([0-9]+)(?:/([0-9]*))?)(" + _IMAG.pattern + ")?")
 # may be negative, and each denominator (groups 3 and 5) may be left out
 _SCALAR = _re.compile(r"\((\()?(-?[0-9]+)(?:/([0-9]+))?"
                       r"(?(1)\)\+\((-?[0-9]+)(?:/([0-9]+))?\)i)\)(?!\w)")
+# a polynomial as bhqc and bench/exact.py render one, with no blanks but
+# the ones in " + " and " - " and no word character after it: terms such as
+# -alpha, (2)*alpha*beta~ or ((1/2)+(-3)i)*beta, a leading "-" on the first
+# term only, each coefficient in one of _SCALAR's forms
+_RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"
+_TERM = (rf"(?:\((?:{_RATIONAL}|\({_RATIONAL}\)\+\({_RATIONAL}\)i)\)\*)?"
+         rf"{_IDENT.pattern}(?:\*{_IDENT.pattern})*")
+_POLY = _re.compile(rf"\(-?{_TERM}(?: [+-] {_TERM})*\)(?!\w)")
 
 
 class _Expr:
@@ -91,8 +99,16 @@ class _Expr:
     a ``GaussianRational`` otherwise, so symbol-free input pays for no
     polynomial arithmetic.  A parenthesised scalar in the form ``str``
     renders, such as ``(3/4)`` or ``((1/2)+(-3)i)``, is read with one
-    ``_SCALAR`` match and one gcd; every other text, and every error, goes
-    through the general grammar.
+    ``_SCALAR`` match and one gcd.  A parenthesised polynomial in the form
+    bhqc and ``bench/exact.py`` render, such as ``((2)*alpha*beta~ - beta)``,
+    is read with one ``_POLY`` match: its terms are summed in one dict, each
+    coefficient built with at most one gcd, and the result sorted once.  A
+    polynomial that the general grammar reads otherwise, or rejects, falls
+    back to it from the same cursor: a zero coefficient, the name ``i`` or
+    ``i~``, an undeclared name, a term past the degree bound, or text that
+    could pass the nesting bound.  Every other text, powers and purely
+    imaginary coefficients among them, and every error, goes through the
+    general grammar.
     """
 
     def __init__(self, src: str, line: int, col_base: int,
@@ -295,18 +311,21 @@ class _Expr:
     def _paren_amp(self) -> GaussianRational | SymbolicAmplitude:
         if self.depth == MAX_NESTING:
             self.err(f"parentheses nest at most {MAX_NESTING} deep")
+        # a rendered scalar or polynomial is read in one match, unless it
+        # could pass the bound: the complex scalar form opens one more '(',
+        # and a polynomial up to two more
+        a = None
         m = _SCALAR.match(self.s, self.i)
-        # the complex form opens one more '(', which may pass the bound
-        if m is not None and (m.group(1) is None or self.depth < MAX_NESTING - 1):
-            _, p, q, r, s = m.groups()
-            try:
-                p, q, r, s = int(p), int(q or 1), int(r or 0), int(s or 1)
-            except ValueError:  # past int()'s length limit: the general path reports it
-                pass
-            else:
-                if q and s:  # a zero denominator is the general path's error too
-                    self._take(m.end())
-                    return _reduced(p * s, r * q, q * s)
+        if m is not None:
+            if m.group(1) is None or self.depth < MAX_NESTING - 1:
+                a = _scalar_value(m)
+        elif self.depth < MAX_NESTING - 2:
+            m = _POLY.match(self.s, self.i)
+            if m is not None:
+                a = self._poly_value(m.group())
+        if a is not None:
+            self._take(m.end())
+            return a
         self.depth += 1
         self._take(self.i + 1)  # consume '('
         a = self.amplitude()
@@ -320,6 +339,45 @@ class _Expr:
         if type(a) is GaussianRational:
             return _gr(-a._b, a._a, a._d)  # times i: a rotation keeps lowest terms
         return a * I
+
+    def _poly_value(self, text: str) -> GaussianRational | SymbolicAmplitude | None:
+        """The value of a ``_POLY`` match, or None where the general grammar
+        reads it otherwise or reports an error: a coefficient that is zero or
+        that ``_scalar_value`` refuses, the name ``i`` or ``i~``, an
+        undeclared name, or a term past the degree bound."""
+        declared = self.declared
+        body = text[1:-1]
+        # a leading '-', or else a '+', becomes the first sign, so the words
+        # alternate sign and term
+        words = iter(("- " + body[1:] if body[0] == "-" else "+ " + body).split(" "))
+        terms: dict[Monomial, GaussianRational] = {}
+        for sign, term in zip(words, words):
+            coeff, names = ONE, term
+            if term[0] == "(":
+                head, _, names = term.partition(")*")
+                try:
+                    coeff = _gr(int(head[1:]), 0, 1)  # (p): an integer is in lowest terms
+                except ValueError:  # (p/q), ((p/q)+(r/s)i), or past int()'s length limit
+                    coeff = _scalar_value(_SCALAR.match(term))
+                if not coeff:
+                    return None
+            names = names.split("*")
+            if len(names) > MAX_EXPONENT:
+                return None
+            if declared is None:
+                if "i" in names or "i~" in names:
+                    return None
+            elif not declared.issuperset(names):
+                return None
+            if sign == "-":
+                coeff = -coeff
+            mono = tuple(sorted(names))
+            prev = terms.pop(mono, None)
+            if prev is not None:
+                coeff = prev + coeff
+            if coeff:  # like terms that cancel leave no term
+                terms[mono] = coeff
+        return SymbolicAmplitude._canonical(terms) if terms else ZERO
 
     def _literal(self, suffix: bool) -> GaussianRational:
         """The unsigned integer or ``p/q`` at the cursor, times ``i`` when an
@@ -345,6 +403,18 @@ class _Expr:
             self.err("invalid number", pos=m.start(group))
 
 
+def _scalar_value(m: _re.Match) -> GaussianRational | None:
+    """The value of a ``_SCALAR`` match, or None where the general grammar
+    reports an error: a digit run past ``int()``'s length limit, or a zero
+    denominator."""
+    _, p, q, r, s = m.groups()
+    try:
+        p, q, r, s = int(p), int(q or 1), int(r or 0), int(s or 1)
+    except ValueError:
+        return None
+    return _reduced(p * s, r * q, q * s) if q and s else None
+
+
 def parse_ket(text: str, *, n_qubits: int | None = None) -> Ket:
     """Parse a standalone ket expression."""
     return _Expr(text, 1, 1, None).ket_expr(n_qubits)
@@ -361,10 +431,15 @@ def _parse_int(token: str, line: int, col: int, what: str) -> int:
     raise DslError(line, col, f"{what} must be an integer")
 
 
+# bhqc.circuit, imported on the first parse_circuit call: parse_ket needs none of it
+_circuit = None
+
+
 def parse_circuit(text: str) -> Circuit:
     """Parse DSL text into a validated circuit."""
-    from .circuit import ApplyGate, Circuit, Expect, Project, check_instruction
-
+    global _circuit
+    if _circuit is None:
+        from . import circuit as _circuit
     declared: set[str] = set()  # each declared name and its conjugate
     n_qubits: int | None = None
     labels: tuple[str, ...] | None = None
@@ -432,10 +507,10 @@ def parse_circuit(text: str) -> Circuit:
                 raise DslError(lineno, col, usage)
             (head, hcol), targets = args[0], args[1:]
             qubits = tuple(_parse_int(t, lineno, tcol, "target") for t, tcol in targets)
-            kind = ApplyGate if word == "apply" else Project
+            kind = _circuit.ApplyGate if word == "apply" else _circuit.Project
             ins = kind(head, qubits)
             try:
-                check_instruction(ins, n_qubits)
+                _circuit.check_instruction(ins, n_qubits)
             except OperandError as exc:
                 at = hcol if exc.index is None else targets[exc.index][1]
                 raise DslError(lineno, at, str(exc)) from None
@@ -443,7 +518,7 @@ def parse_circuit(text: str) -> Circuit:
 
         elif word == "expect":
             expected = _Expr(body[end:], lineno, end + 1, declared).ket_expr(n_qubits)
-            instructions.append(Expect(expected, location=f"line {lineno}"))
+            instructions.append(_circuit.Expect(expected, location=f"line {lineno}"))
 
         else:
             raise DslError(lineno, col, f"unknown directive '{word}'")
@@ -454,4 +529,4 @@ def parse_circuit(text: str) -> Circuit:
         state = Ket.basis("0" * n_qubits)
     # every part is checked above: the state, each expect and the labels for
     # their width, each apply and project line by check_instruction
-    return Circuit._checked(state, tuple(instructions), labels)
+    return _circuit.Circuit._checked(state, tuple(instructions), labels)

@@ -64,6 +64,8 @@ class GaussianRational:
     """Complex scalar a + bi with exact rational a, b.
 
     Stored as ints ``(_a + _b i) / _d`` in lowest terms with ``_d > 0``.
+    Each part is an ``int`` or a ``Fraction``; any other type, ``bool``
+    included, is a ``TypeError``, as a float or a string is no exact value.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -75,6 +77,9 @@ class GaussianRational:
         if type(re) is int and type(im) is int:
             self._a, self._b, self._d = re, im, 1
             return
+        for name, part in (("re", re), ("im", im)):
+            if not isinstance(part, Rational) or type(part) is bool:
+                raise TypeError(f"{name} must be int or Fraction, not {type(part).__name__}")
         re, im = Fraction(re), Fraction(im)
         d = lcm(re.denominator, im.denominator)
         # both parts are already reduced, so the lcm leaves no common factor
@@ -203,7 +208,7 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
 def _coerce(x: object) -> GaussianRational | None:
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, Rational) and type(x) is not bool:
         return GaussianRational(x)
     return None
 

@@ -274,11 +274,15 @@ _BUILDS = {
     "initial state": lambda w: Circuit(w),
     "instructions": lambda w: Circuit(_K2, w),
     "mode labels": lambda w: Circuit(_K2, (), w),
+    "GaussianRational re": lambda w: GaussianRational(w),
+    "GaussianRational im": lambda w: GaussianRational(0, w),
 }
 
 
 def _well_typed(built):
     """Every part of a built ket, operator or circuit has the type it is declared with."""
+    if isinstance(built, GaussianRational):
+        return False  # no value drawn is an int or a Fraction, the parts it takes
     if isinstance(built, Operator):
         return type(built.arity) is int and all(map(_well_typed, built.columns.values()))
     if isinstance(built, Ket):
@@ -300,6 +304,8 @@ def _well_typed(built):
 @example("Ket.basis", 5)
 @example("projection bits", ["0"])
 @example("mode labels", [None, None])
+@example("GaussianRational re", True)
+@example("GaussianRational im", 0.5)
 def test_a_part_of_the_wrong_type_raises_a_type_or_value_error(part, value):
     # either the constructor refuses the value, or what it builds is well typed
     try:

@@ -17,7 +17,7 @@ from bhqc.dsl import (MAX_EXPONENT, MAX_NESTING, MAX_PRODUCT_TERMS, DslError, pa
 from bhqc.scalars import GaussianRational, I, amp
 from bhqc.states import Ket
 
-from _exact import Q, vector
+from _exact import Q, exact, vector
 from _shipped import CIRCUITS
 
 
@@ -54,6 +54,21 @@ class TestKetExpressions:
                      Ket(1, {"0": GaussianRational(1, 2)}), id="deepest-complex-scalar"),
         pytest.param("((1)+(2)i)i|0>", Ket(1, {"0": GaussianRational(-2, 1)}),
                      id="rotated-complex-scalar"),
+        # a polynomial read in one match opens up to three parentheses
+        pytest.param("(" * (MAX_NESTING - 3) + "(((1)+(2)i)*a)" + ")" * (MAX_NESTING - 3) + "|0>",
+                     Ket(1, {"0": amp(GaussianRational(1, 2)) * amp("a")}),
+                     id="deepest-polynomial"),
+        # rendered polynomials, and texts one edit away that read otherwise
+        pytest.param("((2)*alpha*i)|0>", Ket(1, {"0": amp(GaussianRational(0, 2)) * amp("alpha")}),
+                     id="polynomial-times-i"),
+        pytest.param("((2)*alpha)i|0>", Ket(1, {"0": amp(GaussianRational(0, 2)) * amp("alpha")}),
+                     id="rotated-polynomial"),
+        pytest.param("(-alpha + (2)*beta - (1/2)*alpha)|0>",
+                     Ket(1, {"0": amp(Fraction(-3, 2)) * amp("alpha") + 2 * amp("beta")}),
+                     id="polynomial-like-terms-collect"),
+        pytest.param("(alpha - alpha)|0> + |1>", Ket.basis("1"), id="polynomial-terms-cancel"),
+        pytest.param("((0)*alpha + (1)*beta)|0>", Ket(1, {"0": amp("beta")}),
+                     id="polynomial-zero-coefficient"),
     ])
     def test_parse(self, text, expected):
         assert parse_ket(text) == expected
@@ -133,6 +148,19 @@ class TestKetExpressions:
                      id="complex-scalar-zero-imaginary-denominator"),
         pytest.param("((1)+(" + "9" * 5000 + ")i)|0>", (1, 7, "invalid number"),
                      id="complex-scalar-5000-nines"),
+        # polynomials in the rendered form keep the general grammar's errors
+        pytest.param("(" * (MAX_NESTING - 2) + "(((1)+(2)i)*a)" + ")" * (MAX_NESTING - 2) + "|0>",
+                     (1, 101, "parentheses nest at most 100 deep"), id="too-deep-polynomial"),
+        pytest.param("((2)*i~)|0>", (1, 6, "'i' is reserved for the imaginary unit"),
+                     id="polynomial-i~"),
+        pytest.param("((1/0)*alpha)|0>", (1, 5, "denominator cannot be zero"),
+                     id="polynomial-zero-denominator"),
+        pytest.param("((" + "9" * 5000 + ")*alpha)|0>", (1, 3, "invalid number"),
+                     id="polynomial-5000-nines"),
+        pytest.param("(a - -b)|0>", (1, 6, "expected a number, symbol, 'i', or '('"),
+                     id="polynomial-second-sign"),
+        pytest.param("(" + "*".join(["a"] * (MAX_EXPONENT + 1)) + ")|0>",
+                     (1, 2049, "degree must be at most 1024"), id="polynomial-1025-names"),
     ])
     def test_exact_error_positions(self, text, where):
         with pytest.raises(DslError) as excinfo:
@@ -214,18 +242,27 @@ class TestAmplitudeExpressions:
             amp(GaussianRational(0, -2)) * amp("gamma"),
             amp(GaussianRational(Fraction(-7, 3))),
             amp(GaussianRational(5, Fraction(2, 9))),
+            -amp("alpha") + amp(GaussianRational(Fraction(1, 2), -3)) * amp("beta") * amp("gamma~"),
+            amp(Fraction(-5, 4)) * amp("alpha~") + amp("beta"),
         ]
         for value in values:
             assert amplitude_of(str(value)) == value
 
-        # a scalar with a nonzero real part is read in one match
+        # a scalar with a nonzero real part is read in one match, and so is a
+        # polynomial with no constant term, no power and such coefficients
         def general_grammar(self):
             raise AssertionError("read by the general grammar")
 
+        def one_match(value):
+            if type(value) is GaussianRational:
+                return bool(value.re)
+            return all(mono and len(set(mono)) == len(mono) and c.re for mono, c in value.items())
+
         monkeypatch.setattr(bhqc.dsl._Expr, "amplitude", general_grammar)
-        for value in values:
-            if type(value) is GaussianRational and value.re:
-                assert amplitude_of(str(value)) == value
+        read = [value for value in values if one_match(value)]
+        assert len(read) == 6
+        for value in read:
+            assert amplitude_of(str(value)) == value
 
 
 # Amplitude trees: ("num", p, q, imag) for p, p/q, pi or p/qi; ("sym", name, k)
@@ -326,9 +363,10 @@ def test_a_number_atom_with_blanks_reads_as_its_value(negative, p, q, inner, out
 
 
 def _read(text):
-    """``parse_ket(text)`` and its rendering, or the error's line, column and message."""
+    """``parse_ket(text)``, or the state of ``parse_circuit(text)`` when ``text``
+    is a circuit, and its rendering, or the error's line, column and message."""
     try:
-        ket = parse_ket(text)
+        ket = parse_circuit(text).initial_state if text.startswith("qubits") else parse_ket(text)
     except DslError as exc:
         return exc.line, exc.col, exc.message
     return ket, str(ket)
@@ -361,6 +399,51 @@ def test_a_scalar_read_in_one_match_reads_as_the_general_grammar_reads_it(source
     fast = _read(text)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bhqc.dsl, "_SCALAR", re.compile(r"(?!)"))
+        assert _read(text) == fast, text
+
+
+# a monomial's names, most often with no name repeated, so with no power
+_poly_names = st.one_of(*[st.lists(st.sampled_from(["a", "b", "alpha", "beta~", "a~"]),
+                                   min_size=1, max_size=3, unique=unique)
+                          for unique in (True, True, False)])
+# integers, which bhqc renders bare for 1 and -1, Gaussian rationals, and
+# purely imaginary values, which only the general grammar reads
+_poly_coefficients = st.one_of(st.builds(GaussianRational, st.sampled_from([1, -1, 2, -3])),
+                               _gaussians,
+                               st.builds(GaussianRational, st.just(0), st.sampled_from([1, -2])))
+
+
+@st.composite
+def _polynomial_texts(draw):
+    """A rendered polynomial as a ket's coefficient, as bhqc or ``exact.poly_text``
+    writes it, as it stands or with a blank, ``^2``, ``i``, ``-`` or a digit put in,
+    and as a ket or as a circuit's state, where ``b`` is undeclared."""
+    terms = draw(st.lists(st.tuples(_poly_coefficients, _poly_names), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        value = amp(0)
+        for c, names in terms:
+            value = value + reduce(mul, map(amp, names), amp(c))
+        text = f"({value})"
+    else:
+        poly = {}
+        for c, names in terms:
+            if c:
+                poly[tuple(sorted(names))] = exact.Q(c.re, c.im)
+        text = exact.poly_text(poly) if poly else "(0)"
+    edit = draw(st.sampled_from([None, None, None, " ", "^2", "i", "-", "digit"]))
+    if edit is not None:
+        k = draw(st.integers(0, len(text)))
+        text = text[:k] + (draw(st.sampled_from("0123456789")) if edit == "digit" else edit) + text[k:]
+    text += "|0>"
+    return draw(st.sampled_from(["", "qubits 1\nsymbols a alpha beta\nstate "])) + text
+
+
+@settings(max_examples=300)
+@given(_polynomial_texts())
+def test_a_polynomial_read_in_one_match_reads_as_the_general_grammar_reads_it(text):
+    fast = _read(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bhqc.dsl, "_POLY", re.compile(r"(?!)"))
         assert _read(text) == fast, text
 
 
@@ -617,6 +700,8 @@ class TestCircuitParsing:
                      id="qubits 1\nstate (3/\uff14)|0>\n-where40"),
         pytest.param("qubits 1\nsymbols a\nexpect (a*i~)|0>\n", (3, 11, "'i' is reserved for the imaginary unit"),
                      id="qubits 1\nsymbols a\nexpect (a*i~)|0>\n-where41"),
+        pytest.param("qubits 1\nsymbols alpha\nstate ((2)*beta)|0>",
+                     (3, 12, "undeclared symbol 'beta'"), id="polynomial-undeclared-symbol"),
         pytest.param("qubits 2\nqubits 2", (2, 1, "duplicate 'qubits' directive"),
                      id="duplicate-qubits"),
         pytest.param("qubits 2\nsymbols", (2, 1, "usage: symbols name [name ...]"),

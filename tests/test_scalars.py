@@ -1,5 +1,6 @@
 import gc
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,19 @@ class TestGaussianRational:
     ])
     def test_rendering(self, value, text):
         assert str(value) == text
+
+    # a part that is no exact int or Fraction, in either place, is refused by name
+    @pytest.mark.parametrize("part, value", [
+        pytest.param(part, value, id=f"{part}-{label}")
+        for part in ("re", "im")
+        for label, value in [("float", 0.1), ("str", "1/3"), ("bool", True),
+                             ("Decimal", Decimal("0.5")), ("None", None)]])
+    def test_a_part_of_another_type_is_a_type_error(self, part, value):
+        message = f"{part} must be int or Fraction, not {type(value).__name__}"
+        for other in (0, Fraction(1, 2)):
+            args = (value, other) if part == "re" else (other, value)
+            with pytest.raises(TypeError, match=message):
+                GaussianRational(*args)
 
 
 class TestSymbolicAmplitude:
