@@ -28,8 +28,8 @@ if TYPE_CHECKING:  # parse_circuit imports circuit when called
 
 # Largest accepted total degree of a monomial, for a power ``alpha^k`` and
 # for a product alike: a monomial of degree k is a k-name tuple, so unbounded
-# powers let one short line allocate without limit, and a chain of products
-# re-sorts ever longer tuples, in time quadratic in the line's length.
+# powers let one short line allocate without limit, and a chain of names,
+# each ``*`` re-sorting a longer tuple, takes time quadratic in its degree.
 MAX_EXPONENT = 1024
 # Largest accepted product of two operands' term counts at one ``*``: a
 # product of k symbol sums expands to exponentially many terms in k.
@@ -70,18 +70,18 @@ _IMAG = _re.compile(r"i(?![\w~])")
 # a number literal: an unsigned integer or ``p/q`` (group 1: numerator 2,
 # denominator 3), then an optional ``i`` suffix (group 4)
 _LITERAL = _re.compile(r"(([0-9]+)(?:/([0-9]*))?)(" + _IMAG.pattern + ")?")
-# a scalar as GaussianRational.__str__ writes one with a nonzero real part,
-# with no blanks and no word character after it: (p/q), or ((p/q)+(r/s)i)
-# when group 1 holds the inner "("; numerators p (group 2) and r (group 4)
-# may be negative, and each denominator (groups 3 and 5) may be left out
+# a parenthesised scalar as GaussianRational.__str__ writes it, with no blank
+# and no word character after it: (p/q), or, when group 1 holds the inner
+# "(", ((p/q)i) or ((p/q)+(r/s)i); numerators p (group 2) and r (group 4)
+# may be negative, and denominators (groups 3 and 5) may be left out
 _SCALAR = _re.compile(r"\((\()?(-?[0-9]+)(?:/([0-9]+))?"
-                      r"(?(1)\)\+\((-?[0-9]+)(?:/([0-9]+))?\)i)\)(?!\w)")
+                      r"(?(1)\)(?:\+\((-?[0-9]+)(?:/([0-9]+))?\))?i)\)(?!\w)")
 # a polynomial as bhqc and bench/exact.py render one, with no blanks but
 # the ones in " + " and " - " and no word character after it: terms such as
-# -alpha, (2)*alpha*beta~ or ((1/2)+(-3)i)*beta, a leading "-" on the first
-# term only, each coefficient in one of _SCALAR's forms
+# -alpha, (2)*alpha*beta~, ((-2)i)*alpha or ((1/2)+(-3)i)*beta, a leading "-"
+# on the first term only, each coefficient in one of _SCALAR's forms
 _RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"
-_TERM = (rf"(?:\((?:{_RATIONAL}|\({_RATIONAL}\)\+\({_RATIONAL}\)i)\)\*)?"
+_TERM = (rf"(?:\((?:{_RATIONAL}|\({_RATIONAL}\)(?:\+\({_RATIONAL}\))?i)\)\*)?"
          rf"{_IDENT.pattern}(?:\*{_IDENT.pattern})*")
 _POLY = _re.compile(rf"\(-?{_TERM}(?: [+-] {_TERM})*\)(?!\w)")
 
@@ -97,18 +97,20 @@ class _Expr:
 
     An amplitude is a ``SymbolicAmplitude`` while a symbol remains in it and
     a ``GaussianRational`` otherwise, so symbol-free input pays for no
-    polynomial arithmetic.  A parenthesised scalar in the form ``str``
-    renders, such as ``(3/4)`` or ``((1/2)+(-3)i)``, is read with one
-    ``_SCALAR`` match and one gcd.  A parenthesised polynomial in the form
-    bhqc and ``bench/exact.py`` render, such as ``((2)*alpha*beta~ - beta)``,
-    is read with one ``_POLY`` match: its terms are summed in one dict, each
-    coefficient built with at most one gcd, and the result sorted once.  A
-    polynomial that the general grammar reads otherwise, or rejects, falls
-    back to it from the same cursor: a zero coefficient, the name ``i`` or
-    ``i~``, an undeclared name, a term past the degree bound, or text that
-    could pass the nesting bound.  Every other text, powers and purely
-    imaginary coefficients among them, and every error, goes through the
-    general grammar.
+    polynomial arithmetic.  An amplitude is read one of two ways:
+
+    - Rendered text in one match.  A parenthesised scalar in a form ``str``
+      writes, such as ``(3/4)``, ``((1/2)i)`` or ``((1/2)+(-3)i)``, is one
+      ``_SCALAR`` match and one gcd.  A parenthesised polynomial in the form
+      bhqc and ``bench/exact.py`` write, such as ``(((-2)i)*alpha*beta~ -
+      beta)``, is one ``_POLY`` match, its terms summed in one dict.  Text
+      that matches but that the general grammar reads otherwise, or
+      rejects, is left to it from the same cursor.
+    - Everything else by plain arithmetic in the general grammar: each
+      factor is an amplitude, and a product multiplies its one-term factors
+      together before the others.  Powers, constant terms inside a
+      polynomial, the bare ``i``, ``-i`` and ``Ni``, hand-written text and
+      every error take this way.
     """
 
     def __init__(self, src: str, line: int, col_base: int,
@@ -214,69 +216,42 @@ class _Expr:
         acc = self._aterm()
         if negate:
             acc = -acc
-        while True:
-            ch = self.ch
-            if ch == "+":
-                self._take(self.i + 1)
-                acc = acc + self._aterm()
-            elif ch == "-":
-                self._take(self.i + 1)
-                acc = acc - self._aterm()
-            else:
-                return acc
+        while self.ch == "+" or self.ch == "-":
+            plus = self.ch == "+"
+            self._take(self.i + 1)
+            acc = acc + self._aterm() if plus else acc - self._aterm()
+        return acc
 
     def _aterm(self) -> GaussianRational | SymbolicAmplitude:
-        factor = self._factor()
-        if self.ch != "*":
-            return SymbolicAmplitude._canonical({factor: ONE}) if type(factor) is tuple else factor
-        # The product is coeff * names * poly, of `count` terms and degree
-        # `degree`: numbers and symbol powers fold into coeff and names, so
-        # only a parenthesised symbolic factor is multiplied out.  coeff is
-        # None until a number comes, so the first one costs no multiply.
-        coeff, names, poly = None, [], None
-        count, degree, star = 1, 0, None
-        while True:
-            kind = type(factor)
-            if kind is tuple:
-                rcount, rdegree = 1, len(factor)
-            elif kind is GaussianRational:
-                rcount, rdegree = 1 if factor else 0, 0
-            else:
-                rcount, rdegree = len(factor), factor.degree()
-            if star is not None and count * rcount > MAX_PRODUCT_TERMS:
-                self.err(f"product expands past {MAX_PRODUCT_TERMS} terms", pos=star)
-            if count and rcount:
-                # with no zero divisors, degrees add under a product of
-                # nonzero operands
-                degree += rdegree
-                if degree > MAX_EXPONENT:
-                    self.err(f"degree must be at most {MAX_EXPONENT}", pos=star)
-                if kind is tuple:
-                    names += factor
-                elif kind is GaussianRational:
-                    coeff = factor if coeff is None else coeff * factor
-                else:
-                    poly = factor if poly is None else poly * factor
-                    count = len(poly)
-            else:  # a product with a zero operand is zero, of degree 0
-                coeff, names, poly, count, degree = ZERO, [], None, 0, 0
-            if self.ch != "*":
-                break
+        # The product is poly * term, of degree `degree`: a factor of one
+        # term multiplies into term, so a chain of numbers and names
+        # multiplies poly's many terms once, not once per '*'.
+        poly, term = ONE, self._factor()
+        degree = term.degree() if term.has_symbols else 0
+        if _size(term) > 1:
+            poly, term = term, ONE
+        while self.ch == "*":
             star = self.i
             self._take(star + 1)
             factor = self._factor()
-        if names:
-            if coeff is None:
-                coeff = ONE
-            term = SymbolicAmplitude._canonical({tuple(sorted(names)): coeff})
-            return term if poly is None else poly * term
-        if poly is None:
-            return coeff
-        return poly if coeff is None else poly * coeff
+            count, rcount = _size(poly) * _size(term), _size(factor)
+            if count * rcount > MAX_PRODUCT_TERMS:
+                self.err(f"product expands past {MAX_PRODUCT_TERMS} terms", pos=star)
+            if not count:  # a product with a zero operand stays zero
+                continue
+            # with no zero divisors, degrees add under a product of nonzero
+            # operands, and a zero factor adds none
+            degree += factor.degree() if factor.has_symbols else 0
+            if degree > MAX_EXPONENT:
+                self.err(f"degree must be at most {MAX_EXPONENT}", pos=star)
+            if rcount > 1:
+                poly = poly * factor
+            else:
+                term = term * factor
+        return term if poly is ONE else poly * term
 
-    def _factor(self) -> GaussianRational | SymbolicAmplitude | Monomial:
-        """A number, ``i`` or parenthesized amplitude, or a symbol power as
-        its monomial."""
+    def _factor(self) -> GaussianRational | SymbolicAmplitude:
+        """A number, ``i``, symbol power or parenthesized amplitude."""
         ch = self.ch
         if ch == "(":
             return self._paren_amp()
@@ -294,38 +269,35 @@ class _Expr:
             self.err("'i' is reserved for the imaginary unit", pos=start)
         if self.declared is not None and name not in self.declared:
             self.err(f"undeclared symbol '{name}'", pos=start)
-        if self.s[self.end:self.end + 1] != "^":
-            return (name,)
-        pstart = self.end + 1  # the exponent's digits follow '^' with no blank
-        m = _DIGITS.match(self.s, pstart)
-        if m is None:
-            self.err("expected a number", pos=pstart)
-        power = self._digits(m, 0)
-        if power < 1:
-            self.err("exponent must be positive", pos=start)
-        if power > MAX_EXPONENT:
-            self.err(f"exponent must be at most {MAX_EXPONENT}", pos=pstart)
-        self._take(m.end())
-        return (name,) * power
+        power = 1
+        if self.s[self.end:self.end + 1] == "^":
+            pstart = self.end + 1  # the exponent's digits follow '^' with no blank
+            m = _DIGITS.match(self.s, pstart)
+            if m is None:
+                self.err("expected a number", pos=pstart)
+            power = self._digits(m, 0)
+            if power < 1:
+                self.err("exponent must be positive", pos=start)
+            if power > MAX_EXPONENT:
+                self.err(f"exponent must be at most {MAX_EXPONENT}", pos=pstart)
+            self._take(m.end())
+        return SymbolicAmplitude._canonical({(name,) * power: ONE})
 
     def _paren_amp(self) -> GaussianRational | SymbolicAmplitude:
         if self.depth == MAX_NESTING:
             self.err(f"parentheses nest at most {MAX_NESTING} deep")
         # a rendered scalar or polynomial is read in one match, unless it
-        # could pass the bound: the complex scalar form opens one more '(',
-        # and a polynomial up to two more
-        a = None
-        m = _SCALAR.match(self.s, self.i)
-        if m is not None:
-            if m.group(1) is None or self.depth < MAX_NESTING - 1:
-                a = _scalar_value(m)
-        elif self.depth < MAX_NESTING - 2:
-            m = _POLY.match(self.s, self.i)
+        # could pass the bound: it opens up to three parentheses
+        if self.depth < MAX_NESTING - 2:
+            m = _SCALAR.match(self.s, self.i)
             if m is not None:
-                a = self._poly_value(m.group())
-        if a is not None:
-            self._take(m.end())
-            return a
+                a = _scalar_value(m)
+            else:
+                m = _POLY.match(self.s, self.i)
+                a = m and self._poly_value(m.group())
+            if a is not None:
+                self._take(m.end())
+                return a
         self.depth += 1
         self._take(self.i + 1)  # consume '('
         a = self.amplitude()
@@ -336,15 +308,13 @@ class _Expr:
         if _IMAG.match(self.s, self.end) is None:
             return a
         self._take(self.end + 1)
-        if type(a) is GaussianRational:
-            return _gr(-a._b, a._a, a._d)  # times i: a rotation keeps lowest terms
         return a * I
 
     def _poly_value(self, text: str) -> GaussianRational | SymbolicAmplitude | None:
         """The value of a ``_POLY`` match, or None where the general grammar
-        reads it otherwise or reports an error: a coefficient that is zero or
-        that ``_scalar_value`` refuses, the name ``i`` or ``i~``, an
-        undeclared name, or a term past the degree bound."""
+        reads it otherwise or reports an error: a coefficient that
+        ``_scalar_value`` refuses, the name ``i`` or ``i~``, an undeclared
+        name, or a term past the degree bound."""
         declared = self.declared
         body = text[1:-1]
         # a leading '-', or else a '+', becomes the first sign, so the words
@@ -357,10 +327,10 @@ class _Expr:
                 head, _, names = term.partition(")*")
                 try:
                     coeff = _gr(int(head[1:]), 0, 1)  # (p): an integer is in lowest terms
-                except ValueError:  # (p/q), ((p/q)+(r/s)i), or past int()'s length limit
+                except ValueError:  # (p/q), ((p/q)i), ((p/q)+(r/s)i), or past int()'s length limit
                     coeff = _scalar_value(_SCALAR.match(term))
-                if not coeff:
-                    return None
+                    if coeff is None:
+                        return None
             names = names.split("*")
             if len(names) > MAX_EXPONENT:
                 return None
@@ -375,7 +345,7 @@ class _Expr:
             prev = terms.pop(mono, None)
             if prev is not None:
                 coeff = prev + coeff
-            if coeff:  # like terms that cancel leave no term
+            if coeff:  # a zero coefficient, or like terms that cancel, leave no term
                 terms[mono] = coeff
         return SymbolicAmplitude._canonical(terms) if terms else ZERO
 
@@ -403,16 +373,24 @@ class _Expr:
             self.err("invalid number", pos=m.start(group))
 
 
+def _size(a: GaussianRational | SymbolicAmplitude) -> int:
+    """The number of terms: 0 for zero."""
+    return len(a) if a.has_symbols else 1 if a else 0
+
+
 def _scalar_value(m: _re.Match) -> GaussianRational | None:
-    """The value of a ``_SCALAR`` match, or None where the general grammar
-    reports an error: a digit run past ``int()``'s length limit, or a zero
-    denominator."""
-    _, p, q, r, s = m.groups()
+    """The value of a ``_SCALAR`` match in any of its three forms, or None
+    where the general grammar reports an error: a digit run past ``int()``'s
+    length limit, or a zero denominator."""
+    inner, p, q, r, s = m.groups()
+    imaginary = inner is not None and r is None  # ((p/q)i)
     try:
         p, q, r, s = int(p), int(q or 1), int(r or 0), int(s or 1)
     except ValueError:
         return None
-    return _reduced(p * s, r * q, q * s) if q and s else None
+    if not (q and s):
+        return None
+    return _reduced(0, p, q) if imaginary else _reduced(p * s, r * q, q * s)
 
 
 def parse_ket(text: str, *, n_qubits: int | None = None) -> Ket:

@@ -292,14 +292,17 @@ class SymbolicAmplitude:
     __radd__ = __add__
 
     def __sub__(self, other: object) -> Amplitude:
-        if not isinstance(other, _OPERANDS):
-            return NotImplemented
+        if type(other) is not SymbolicAmplitude:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         return self + -other
 
     def __rsub__(self, other: object) -> Amplitude:
-        if not isinstance(other, _OPERANDS):
+        w = _coerce(other)
+        if w is None:
             return NotImplemented
-        return -self + other
+        return -self + w
 
     def __mul__(self, other: object) -> Amplitude:
         if type(other) is not SymbolicAmplitude:
@@ -362,7 +365,6 @@ class SymbolicAmplitude:
 
 
 Amplitude = GaussianRational | SymbolicAmplitude
-_OPERANDS = (SymbolicAmplitude, GaussianRational, int, Fraction)
 
 
 def amp(value: object) -> Amplitude:

@@ -516,14 +516,17 @@ class TestImports:
                 "    assert getattr(bhqc, name) is getattr(home, name), name\n")
         subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=child_env(), check=True)
 
-    def test_the_readme_import_line(self):
-        from bhqc import GATES, Ket, amp, apply, classify, parse_circuit, run
-
-        assert classify(Ket(3, {"000": 1, "111": 1})).label == "GHZ"
-        circuit = parse_circuit((CIRCUITS / "teleport.bhqc").read_text(encoding="utf-8"))
-        final = run(circuit).final_state
-        assert final == Ket(3, {"000": amp("alpha"), "001": amp("beta")})
-        assert str(apply(GATES["HPLUS"], Ket.basis("1"))) == "-|0> + |1>"
+    def test_the_readme_library_block_prints_what_its_comments_say(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        code = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        # each print's trailing "# " comment gives its line of output, up to any ": "
+        want = [line.partition(" # ")[2].split(": ", 1)[0]
+                for line in code.splitlines() if line.startswith("print(")]
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                encoding="utf-8", cwd=ROOT, env=child_env())
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.splitlines() == want
+        assert len(want) == 4
 
 
 # -- the JSON writer: json.dumps(indent=2, ensure_ascii=False), byte for byte --

@@ -5,8 +5,8 @@ arguments, and nests valid amplitudes in parentheses up to 2,000 deep, and
 sends each input through ``main`` in process, under a per-example deadline.
 Explicit cases pin one-line inputs that used to run for seconds or hours (a
 product of symbol sums that would expand to millions of terms, a long chain
-of top-degree powers) or to end in a RecursionError (10,000 nested
-parentheses).
+of top-degree powers, a 4,096-term product times thousands of one-term
+factors) or to end in a RecursionError (10,000 nested parentheses).
 """
 
 import contextlib
@@ -109,6 +109,20 @@ def test_long_product_of_symbol_sums_exits_one_within_a_second():
     assert (code, out) == (1, "")
     assert err.startswith("error: line 1, col ") and err.count("\n") == 1
     assert f"past {MAX_PRODUCT_TERMS} terms" in err
+
+
+@pytest.mark.parametrize("factor, count", [("1", 5000), ("x", MAX_EXPONENT - 2),
+                                           ("(x)", MAX_EXPONENT - 2)],
+                         ids=["numbers", "names", "parenthesised-names"])
+def test_many_term_product_times_one_term_factors_exits_one_within_a_second(factor, count):
+    # each one-term factor keeps the product within both bounds, so only
+    # the time it costs to multiply out stops the line
+    sums = ["(" + "+".join(f"{x}{k}" for k in range(64)) + ")" for x in "ab"]
+    state = "(" + "*".join(sums + [factor] * count) + ")|000>+|111>"
+    started = time.perf_counter()
+    code, out, err = _call(["classify", state])
+    assert time.perf_counter() - started < 1.0
+    assert (code, out, err) == (1, "", "error: symbolic amplitudes are not classifiable\n")
 
 
 def test_long_chain_of_top_powers_exits_one_within_a_second():

@@ -1,4 +1,6 @@
 import gc
+import operator
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -90,6 +92,19 @@ class TestSymbolicAmplitude:
         for args in ((), ({("alpha",): ONE},)):
             with pytest.raises(TypeError, match="no public constructor"):
                 SymbolicAmplitude(*args)  # values come from amp and arithmetic
+
+    # an operand that is no exact number or amplitude, on either side, is
+    # refused by the operator it meets, as _coerce refuses it
+    @pytest.mark.parametrize("left, right", [
+        pytest.param(x, y, id=f"{xid}-{yid}")
+        for value, vid in [(amp("a"), "amp"), (ONE, "scalar")]
+        for other, oid in [(True, "bool"), (1.5, "float")]
+        for (x, xid), (y, yid) in [((value, vid), (other, oid)), ((other, oid), (value, vid))]])
+    @pytest.mark.parametrize("op, symbol", [(operator.add, "+"), (operator.sub, "-"),
+                                            (operator.mul, "*")], ids=["add", "sub", "mul"])
+    def test_an_operand_of_another_type_is_refused_by_its_operator(self, left, right, op, symbol):
+        with pytest.raises(TypeError, match=re.escape(f"unsupported operand type(s) for {symbol}:")):
+            op(left, right)
 
     # i is the imaginary unit, and the rest are no DSL name: each rendered
     # as text that reads back as something else, or not at all
