@@ -3,9 +3,9 @@
 Classes for three qubits: NULL, SEPARABLE (A-B-C), BISEPARABLE (A-BC,
 B-CA, or C-AB), W, and GHZ, decided exactly from single-party flattening
 ranks and the 2x2x2 hyperdeterminant.  Two-qubit states classify as NULL,
-SEPARABLE, or ENTANGLED.  Everything except the display values (3-tangle,
-entropy) is exact rational arithmetic; the entropy is a Decimal when it is
-too large for a float.
+SEPARABLE, or ENTANGLED.  The report stores exact invariants only and
+derives its display values from them: tau3 from the exact 3-tangle and the
+entropy from |Det|^2, each a Decimal where a float would not hold it.
 
 The classifier works on the state scaled by the lcm of its denominators: one
 list of Gaussian integers as ``(re, im)`` int pairs, since ranks do not change
@@ -99,22 +99,27 @@ def _pencil(m0: list[tuple[int, int]], m1: list[tuple[int, int]]) -> tuple[tuple
 
 
 class EntanglementReport:
+    """A classification, built from five exact invariants: the flattening
+    ranks, the SLOCC class, a biseparable state's separated party, Det and the
+    squared 3-tangle (None for two qubits; the tangle also for the zero ket).
+    The display values tau3 and entropy, and the black-hole fields, derive here."""
+
     __slots__ = ("flattening_ranks", "slocc_class", "separated_party",
                  "hyperdeterminant", "three_tangle_exact", "three_tangle", "fts_rank",
                  "susy_fraction", "size_class", "attractor", "brane_note", "entropy_display")
 
-    def __init__(self, flattening_ranks: tuple[int, ...],
-                 slocc_class: str, separated_party: str | None,
-                 hyperdeterminant: GaussianRational | None,
-                 three_tangle_exact: Fraction | None, three_tangle: float | Decimal | None,
-                 entropy_display: float | Decimal | None) -> None:
+    def __init__(self, flattening_ranks: tuple[int, ...], slocc_class: str,
+                 separated_party: str | None, hyperdeterminant: GaussianRational | None,
+                 three_tangle_exact: Fraction | None) -> None:
         self.flattening_ranks = flattening_ranks
         self.slocc_class = slocc_class          # NULL/SEPARABLE/BISEPARABLE/W/GHZ/ENTANGLED
         self.separated_party = separated_party
-        self.hyperdeterminant = hyperdeterminant
+        self.hyperdeterminant = det = hyperdeterminant
         self.three_tangle_exact = three_tangle_exact
-        self.three_tangle = three_tangle
-        self.entropy_display = entropy_display
+        self.three_tangle = (None if three_tangle_exact is None
+                             else _display_root(three_tangle_exact, 2))
+        self.entropy_display = (None if det is None else _display_root(
+            Fraction(det._a * det._a + det._b * det._b, det._d * det._d), 4, math.pi))
         fts, self.susy_fraction, self.size_class = _DICTIONARY[slocc_class]
         self.fts_rank = fts + separated_party.lower() if separated_party else fts
         self.attractor = slocc_class == "GHZ"
@@ -177,20 +182,10 @@ def classify(state: Ket) -> EntanglementReport:
     if n not in (2, 3):
         raise ValueError("classification covers 2- and 3-qubit states only")
     a, scale = _scalar_amplitudes(state)
-    return _classify_two(a) if n == 2 else _classify_three(a, scale)
-
-
-def _classify_two(a: list[tuple[int, int]]) -> EntanglementReport:
-    # a 2x2 matrix has rank 2 exactly when its determinant is nonzero
-    rank = _rank_2xm(a[:2], a[2:])
-    slocc = ("NULL", "SEPARABLE", "ENTANGLED")[rank]
-    return EntanglementReport(
-        flattening_ranks=(rank, rank), slocc_class=slocc,
-        separated_party=None, hyperdeterminant=None, three_tangle_exact=None,
-        three_tangle=None, entropy_display=None)
-
-
-def _classify_three(a: list[tuple[int, int]], scale: int) -> EntanglementReport:
+    if n == 2:  # a 2x2 matrix has rank 2 exactly when its determinant is nonzero
+        rank = _rank_2xm(a[:2], a[2:])
+        return EntanglementReport((rank, rank), ("NULL", "SEPARABLE", "ENTANGLED")[rank],
+                                  None, None, None)
     slices = _slices(a)
     ranks = tuple(_rank_2xm(m0, m1) for m0, m1 in slices)
     # Det of the scaled state, a Gaussian integer, from A's pencil
@@ -209,24 +204,11 @@ def _classify_three(a: list[tuple[int, int]], scale: int) -> EntanglementReport:
         slocc = "GHZ" if abs_sq else "W"
     else:  # a rank pattern like (1, 1, 2) cannot occur for a valid tensor
         raise AssertionError(f"impossible flattening ranks {ranks}")
-
     # the squared normalized 3-tangle 16|Det|^2 / <x|x>^4, invariant under
-    # rescaling, and its display value tau3 = 4|Det| of the normalized state
-    tangle_exact = tangle = None
+    # rescaling; its display value is tau3 = 4|Det| of the normalized state
     norm_sq = sum(x * x + y * y for x, y in a)  # <x|x> of the scaled state
-    if norm_sq:
-        tangle_exact = Fraction(16 * abs_sq, norm_sq ** 4)
-        tangle = _display_root(tangle_exact, 2)
-    return EntanglementReport(
-        flattening_ranks=ranks, slocc_class=slocc,
-        separated_party=party, hyperdeterminant=_reduced(dr, di, scale ** 4),
-        three_tangle_exact=tangle_exact, three_tangle=tangle,
-        entropy_display=_entropy(Fraction(abs_sq, scale ** 8)))
-
-
-def _entropy(det_sq: Fraction) -> float | Decimal:
-    """Display value pi * |Det|^(1/2) from the exact |Det|^2."""
-    return _display_root(det_sq, 4, math.pi)
+    tangle = Fraction(16 * abs_sq, norm_sq ** 4) if norm_sq else None
+    return EntanglementReport(ranks, slocc, party, _reduced(dr, di, scale ** 4), tangle)
 
 
 def _display_root(x: Fraction, k: int, factor: float = 1.0) -> float | Decimal:

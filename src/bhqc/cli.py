@@ -48,10 +48,6 @@ _DEMOS = {"bell": "bell_chain", "teleport": "teleport", "ghz": "ghz",
           "class-change": "class_change"}
 
 
-# json's C string escaper, imported on the first _json_text call
-_escape = None
-
-
 def _json_text(obj: object) -> str:
     """``json.dumps(obj, indent=2, ensure_ascii=False)``, byte for byte.
 
@@ -62,11 +58,10 @@ def _json_text(obj: object) -> str:
     append, so no reference cycle keeps a call's pieces alive until the
     collector runs.
     """
-    global _escape
-    if _escape is None:
-        from json.encoder import encode_basestring as _escape
+    from json.encoder import encode_basestring
+
     out: list[str] = []
-    _write(obj, "\n", out.append, _escape, {})
+    _write(obj, "\n", out.append, encode_basestring, {})
     return "".join(out)
 
 
@@ -291,6 +286,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    if sys.stdout is None:  # fd 1 is closed, so nothing can be written
+        sys.exit(1)
+    # the output is UTF-8 text, whatever the locale or PYTHONIOENCODING says
+    sys.stdout.reconfigure(encoding="utf-8")
     try:
         code = main()
         sys.stdout.flush()

@@ -409,15 +409,9 @@ def _parse_int(token: str, line: int, col: int, what: str) -> int:
     raise DslError(line, col, f"{what} must be an integer")
 
 
-# bhqc.circuit, imported on the first parse_circuit call: parse_ket needs none of it
-_circuit = None
-
-
 def parse_circuit(text: str) -> Circuit:
     """Parse DSL text into a validated circuit."""
-    global _circuit
-    if _circuit is None:
-        from . import circuit as _circuit
+    from . import circuit  # imported here, since parse_ket needs none of it
     declared: set[str] = set()  # each declared name and its conjugate
     n_qubits: int | None = None
     labels: tuple[str, ...] | None = None
@@ -485,10 +479,10 @@ def parse_circuit(text: str) -> Circuit:
                 raise DslError(lineno, col, usage)
             (head, hcol), targets = args[0], args[1:]
             qubits = tuple(_parse_int(t, lineno, tcol, "target") for t, tcol in targets)
-            kind = _circuit.ApplyGate if word == "apply" else _circuit.Project
+            kind = circuit.ApplyGate if word == "apply" else circuit.Project
             ins = kind(head, qubits)
             try:
-                _circuit.check_instruction(ins, n_qubits)
+                circuit.check_instruction(ins, n_qubits)
             except OperandError as exc:
                 at = hcol if exc.index is None else targets[exc.index][1]
                 raise DslError(lineno, at, str(exc)) from None
@@ -496,7 +490,7 @@ def parse_circuit(text: str) -> Circuit:
 
         elif word == "expect":
             expected = _Expr(body[end:], lineno, end + 1, declared).ket_expr(n_qubits)
-            instructions.append(_circuit.Expect(expected, location=f"line {lineno}"))
+            instructions.append(circuit.Expect(expected, location=f"line {lineno}"))
 
         else:
             raise DslError(lineno, col, f"unknown directive '{word}'")
@@ -507,4 +501,4 @@ def parse_circuit(text: str) -> Circuit:
         state = Ket.basis("0" * n_qubits)
     # every part is checked above: the state, each expect and the labels for
     # their width, each apply and project line by check_instruction
-    return _circuit.Circuit._checked(state, tuple(instructions), labels)
+    return circuit.Circuit._checked(state, tuple(instructions), labels)

@@ -247,10 +247,13 @@ class SymbolicAmplitude:
         """Wrap terms whose monomials are sorted tuples, at least one of them
         nonempty, and whose coefficients are nonzero, putting them in
         monomial order.  For results built from canonical operands."""
+        return cls._wrap(dict(sorted(terms.items())) if len(terms) > 1 else terms)
+
+    @classmethod
+    def _wrap(cls, terms: dict[Monomial, GaussianRational]) -> SymbolicAmplitude:
+        """Wrap terms ``_canonical`` accepts that are already in monomial order."""
         a = object.__new__(cls)
-        a._terms = dict(sorted(terms.items())) if len(terms) > 1 else terms
-        a._text = None
-        a._neg = None
+        a._terms, a._text, a._neg = terms, None, None
         return a
 
     def items(self) -> Iterator[tuple[Monomial, GaussianRational]]:
@@ -311,8 +314,8 @@ class SymbolicAmplitude:
                 return NotImplemented
             if not g:
                 return ZERO
-            # scaling keeps every monomial and, with no zero divisors, every term
-            return SymbolicAmplitude._canonical({m: c * g for m, c in self._terms.items()})
+            # scaling keeps each monomial in order and, with no zero divisors, each term
+            return SymbolicAmplitude._wrap({m: c * g for m, c in self._terms.items()})
         out: dict[Monomial, GaussianRational] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -337,9 +340,7 @@ class SymbolicAmplitude:
         if self._neg is not None:  # self is a negation, and _neg its operand
             return self._neg
         # negation keeps the monomial order, so the terms need no sort
-        neg = object.__new__(SymbolicAmplitude)
-        neg._terms = {m: -c for m, c in self._terms.items()}
-        neg._text = None
+        neg = SymbolicAmplitude._wrap({m: -c for m, c in self._terms.items()})
         neg._neg = self
         return neg
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bhqc.classifier import (COSET_CHAIN, _entropy, _pencil, _rank_2xm, _scalar_amplitudes,
-                             _slices, classify, transition_report)
+from bhqc.classifier import (COSET_CHAIN, _display_root, _pencil, _rank_2xm,
+                             _scalar_amplitudes, _slices, classify, transition_report)
 from bhqc.operators import GATES, Operator, apply
 from bhqc.scalars import GaussianRational, amp
 from bhqc.states import Ket
@@ -255,8 +255,10 @@ class TestOracleAgreement:
 
 def test_entropy_past_the_decimal_default_exponent_range():
     # |Det|^2 = 10^1000004 overflows a float and the default Decimal Emax
-    assert f"{_entropy(Fraction(10**1000004)):.12g}" == "3.14159265359e+250001"
-    assert f"{_entropy(Fraction(16 * 10**1000004, 81)):.12g}" == "2.09439510239e+250001"
+    # (through classify, three_tangle_exact would take a gcd on million-digit ints)
+    assert f"{_display_root(Fraction(10**1000004), 4, math.pi):.12g}" == "3.14159265359e+250001"
+    assert (f"{_display_root(Fraction(16 * 10**1000004, 81), 4, math.pi):.12g}"
+            == "2.09439510239e+250001")
 
 
 def _pairwise_rank(row0, row1):
@@ -337,6 +339,7 @@ def test_classify_on_non_unit_denominators(vec):
     assert (report.slocc_class, report.separated_party) == brute_classify(state)
     if n == 2:
         assert report.hyperdeterminant is report.three_tangle_exact is None
+        assert report.three_tangle is report.entropy_display is None
         return
     det = report.hyperdeterminant
     want = _cayley_det([Q(z.re, z.im) for z in vec])
@@ -346,11 +349,16 @@ def test_classify_on_non_unit_denominators(vec):
     for m0, m1 in _slices(a):
         A, B, C = (Q(*x) for x in _pencil(m0, m1))
         assert B * B - 4 * A * C == want * scale ** 4
+    det_sq = want.re ** 2 + want.im ** 2
+    # the display values come from the oracle's exact values
+    assert report.entropy_display == _display_root(det_sq, 4, math.pi)
     norm = sum(z.re ** 2 + z.im ** 2 for z in vec)  # <x|x> of the unscaled state
     if norm:
-        assert report.three_tangle_exact == 16 * (want.re ** 2 + want.im ** 2) / norm ** 4
+        tangle = 16 * det_sq / norm ** 4
+        assert report.three_tangle_exact == tangle
+        assert report.three_tangle == _display_root(tangle, 2)
     else:
-        assert report.three_tangle_exact is None
+        assert report.three_tangle_exact is report.three_tangle is None
 
 
 # -- SLOCC covariance: a local map A on one party acts on Det as det(A)^2 ----

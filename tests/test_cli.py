@@ -395,6 +395,27 @@ class TestDeterminismAndUsage:
             os.close(write)
         assert (result.returncode, result.stderr) == (1, "")
 
+    @pytest.mark.parametrize("encoding", ["ascii", "cp1252"])
+    @pytest.mark.parametrize("argv, code, golden", [
+        (["verify-paper"], 2, "verify-paper.txt"),
+        (["demo", "ghz", "--json"], 0, "demo-ghz.json"),
+    ])
+    def test_the_output_is_utf8_under_any_stdout_encoding(self, encoding, argv, code, golden):
+        result = subprocess.run(
+            [sys.executable, "-m", "bhqc", *argv], capture_output=True, cwd=ROOT,
+            env={**child_env(), "PYTHONIOENCODING": encoding})
+        assert (result.returncode, result.stderr) == (code, b"")
+        assert result.stdout == (ROOT / "tests" / "golden" / golden).read_bytes()
+
+    @pytest.mark.parametrize("argv", [["verify-paper"], ["demo", "ghz"], ["classify", "|00>"]])
+    def test_a_stdout_closed_from_the_start_ends_quietly_with_exit_one(self, argv):
+        # the child closes fd 1 and then becomes bhqc, which starts with no stdout
+        start = ("import os, sys; os.close(1); "
+                 "os.execv(sys.executable, [sys.executable, '-m', 'bhqc', *sys.argv[1:]])")
+        result = subprocess.run([sys.executable, "-c", start, *argv], stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE, text=True, cwd=ROOT, env=child_env())
+        assert (result.returncode, result.stderr) == (1, "")
+
 
 # Runs one command in a fresh interpreter and prints the modules it added.
 _FOOTPRINT = """

@@ -1,9 +1,11 @@
 """Byte-for-byte CLI output, pinned against files captured before the
 refactors of the code that computes and prints it.
 
-Each file in ``tests/golden`` is the exact stdout of one command.  A change
-to the scalar layer, the operators, or rendering that alters a single
-character of a verdict, a state, or a JSON field fails here.
+Each file in ``tests/golden`` is the exact stdout of one command, or, for
+``usage-*.txt``, the exact stderr of one usage error.  A change to the scalar
+layer, the operators, or rendering that alters a single character of a
+verdict, a state, or a JSON field fails here.  The help and usage texts are
+argparse's, wrapped to ``COLUMNS=80``.
 """
 
 from pathlib import Path
@@ -79,3 +81,31 @@ def test_every_circuit_has_a_golden_file():
         pinned = {p.name for p in GOLDEN.glob(f"run-*.{suffix}")
                   if p.name.count(".") == suffix.count(".") + 1}
         assert pinned == {f"run-{p.stem}.{suffix}" for p in CIRCUITS}, suffix
+
+
+@pytest.mark.parametrize("command", ["bhqc", "run", "demo", "classify", "verify-paper"])
+def test_help(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [] if command == "bhqc" else [command]
+    assert main([*argv, "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (GOLDEN / f"help-{command}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("bhqc", []),
+    ("frobnicate", ["frobnicate"]),
+    ("classify", ["classify"]),
+])
+def test_usage_error(capsys, monkeypatch, name, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = (GOLDEN / f"usage-{name}.txt").read_text(encoding="utf-8")
+    # CPython releases differ in one respect: the later 3.12 and 3.13 ones
+    # list an invalid choice's alternatives with str(), the earlier with repr()
+    plain = expected.replace("'run', 'demo', 'classify', 'verify-paper'",
+                             "run, demo, classify, verify-paper")
+    assert captured.err in (expected, plain)

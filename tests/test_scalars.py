@@ -189,6 +189,21 @@ def test_results_of_amplitude_arithmetic_are_canonical(a, b):
         assert r == _build(_terms(r))
 
 
+def test_scaling_and_negation_keep_the_order_without_a_sort(monkeypatch):
+    p = _build({(): I, ("a",): GaussianRational(1, 2), ("a", "b"): ONE, ("b", "b"): MINUS_ONE,
+                ("c",): GaussianRational(0, -3)})
+    g = GaussianRational(2, 3)
+    scaled = sorted((m, c * g) for m, c in p.items())
+    negated = sorted((m, -c) for m, c in p.items())
+
+    def no_sort(cls, terms):
+        raise AssertionError("scaling and negation need no sort")
+
+    monkeypatch.setattr(SymbolicAmplitude, "_canonical", classmethod(no_sort))
+    assert list((p * g).items()) == list((g * p).items()) == scaled
+    assert list((-p).items()) == negated
+
+
 def _ref_sum(p, q):
     out = dict(p)
     for m, c in q.items():
