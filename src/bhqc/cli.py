@@ -5,11 +5,14 @@ Commands: ``run <file>``, ``demo <name>``, ``classify <state>``, and
 deterministic (there is no randomness anywhere in the tool).  Exit codes:
 0 success, 1 usage or parse error, 2 when verify-paper finds any MISMATCH
 (the expected outcome, since the catalog contains known divergences).
+
+A plain command line is read straight from ``_COMMANDS``; argparse, which
+owns the help and usage texts, is imported only for help, usage errors and
+the other forms it accepts (abbreviated flags, ``--``).
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from math import isfinite
@@ -17,6 +20,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    import argparse
+
     from .circuit import RunResult
 
 # command -> the names it calls, read from the package (which imports each
@@ -134,8 +139,8 @@ def _print_claims(result: RunResult) -> None:
             print(f"  {record.summary()}")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    path = Path(args.path)
+def _cmd_run(path: str, json: bool, trace: bool) -> int:
+    path = Path(path)
     try:
         # a leading byte-order mark is no text; decoding it as utf-8 (not
         # utf-8-sig) keeps the byte offsets of decode errors true
@@ -153,23 +158,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"{path}:{exc.line}:{exc.col}: {exc.message}", file=sys.stderr)
         return 1
     result = run(circuit)
-    if args.json:
+    if json:
         _print_json(_result_json(result))
         return 0
-    if args.trace:
+    if trace:
         _print_steps(result)
     print(f"final: {result.final_state}")
     _print_claims(result)
     return 0
 
 
-def _cmd_demo(args: argparse.Namespace) -> int:
-    if args.name not in _DEMOS:
+def _cmd_demo(name: str, json: bool) -> int:
+    if name not in _DEMOS:
         known = ", ".join(sorted(_DEMOS))
-        print(f"error: unknown demo name '{args.name}' (choose from {known})",
+        print(f"error: unknown demo name '{name}' (choose from {known})",
               file=sys.stderr)
         return 1
-    path = Path(__file__).with_name("circuits") / f"{_DEMOS[args.name]}.bhqc"
+    path = Path(__file__).with_name("circuits") / f"{_DEMOS[name]}.bhqc"
     circuit = parse_circuit(path.read_text(encoding="utf-8"))
     result = run(circuit)
     try:
@@ -179,7 +184,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     else:
         transition = transition_report(before, report)
 
-    if args.json:
+    if json:
         _print_json({
             **_result_json(result),
             "classification": None if report is None else report.to_json(),
@@ -187,7 +192,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         })
         return 0
 
-    print(f"demo: {args.name}")
+    print(f"demo: {name}")
     if circuit.mode_labels:
         print("labels: " + " ".join(circuit.mode_labels))
     _print_steps(result)
@@ -205,13 +210,13 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(state: str, json: bool) -> int:
     try:
-        report = classify(parse_ket(args.state))
+        report = classify(parse_ket(state))
     except ValueError as exc:  # a DslError, symbolic amplitudes or a qubit count
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
+    if json:
         _print_json(report.to_json())
     else:
         for line in report.lines():
@@ -219,13 +224,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify_paper(args: argparse.Namespace) -> int:
+def _cmd_verify_paper(json: bool) -> int:
     records = verify_claims()
     counts = dict.fromkeys((MATCH, MATCH_UP_TO_SCALAR, MISMATCH), 0)
     for record in records:
         counts[record.verdict] += 1
     n_match, n_scalar, n_mismatch = counts.values()
-    if args.json:
+    if json:
         _print_json({
             "claims": [r.to_json(with_states=True) for r in records],
             "summary": {"total": len(records), "match": n_match,
@@ -239,50 +244,77 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
     return 2 if n_mismatch else 0
 
 
+# command -> its help text, its positional and that positional's metavar
+# (None for none), its flags, and the function that runs it, called with the
+# positional and each flag as keyword arguments
+_COMMANDS = {
+    "run": ("execute a .bhqc circuit file", "path", None, ("json", "trace"), _cmd_run),
+    "demo": ("run a canned circuit with classification",
+             "name", "{" + ",".join(_DEMOS) + "}", ("json",), _cmd_demo),
+    "classify": ("classify an inline 2- or 3-qubit state", "state", None, ("json",),
+                 _cmd_classify),
+    "verify-paper": ("re-derive the full identity catalog and report verdicts",
+                     None, None, ("json",), _cmd_verify_paper),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="bhqc",
         description="Exact simulator, identity verifier, and SLOCC classifier "
                     "for the black-hole/qubit-correspondence gate algebra.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="execute a .bhqc circuit file")
-    p_run.add_argument("path")
-    p_run.add_argument("--json", action="store_true")
-    p_run.add_argument("--trace", action="store_true")
-    p_run.set_defaults(func=_cmd_run)
-
-    p_demo = sub.add_parser("demo", help="run a canned circuit with classification")
-    p_demo.add_argument("name", metavar="{" + ",".join(_DEMOS) + "}")
-    p_demo.add_argument("--json", action="store_true")
-    p_demo.set_defaults(func=_cmd_demo)
-
-    p_classify = sub.add_parser("classify", help="classify an inline 2- or 3-qubit state")
-    p_classify.add_argument("state")
-    p_classify.add_argument("--json", action="store_true")
-    p_classify.set_defaults(func=_cmd_classify)
-
-    p_verify = sub.add_parser("verify-paper",
-                              help="re-derive the full identity catalog and report verdicts")
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(func=_cmd_verify_paper)
-
+    for command, (text, positional, metavar, flags, _) in _COMMANDS.items():
+        p_command = sub.add_parser(command, help=text)
+        if positional:
+            p_command.add_argument(positional, metavar=metavar)
+        for flag in flags:
+            p_command.add_argument(f"--{flag}", action="store_true")
     return parser
 
 
-_parser: argparse.ArgumentParser | None = None
+def _plain(words: list) -> dict | None:
+    """The attributes argparse gives ``words``, read from ``_COMMANDS``, or
+    None when ``words`` is not a plain command line.
+
+    A plain line is a command, then ``str`` words: that command's flags
+    spelled out in full, and as many words not starting with ``-`` as it
+    takes positionals.  Every other line (help, abbreviations, ``--``, a
+    word starting with ``-``, too few or too many words) is argparse's.
+    """
+    if not words or any(type(word) is not str for word in words) or words[0] not in _COMMANDS:
+        return None
+    command = words[0]
+    _, positional, _, flags, _ = _COMMANDS[command]
+    args = {"command": command, **dict.fromkeys(flags, False)}
+    values = []
+    for word in words[1:]:
+        if word[:2] == "--" and word[2:] in flags:
+            args[word[2:]] = True
+        elif word[:1] == "-":
+            return None
+        else:
+            values.append(word)
+    if len(values) != (positional is not None):
+        return None
+    if values:
+        args[positional] = values[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    try:
-        args = _parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    _load(args.command)
-    return args.func(args)
+    words = sys.argv[1:] if argv is None else list(argv)
+    args = _plain(words)
+    if args is None:
+        try:
+            args = vars(build_parser().parse_args(words))
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 1
+    command = args.pop("command")
+    _load(command)
+    return _COMMANDS[command][-1](**args)
 
 
 def entry() -> None:

@@ -1,11 +1,14 @@
+import contextlib
 import gc
 import importlib
 import importlib.util
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 
 import bhqc
 import bhqc.cli
-from bhqc.cli import _json_text, main
+from bhqc.cli import _COMMANDS, _json_text, _plain, build_parser, main
 from bhqc.dsl import parse_ket
 
 from _shipped import CIRCUITS
@@ -32,6 +35,15 @@ def invoke(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def bench_module(monkeypatch, stem):
+    """``bench/<stem>.py``, loaded from its file under the name its neighbours import."""
+    spec = importlib.util.spec_from_file_location(stem, ROOT / "bench" / f"{stem}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, stem, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 def assert_indented_json(out):
@@ -359,16 +371,6 @@ class TestDeterminismAndUsage:
         _, d2, _ = invoke(capsys, "demo", "ghz", "--json")
         assert d1 == d2
 
-    def test_usage_error_exits_one(self, capsys):
-        assert main([]) == 1
-        capsys.readouterr()
-        assert main(["frobnicate"]) == 1
-        capsys.readouterr()
-
-    def test_help_exits_zero(self, capsys):
-        assert main(["--help"]) == 0
-        capsys.readouterr()
-
     def test_module_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "bhqc", "classify", "|00>"],
@@ -417,6 +419,100 @@ class TestDeterminismAndUsage:
         assert (result.returncode, result.stderr) == (1, "")
 
 
+# words a command line may hold: every plain word kind, and forms argparse
+# reads its own way (abbreviations, "=", "--", leading "-", non-str words)
+_WORDS = [*_COMMANDS, "--json", "--trace", "--js", "--tr", "--j", "--json=1", "-h", "--help",
+          "--", "-", "-1", "-1.5", "-x", "", " ", "a b", "-a b", "|00>", "-|00>", "x=y", "—",
+          None, b"-x"]
+# the words a plain line is made of
+_PLAIN_WORDS = [word for word in _WORDS
+                if word in ("--json", "--trace") or type(word) is str and word[:1] != "-"]
+_PARSER = build_parser()
+
+
+def argparse_attributes(argv):
+    """``vars(build_parser().parse_args(argv))``, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def flags_first(argv):
+    """``argv`` with its flags moved in front of its positional."""
+    flags = [word for word in argv[1:] if word.startswith("--")]
+    return [argv[0], *flags, *(word for word in argv[1:] if word not in flags)]
+
+
+class TestCommandLine:
+    @settings(max_examples=2000, deadline=None)
+    @given(st.lists(st.sampled_from(_WORDS), max_size=6)
+           | st.builds(lambda command, rest: [command, *rest], st.sampled_from(list(_COMMANDS)),
+                       st.lists(st.sampled_from(_WORDS), max_size=5)
+                       | st.lists(st.sampled_from(_PLAIN_WORDS), max_size=5)))
+    @example([])
+    @example(["classify", "", "--json"])
+    @example(["run", "—", "--trace", "--json", "--trace"])
+    @example(["verify-paper", "--json", "--json"])
+    @example(["demo", "classify"])
+    def test_a_plain_line_reads_as_argparse_reads_it(self, argv):
+        plain = _plain(argv)
+        if plain is not None:
+            assert plain == argparse_attributes(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help"], ["classify", "--js", "|00>"], ["classify", "--json=1", "|00>"],
+        ["classify", "--", "|00>"], ["classify", "-|00>"], ["classify", "-1"],
+        ["classify", "|00>", "|11>"], ["classify"], ["verify-paper", "x"], ["frobnicate"],
+        ["run", "--trace=", "x"], ["run", "-", "--json"], ["classify", None], [b"classify", "|00>"],
+    ])
+    def test_every_other_line_is_left_to_argparse(self, argv):
+        assert _plain(argv) is None
+
+    def test_every_workload_and_golden_line_is_plain_with_flags_either_side(self, monkeypatch):
+        bench_module(monkeypatch, "exact")
+        workloads = bench_module(monkeypatch, "workloads")
+        lines = [list(case.argv) for name in workloads.WORKLOADS
+                 for case in workloads.make(name, 1).cases]
+        golden = ROOT / "tests" / "golden"
+        kets = [line.split("\t")[1] for line in
+                (golden / "classify.txt").read_text(encoding="utf-8").splitlines()]
+        circuits = [str(path) for path in sorted(CIRCUITS.glob("*.bhqc"))]
+        for command, positionals in [("classify", kets), ("run", circuits),
+                                     ("demo", ["bell", "teleport", "ghz", "class-change"]),
+                                     ("verify-paper", [None])]:
+            flags = [f"--{flag}" for flag in _COMMANDS[command][3]]
+            for positional in positionals:
+                lines += [[command, *filter(None, [positional]), *order]
+                          for k in range(len(flags) + 1) for order in permutations(flags, k)]
+        assert {line[0] for line in lines} == set(_COMMANDS)
+        assert any(len(line) > 2 for line in lines)
+        for argv in lines:
+            for form in (argv, flags_first(argv)):
+                plain = _plain(form)
+                assert plain is not None, form
+                assert plain == argparse_attributes(form), form
+
+    @pytest.mark.parametrize("full, other", [
+        (["classify", "|000>+|111>", "--json"], ["classify", "|000>+|111>", "--js"]),
+        (["classify", "|000>+|111>", "--json"], ["classify", "--json", "|000>+|111>"]),
+        (["run", str(CIRCUITS / "teleport.bhqc"), "--trace"],
+         ["run", str(CIRCUITS / "teleport.bhqc"), "--tr"]),
+        (["run", str(CIRCUITS / "teleport.bhqc"), "--trace"],
+         ["run", "--trace", str(CIRCUITS / "teleport.bhqc")]),
+        (["run", str(CIRCUITS / "ghz.bhqc"), "--json"], ["run", "--js", str(CIRCUITS / "ghz.bhqc")]),
+        (["demo", "ghz", "--json"], ["demo", "--json", "ghz"]),
+        (["demo", "ghz", "--json"], ["demo", "ghz", "--js"]),
+        (["verify-paper", "--json"], ["verify-paper", "--js"]),
+    ])
+    def test_abbreviated_and_flag_first_forms_print_what_the_full_forms_print(self, capsys,
+                                                                             full, other):
+        want = invoke(capsys, *full)
+        assert want[0] in (0, 2) and want[1] and want[2] == ""
+        assert invoke(capsys, *other) == want
+
+
 # Runs one command in a fresh interpreter and prints the modules it added.
 _FOOTPRINT = """
 import contextlib, io, json, sys
@@ -434,9 +530,15 @@ COMMANDS = {
     "demo": ["demo", "ghz"],
 }
 
-# the flags each command also takes, one fresh process for each
-_OTHER_FORMS = {"classify": [["--json"]], "run": [["--json"], ["--trace"]],
-                "verify-paper": [["--json"]], "demo": [["--json"]]}
+def _forms(command: str) -> list[list[str]]:
+    """Each plain form of ``command``: bare, and with each flag after and before its positional."""
+    bare = COMMANDS[command]
+    forms = [bare]
+    for flag in (f"--{name}" for name in _COMMANDS[command][3]):
+        forms.append([*bare, flag])
+        if len(bare) > 1:
+            forms.append([bare[0], flag, *bare[1:]])
+    return forms
 
 
 class TestImports:
@@ -452,25 +554,27 @@ class TestImports:
     def test_a_command_imports_only_the_modules_it_runs(self, command, used, unused):
         # in one process an earlier command may have bound a name a later one
         # needs, so each form runs in a fresh one
-        for flags in [[], *_OTHER_FORMS[command]]:
+        for argv in [*_forms(command), [command, "--help"]]:
             result = subprocess.run(
-                [sys.executable, "-c", _FOOTPRINT, *COMMANDS[command], *flags],
+                [sys.executable, "-c", _FOOTPRINT, *argv],
                 capture_output=True, text=True, cwd=ROOT, env=child_env(), check=True)
             report = json.loads(result.stdout)
             loaded = set(report["loaded"])
-            assert report["code"] in (0, 2), flags
+            if argv[-1] == "--help":
+                # only argparse writes help and usage texts
+                assert (report["code"], "argparse" in loaded) == (0, True)
+                continue
+            assert report["code"] in (0, 2), argv
             assert "dataclasses" not in loaded
-            assert used <= loaded, flags
-            assert not unused & loaded, flags
+            # a plain line is read without argparse, its gettext lookup and
+            # the shutil its constructor imports
+            assert not {"argparse", "gettext", "shutil"} & loaded, argv
+            assert used <= loaded, argv
+            assert not unused & loaded, argv
 
     @staticmethod
     def _probes(monkeypatch):
-        """``bench/probes.py``, loaded from its file."""
-        spec = importlib.util.spec_from_file_location("bench_probes", ROOT / "bench" / "probes.py")
-        probes = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, probes)  # its dataclasses look it up
-        spec.loader.exec_module(probes)
-        return probes
+        return bench_module(monkeypatch, "probes")
 
     def test_names_the_tracer_wraps_are_bound_after_each_command_ran(self, capsys,
                                                                       monkeypatch):

@@ -97,6 +97,10 @@ def test_help(capsys, monkeypatch, command):
     ("bhqc", []),
     ("frobnicate", ["frobnicate"]),
     ("classify", ["classify"]),
+    ("classify-extra", ["classify", "|00>", "|11>"]),
+    ("verify-paper", ["verify-paper", "x"]),
+    ("classify-json-value", ["classify", "--json=1", "|00>"]),
+    ("run", ["run"]),
 ])
 def test_usage_error(capsys, monkeypatch, name, argv):
     monkeypatch.setenv("COLUMNS", "80")
