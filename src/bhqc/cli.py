@@ -8,7 +8,9 @@ deterministic (there is no randomness anywhere in the tool).  Exit codes:
 
 A plain command line is read straight from ``_COMMANDS``; argparse, which
 owns the help and usage texts, is imported only for help, usage errors and
-the other forms it accepts (abbreviated flags, ``--``).
+the other forms it accepts (abbreviated flags, ``--``).  Each command's row
+also names what the command calls, bound from the package when it runs, so
+a process imports only the modules its command uses.
 """
 
 from __future__ import annotations
@@ -16,37 +18,12 @@ from __future__ import annotations
 import os
 import sys
 from math import isfinite
-from pathlib import Path
-from typing import TYPE_CHECKING
 
+TYPE_CHECKING = False  # type checkers read it as true, so typing never loads
 if TYPE_CHECKING:
     import argparse
 
     from .circuit import RunResult
-
-# command -> the names it calls, read from the package (which imports each
-# name's module on first access) and bound into this module when the command
-# runs, so a process imports only what its command runs
-_IMPORTS = {
-    "run": ("DslError", "parse_circuit", "instruction_text", "run"),
-    "demo": ("parse_circuit", "instruction_text", "run", "classify", "transition_report"),
-    "classify": ("parse_ket", "classify"),
-    "verify-paper": ("MATCH", "MATCH_UP_TO_SCALAR", "MISMATCH", "verify_claims"),
-}
-
-
-def _load(command: str) -> None:
-    """Bind the names ``command`` calls here.
-
-    Commands call these names as globals of this module.  A name already
-    bound is left alone, so a wrapper put in its place (a tracer's, say)
-    survives a later command that needs the same name.
-    """
-    package = sys.modules[__package__]
-    bound = globals()
-    for name in _IMPORTS[command]:
-        bound.setdefault(name, getattr(package, name))
-
 
 # demo name -> stem of its file in circuits/
 _DEMOS = {"bell": "bell_chain", "teleport": "teleport", "ghz": "ghz",
@@ -116,10 +93,6 @@ def _write(value: object, pad: str, put, string, keys: dict[str, str]) -> None:
         put(dumps(value))  # bools, None, NaN and the infinities
 
 
-def _print_json(obj: object) -> None:
-    print(_json_text(obj))
-
-
 def _result_json(result: RunResult) -> dict:
     """The steps and claims of a run, as ``run --json`` and ``demo --json`` print them."""
     return {"steps": [{"instruction": instruction_text(ins), "state": str(state)}
@@ -140,11 +113,11 @@ def _print_claims(result: RunResult) -> None:
 
 
 def _cmd_run(path: str, json: bool, trace: bool) -> int:
-    path = Path(path)
     try:
         # a leading byte-order mark is no text; decoding it as utf-8 (not
         # utf-8-sig) keeps the byte offsets of decode errors true
-        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
+        with open(path, encoding="utf-8") as file:
+            text = file.read().removeprefix("\ufeff")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -159,7 +132,7 @@ def _cmd_run(path: str, json: bool, trace: bool) -> int:
         return 1
     result = run(circuit)
     if json:
-        _print_json(_result_json(result))
+        print(_json_text(_result_json(result)))
         return 0
     if trace:
         _print_steps(result)
@@ -174,8 +147,9 @@ def _cmd_demo(name: str, json: bool) -> int:
         print(f"error: unknown demo name '{name}' (choose from {known})",
               file=sys.stderr)
         return 1
-    path = Path(__file__).with_name("circuits") / f"{_DEMOS[name]}.bhqc"
-    circuit = parse_circuit(path.read_text(encoding="utf-8"))
+    path = os.path.join(os.path.dirname(__file__), "circuits", f"{_DEMOS[name]}.bhqc")
+    with open(path, encoding="utf-8") as file:
+        circuit = parse_circuit(file.read())
     result = run(circuit)
     try:
         before, report = classify(circuit.initial_state), classify(result.final_state)
@@ -185,11 +159,11 @@ def _cmd_demo(name: str, json: bool) -> int:
         transition = transition_report(before, report)
 
     if json:
-        _print_json({
+        print(_json_text({
             **_result_json(result),
             "classification": None if report is None else report.to_json(),
             "transition": transition,
-        })
+        }))
         return 0
 
     print(f"demo: {name}")
@@ -217,7 +191,7 @@ def _cmd_classify(state: str, json: bool) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if json:
-        _print_json(report.to_json())
+        print(_json_text(report.to_json()))
     else:
         for line in report.lines():
             print(line)
@@ -231,11 +205,11 @@ def _cmd_verify_paper(json: bool) -> int:
         counts[record.verdict] += 1
     n_match, n_scalar, n_mismatch = counts.values()
     if json:
-        _print_json({
+        print(_json_text({
             "claims": [r.to_json(with_states=True) for r in records],
             "summary": {"total": len(records), "match": n_match,
                         "match_up_to_scalar": n_scalar, "mismatch": n_mismatch},
-        })
+        }))
     else:
         for record in records:
             print(record.summary())
@@ -245,16 +219,21 @@ def _cmd_verify_paper(json: bool) -> int:
 
 
 # command -> its help text, its positional and that positional's metavar
-# (None for none), its flags, and the function that runs it, called with the
-# positional and each flag as keyword arguments
+# (None for none), its flags, the names it calls, and the function that runs
+# it, called with the positional and each flag as keyword arguments
 _COMMANDS = {
-    "run": ("execute a .bhqc circuit file", "path", None, ("json", "trace"), _cmd_run),
+    "run": ("execute a .bhqc circuit file", "path", None, ("json", "trace"),
+            ("DslError", "parse_circuit", "instruction_text", "run"), _cmd_run),
     "demo": ("run a canned circuit with classification",
-             "name", "{" + ",".join(_DEMOS) + "}", ("json",), _cmd_demo),
+             "name", "{" + ",".join(_DEMOS) + "}", ("json",),
+             ("parse_circuit", "instruction_text", "run", "classify", "transition_report"),
+             _cmd_demo),
     "classify": ("classify an inline 2- or 3-qubit state", "state", None, ("json",),
-                 _cmd_classify),
+                 ("parse_ket", "classify"), _cmd_classify),
     "verify-paper": ("re-derive the full identity catalog and report verdicts",
-                     None, None, ("json",), _cmd_verify_paper),
+                     None, None, ("json",),
+                     ("MATCH", "MATCH_UP_TO_SCALAR", "MISMATCH", "verify_claims"),
+                     _cmd_verify_paper),
 }
 
 
@@ -266,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact simulator, identity verifier, and SLOCC classifier "
                     "for the black-hole/qubit-correspondence gate algebra.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, positional, metavar, flags, _) in _COMMANDS.items():
+    for command, (text, positional, metavar, flags, *_) in _COMMANDS.items():
         p_command = sub.add_parser(command, help=text)
         if positional:
             p_command.add_argument(positional, metavar=metavar)
@@ -287,7 +266,7 @@ def _plain(words: list) -> dict | None:
     if not words or any(type(word) is not str for word in words) or words[0] not in _COMMANDS:
         return None
     command = words[0]
-    _, positional, _, flags, _ = _COMMANDS[command]
+    _, positional, _, flags, *_ = _COMMANDS[command]
     args = {"command": command, **dict.fromkeys(flags, False)}
     values = []
     for word in words[1:]:
@@ -312,9 +291,15 @@ def main(argv: list[str] | None = None) -> int:
             args = vars(build_parser().parse_args(words))
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 1
-    command = args.pop("command")
-    _load(command)
-    return _COMMANDS[command][-1](**args)
+    *_, names, function = _COMMANDS[args.pop("command")]
+    # commands call these names as globals of this module, read from the
+    # package, which imports each name's module on first access; a name
+    # already bound is left alone, so a wrapper put in its place (a tracer's,
+    # say) survives a later command that needs the same name
+    package, bound = sys.modules[__package__], globals()
+    for name in names:
+        bound.setdefault(name, getattr(package, name))
+    return function(**args)
 
 
 def entry() -> None:

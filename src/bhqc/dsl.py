@@ -13,17 +13,21 @@ One directive per line; ``#`` starts a comment::
 Ket expressions look like ``|01> + |10>`` or ``(alpha)|0> + (beta)|1>``.
 Amplitudes use exact rationals (``1/2``), ``i`` for the imaginary unit,
 compound scalars such as ``(1/2)+(-3)i``, and symbol powers ``alpha^2``.
+``MAX_EXPONENT``, ``MAX_PRODUCT_TERMS`` and ``MAX_NESTING`` bound the work
+one line of text can ask for.
 """
 
 from __future__ import annotations
 
 import re as _re
-from typing import TYPE_CHECKING, NoReturn
 
 from .scalars import GaussianRational, I, ONE, ZERO, Monomial, SymbolicAmplitude, _gr, _reduced
 from .states import MAX_QUBITS, Ket, OperandError
 
+TYPE_CHECKING = False  # type checkers read it as true, so typing never loads
 if TYPE_CHECKING:  # parse_circuit imports circuit when called
+    from typing import NoReturn
+
     from .circuit import Circuit, Instruction
 
 # Largest accepted total degree of a monomial, for a power ``alpha^k`` and

@@ -6,7 +6,8 @@ as the paper defines them (star|0> = -|0>, star|1> = |1>, raise|0> = |1>,
 lower|1> = |0>).  Operators are exact, not unitary in general (raise and
 lower are nilpotent) and carry no normalization factors.  All derived gates
 are built *from* the generators; their stated action tables are checked
-elsewhere, never hard-coded here.
+elsewhere, never hard-coded here.  ``GATES`` is the registry, the one place
+a gate is looked up by name.
 
 A k-qubit gate acts in place: ``act`` moves each basis term of the state to
 the basis terms its action table sends that column to; no 2^n x 2^n matrix
@@ -23,7 +24,7 @@ and only another value, such as the 2 in ``LL2 @ LL1``, costs a multiply.
 from __future__ import annotations
 
 from itertools import product
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .scalars import MINUS_ONE, ONE, Amplitude, GaussianRational
 from .states import MAX_QUBITS, Ket, check_bits, check_targets, check_type

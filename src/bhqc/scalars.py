@@ -27,15 +27,17 @@ next unchanged or negated, with no multiply.  An amplitude caches its text
 on the first ``str``, so a shared amplitude renders once per run, and a
 negation holds its operand, so ``-(-a) is a``: a term that one -1 entry
 flips and a later one flips back keeps its polynomial and its text.
+Scaling and negation keep the terms in order, so their results skip the
+sort.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from decimal import Decimal
 from fractions import Fraction
 from itertools import groupby
 from math import gcd, lcm
-from typing import Iterable, Iterator
 
 Rational = int | Fraction
 

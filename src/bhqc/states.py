@@ -15,7 +15,7 @@ Mode labels belong to circuits, not to kets.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 from .scalars import Amplitude, amp, join_terms, scaled_str
 

@@ -99,6 +99,14 @@ class TestCompareKets:
         computed = Ket(2, {"00": 2, "11": 3})
         assert compare_kets(expected, computed)[0] == MISMATCH
 
+    @pytest.mark.parametrize("expected, computed", [
+        (Ket.basis("0"), Ket.basis("00")),
+        (Ket.basis("1"), Ket.basis("10") + Ket.basis("11")),
+        (Ket.zero(1), Ket.zero(2)),
+    ])
+    def test_kets_of_different_widths_are_a_mismatch(self, expected, computed):
+        assert compare_kets(expected, computed) == (MISMATCH, None)
+
 
 class TestExecutor:
     def test_empty_instruction_list(self):
@@ -249,6 +257,12 @@ class TestExecutor:
             with pytest.raises(AttributeError):
                 delattr(record, name)
         assert run(circuit).final_state == Ket(2, {"00": -1})
+
+    def test_a_record_equals_only_a_record_of_its_type_and_prints_its_slots(self):
+        gate = ApplyGate("LL1", [0, 1])
+        assert gate == ApplyGate("LL1", (0, 1))
+        assert gate != Project("01", (0, 1)) and gate != ("LL1", (0, 1))
+        assert repr(gate) == "ApplyGate(gate='LL1', targets=(0, 1))"
 
 
 # values of the wrong type for any part of a ket, an operator or a circuit

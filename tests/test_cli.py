@@ -66,10 +66,12 @@ class TestRun:
     def test_syntax_error_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.bhqc"
         bad.write_text("qubits 2\nstate |00>\napply LX 0\n")
-        code, _, err = invoke(capsys, "run", str(bad))
+        # the error names the file as it was given, unnormalized
+        given = f"{tmp_path}/./bad.bhqc"
+        code, _, err = invoke(capsys, "run", given)
         assert code == 1
         assert "unknown gate 'LX'" in err
-        assert ":3:" in err
+        assert err.startswith(f"{given}:3:")
 
     def test_missing_file_exits_one(self, capsys):
         code, _, err = invoke(capsys, "run", "no_such_file.bhqc")
@@ -553,10 +555,11 @@ class TestImports:
     ])
     def test_a_command_imports_only_the_modules_it_runs(self, command, used, unused):
         # in one process an earlier command may have bound a name a later one
-        # needs, so each form runs in a fresh one
+        # needs, so each form runs in a fresh one.  -S skips the site step,
+        # whose .pth hooks may import typing or pathlib before the snapshot
         for argv in [*_forms(command), [command, "--help"]]:
             result = subprocess.run(
-                [sys.executable, "-c", _FOOTPRINT, *argv],
+                [sys.executable, "-S", "-c", _FOOTPRINT, *argv],
                 capture_output=True, text=True, cwd=ROOT, env=child_env(), check=True)
             report = json.loads(result.stdout)
             loaded = set(report["loaded"])
@@ -569,6 +572,8 @@ class TestImports:
             # a plain line is read without argparse, its gettext lookup and
             # the shutil its constructor imports
             assert not {"argparse", "gettext", "shutil"} & loaded, argv
+            # only annotations use typing, and open reads the files
+            assert not {"typing", "pathlib"} & loaded, argv
             assert used <= loaded, argv
             assert not unused & loaded, argv
 

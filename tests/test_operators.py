@@ -313,6 +313,16 @@ class TestActionTables:
         with pytest.raises(ValueError, match="tensor product exceeds 6 qubits"):
             CNOT.tensor(CNOT).tensor(CNOT).tensor(STAR)
 
+    def test_an_operand_that_is_no_operator_is_refused(self):
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \+"):
+            STAR + 1
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for @"):
+            STAR @ 1
+        assert (STAR == 1) is False
+
+    def test_repr_lists_the_action_table(self):
+        assert repr(GATES["NOT"]) == "Operator(arity=1, {|0> -> |1>, |1> -> |0>})"
+
 
 class TestRegistry:
     def test_names(self):

@@ -101,7 +101,8 @@ class TestSymbolicAmplitude:
         for other, oid in [(True, "bool"), (1.5, "float")]
         for (x, xid), (y, yid) in [((value, vid), (other, oid)), ((other, oid), (value, vid))]])
     @pytest.mark.parametrize("op, symbol", [(operator.add, "+"), (operator.sub, "-"),
-                                            (operator.mul, "*")], ids=["add", "sub", "mul"])
+                                            (operator.mul, "*"), (operator.truediv, "/")],
+                             ids=["add", "sub", "mul", "truediv"])
     def test_an_operand_of_another_type_is_refused_by_its_operator(self, left, right, op, symbol):
         with pytest.raises(TypeError, match=re.escape(f"unsupported operand type(s) for {symbol}:")):
             op(left, right)

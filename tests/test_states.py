@@ -125,6 +125,14 @@ class TestAlgebraAndRendering:
         with pytest.raises(ValueError, match="different qubit counts"):
             Ket.basis("0") + Ket.basis("00")
 
+    def test_an_operand_that_is_no_ket_is_refused(self):
+        k = Ket.basis("0")
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \+"):
+            k + 1
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -"):
+            k - 1
+        assert (k == 1) is False
+
     def test_operations_keep_scalar_amplitudes(self):
         x = Ket(2, {"00": 1, "01": Fraction(1, 2), "11": GaussianRational(1, 1)})
         y = Ket(2, {"00": -1, "10": 2})
@@ -148,6 +156,7 @@ class TestAlgebraAndRendering:
     ])
     def test_rendering(self, ket, text):
         assert str(ket) == text
+        assert repr(ket) == f"Ket({text})"
 
 
 _symbolic_kets = st.dictionaries(
