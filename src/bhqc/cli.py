@@ -314,7 +314,3 @@ def entry() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     sys.exit(code)
-
-
-if __name__ == "__main__":
-    entry()

@@ -114,10 +114,6 @@ class Ket:
         return cls(len(bits), {bits: 1})
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def has_symbols(self) -> bool:
         return any(a.has_symbols for a in self.terms.values())
 

@@ -390,6 +390,6 @@ def test_a_local_map_keeps_the_class_or_raises_no_rank(case, matrix):
             assert after.hyperdeterminant == det * det * before.hyperdeterminant
     else:
         assert all(r1 <= r0 for r0, r1 in zip(before.flattening_ranks, after.flattening_ranks))
-    if moved.is_zero:
+    if not moved.terms:
         assert after.slocc_class == "NULL"
         assert after.flattening_ranks == (0,) * n

@@ -737,6 +737,8 @@ class TestCircuitParsing:
                      (3, 12, "undeclared symbol 'beta'"), id="polynomial-undeclared-symbol"),
         pytest.param("qubits 2\nqubits 2", (2, 1, "duplicate 'qubits' directive"),
                      id="duplicate-qubits"),
+        pytest.param("qubits\n", (1, 1, "usage: qubits N"), id="qubits-without-count"),
+        pytest.param("qubits 2 3\n", (1, 1, "usage: qubits N"), id="qubits-with-two-counts"),
         pytest.param("qubits 2\nsymbols", (2, 1, "usage: symbols name [name ...]"),
                      id="symbols-without-names"),
         pytest.param("qubits 2\nlabels a b\nlabels a b", (3, 1, "duplicate 'labels' directive"),

@@ -6,21 +6,25 @@ Each file in ``tests/golden`` is the exact stdout of one command, or, for
 layer, the operators, or rendering that alters a single character of a
 verdict, a state, or a JSON field fails here.  The help and usage texts are
 argparse's, wrapped to ``COLUMNS=80``.
+
+CI also runs this module from a fresh venv holding the built wheel, under
+two hash seeds, with ``-o pythonpath=`` so that bhqc and its circuit files
+come from the installed package, not from ``src``.
 """
 
 from pathlib import Path
 
 import pytest
 
-from bhqc.cli import main
+from bhqc.cli import _DEMOS, main
 from bhqc.operators import GATES
 
 from _shipped import CIRCUITS as SHIPPED_DIR
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CIRCUITS = sorted(SHIPPED_DIR.glob("*.bhqc"))
-# name<TAB>ket: the state behind each classify-<name> golden, which the CI
-# wheel step reads too
+# name<TAB>ket: the state behind each classify-<name> golden; the CI wheel
+# step reads the ghz line for its console-script check
 CLASSIFY = dict(line.split("\t") for line in
                 (GOLDEN / "classify.txt").read_text(encoding="utf-8").splitlines())
 
@@ -49,7 +53,7 @@ def test_verify_paper(capsys, flags, name):
     assert _stdout(capsys, ["verify-paper", *flags], 2) == expected
 
 
-@pytest.mark.parametrize("name", ["bell", "teleport", "ghz", "class-change"])
+@pytest.mark.parametrize("name", _DEMOS)
 @pytest.mark.parametrize("flags, suffix", [([], "txt"), (["--json"], "json")])
 def test_demo(capsys, name, flags, suffix):
     expected = (GOLDEN / f"demo-{name}.{suffix}").read_text(encoding="utf-8")
@@ -81,6 +85,11 @@ def test_every_circuit_has_a_golden_file():
         pinned = {p.name for p in GOLDEN.glob(f"run-*.{suffix}")
                   if p.name.count(".") == suffix.count(".") + 1}
         assert pinned == {f"run-{p.stem}.{suffix}" for p in CIRCUITS}, suffix
+
+
+def test_every_demo_has_a_golden_file():
+    pinned = {p.name for p in GOLDEN.glob("demo-*")}
+    assert pinned == {f"demo-{name}.{suffix}" for name in _DEMOS for suffix in ("txt", "json")}
 
 
 @pytest.mark.parametrize("command", ["bhqc", "run", "demo", "classify", "verify-paper"])

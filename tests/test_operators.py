@@ -36,8 +36,8 @@ class TestGenerators:
 
     def test_bit_flippers(self):
         assert apply(RAISE, K0) == K1
-        assert apply(RAISE, K1).is_zero
-        assert apply(LOWER, K0).is_zero
+        assert apply(RAISE, K1) == Ket.zero(1)
+        assert apply(LOWER, K0) == Ket.zero(1)
         assert apply(LOWER, K1) == K0
 
     def test_nilpotency_and_involution(self):
@@ -112,13 +112,13 @@ class TestTwoModeTensors:
         op = RAISE.tensor(RAISE)
         assert apply(op, Ket.basis("00")) == Ket.basis("11")
         for bits in ("01", "10", "11"):
-            assert apply(op, Ket.basis(bits)).is_zero
+            assert apply(op, Ket.basis(bits)) == Ket.zero(2)
 
     def test_lower_lower(self):
         op = LOWER.tensor(LOWER)
         assert apply(op, Ket.basis("11")) == Ket.basis("00")
         for bits in ("00", "01", "10"):
-            assert apply(op, Ket.basis(bits)).is_zero
+            assert apply(op, Ket.basis(bits)) == Ket.zero(2)
 
     def test_mixed_flippers(self):
         up_dn = RAISE.tensor(LOWER)
@@ -126,9 +126,9 @@ class TestTwoModeTensors:
         assert apply(up_dn, Ket.basis("01")) == Ket.basis("10")
         assert apply(dn_up, Ket.basis("10")) == Ket.basis("01")
         for bits in ("00", "10", "11"):
-            assert apply(up_dn, Ket.basis(bits)).is_zero
+            assert apply(up_dn, Ket.basis(bits)) == Ket.zero(2)
         for bits in ("00", "01", "11"):
-            assert apply(dn_up, Ket.basis(bits)).is_zero
+            assert apply(dn_up, Ket.basis(bits)) == Ket.zero(2)
 
 
 class TestBigLambdaOps:
