@@ -18,7 +18,7 @@ _EXPORTS = {
                 "Project", "compare_kets", "instruction_text", "run"),
     "dsl": ("DslError", "parse_circuit", "parse_ket"),
     "claims": ("CLAIMS", "KNOWN_MISMATCHES", "KNOWN_SCALAR_MATCHES", "verify_claims"),
-    "classifier": ("COSET_CHAIN", "classify", "transition_report"),
+    "classifier": ("classify", "transition_report"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

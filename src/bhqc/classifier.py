@@ -5,7 +5,8 @@ B-CA, or C-AB), W, and GHZ, decided exactly from single-party flattening
 ranks and the 2x2x2 hyperdeterminant.  Two-qubit states classify as NULL,
 SEPARABLE, or ENTANGLED.  The report stores exact invariants only and
 derives its display values from them: tau3 from the exact 3-tangle and the
-entropy from |Det|^2, each a Decimal where a float would not hold it.
+entropy from |Det|^2, each a Decimal where a float would not hold it.  Every
+field the class decides is its row of the black-hole/qubit dictionary.
 
 The classifier works on the state scaled by the lcm of its denominators: one
 list of Gaussian integers as ``(re, im)`` int pairs, since ranks do not change
@@ -27,30 +28,24 @@ from .scalars import GaussianRational, _reduced, rat_str
 from .states import Ket
 
 
-GHZ_BRANE_NOTE = "four D3-branes intersecting over a string"
 COSET_CHAIN = "SL(2,C)×SL(2,C)×SL(2,C) → SL(2,C)×SL(4,C) → SL(6,C)"
 
-_PARTIES = ("A", "B", "C")
 _BIPARTITION = {"A": "A-BC", "B": "B-CA", "C": "C-AB"}
 
-# The black-hole/qubit dictionary: SLOCC class -> (FTS rank, preserved SUSY
-# fraction, black-hole size).  A biseparable state's rank "2" gets the
-# letter of its separated party: 2a, 2b or 2c.
+# The black-hole/qubit dictionary, one row per SLOCC class: FTS rank, preserved
+# SUSY fraction, the SUSY text ``classify`` prints, black-hole size and brane
+# note.  A biseparable state's rank "2" gets the letter of its separated party:
+# 2a, 2b or 2c.  The attractor flag is set exactly for a large black hole.
 _DICTIONARY = {
-    "NULL": ("0", None, None),
-    "SEPARABLE": ("1", "1/2", "SMALL"),
-    "BISEPARABLE": ("2", "1/4", "SMALL"),
-    "W": ("3", "1/8", "SMALL"),
-    "GHZ": ("4", "1/8-or-broken", "LARGE"),
-    "ENTANGLED": (None, None, None),
+    "NULL": ("0", None, None, None, None),
+    "SEPARABLE": ("1", "1/2", "1/2 preserved", "SMALL", None),
+    "BISEPARABLE": ("2", "1/4", "1/4 preserved", "SMALL", None),
+    "W": ("3", "1/8", "1/8 preserved", "SMALL", None),
+    "GHZ": ("4", "1/8-or-broken", "1/8 preserved or completely broken", "LARGE",
+            "four D3-branes intersecting over a string"),
+    "ENTANGLED": (None, None, None, None, None),
 }
 
-SUSY_PHRASE = {
-    "1/2": "1/2 preserved",
-    "1/4": "1/4 preserved",
-    "1/8": "1/8 preserved",
-    "1/8-or-broken": "1/8 preserved or completely broken",
-}
 
 def _scalar_amplitudes(state: Ket) -> tuple[list[tuple[int, int]], int]:
     """The amplitude vector times ``scale``, the lcm of its denominators, as
@@ -104,9 +99,9 @@ class EntanglementReport:
     squared 3-tangle (None for two qubits; the tangle also for the zero ket).
     The display values tau3 and entropy, and the black-hole fields, derive here."""
 
-    __slots__ = ("flattening_ranks", "slocc_class", "separated_party",
-                 "hyperdeterminant", "three_tangle_exact", "three_tangle", "fts_rank",
-                 "susy_fraction", "size_class", "attractor", "brane_note", "entropy_display")
+    __slots__ = ("flattening_ranks", "slocc_class", "separated_party", "hyperdeterminant",
+                 "three_tangle_exact", "three_tangle", "fts_rank", "susy_fraction", "susy_phrase",
+                 "size_class", "attractor", "brane_note", "entropy_display")
 
     def __init__(self, flattening_ranks: tuple[int, ...], slocc_class: str,
                  separated_party: str | None, hyperdeterminant: GaussianRational | None,
@@ -120,10 +115,10 @@ class EntanglementReport:
                              else _display_root(three_tangle_exact, 2))
         self.entropy_display = (None if det is None else _display_root(
             Fraction(det._a * det._a + det._b * det._b, det._d * det._d), 4, math.pi))
-        fts, self.susy_fraction, self.size_class = _DICTIONARY[slocc_class]
+        (fts, self.susy_fraction, self.susy_phrase, self.size_class,
+         self.brane_note) = _DICTIONARY[slocc_class]
         self.fts_rank = fts + separated_party.lower() if separated_party else fts
-        self.attractor = slocc_class == "GHZ"
-        self.brane_note = GHZ_BRANE_NOTE if slocc_class == "GHZ" else None
+        self.attractor = self.size_class == "LARGE"
 
     @property
     def label(self) -> str:
@@ -143,31 +138,24 @@ class EntanglementReport:
                                              "im": rat_str(det._b, det._d)},
             "tau3": _display_json(self.three_tangle),
             "susy": self.susy_fraction,
-            "size": None if self.size_class is None else self.size_class.lower(),
+            "size": self.size_class and self.size_class.lower(),
             "attractor": self.attractor,
             "brane_note": self.brane_note,
             "entropy": _display_json(self.entropy_display),
         }
 
     def lines(self) -> list[str]:
-        """The report as ``classify`` prints it, one ``key: value`` text a line."""
-        lines = [f"class: {self.label}", "ranks: " + ",".join(map(str, self.flattening_ranks))]
-        if self.fts_rank is not None:
-            lines.append(f"fts_rank: {self.fts_rank}")
-        if self.hyperdeterminant is not None:
-            lines.append(f"det: {self.hyperdeterminant}")
-        if self.three_tangle is not None:
-            lines.append(f"tau3: {self.three_tangle:.12g}")
-        if self.susy_fraction is not None:
-            lines.append(f"susy: {SUSY_PHRASE[self.susy_fraction]}")
-        if self.size_class is not None:
-            lines.append(f"size: {self.size_class.lower()}")
-        lines.append(f"attractor: {'true' if self.attractor else 'false'}")
-        if self.brane_note is not None:
-            lines.append(f"brane: {self.brane_note}")
-        if self.entropy_display is not None:
-            lines.append(f"entropy: {self.entropy_display:.12g}")
-        return lines
+        """The report as ``classify`` prints it, one ``key: value`` text a line;
+        a field with no value is left out."""
+        tau3, entropy = (v if v is None else f"{v:.12g}"
+                         for v in (self.three_tangle, self.entropy_display))
+        fields = (("class", self.label), ("ranks", ",".join(map(str, self.flattening_ranks))),
+                  ("fts_rank", self.fts_rank), ("det", self.hyperdeterminant),
+                  ("tau3", tau3), ("susy", self.susy_phrase),
+                  ("size", self.size_class and self.size_class.lower()),
+                  ("attractor", "true" if self.attractor else "false"),
+                  ("brane", self.brane_note), ("entropy", entropy))
+        return [f"{key}: {value}" for key, value in fields if value is not None]
 
 
 def _display_json(value: float | Decimal | None) -> float | str | None:
@@ -199,7 +187,7 @@ def classify(state: Ket) -> EntanglementReport:
     elif ranks == (1, 1, 1):
         slocc = "SEPARABLE"
     elif ranks.count(1) == 1:
-        slocc, party = "BISEPARABLE", _PARTIES[ranks.index(1)]
+        slocc, party = "BISEPARABLE", "ABC"[ranks.index(1)]
     elif ranks == (2, 2, 2):
         slocc = "GHZ" if abs_sq else "W"
     else:  # a rank pattern like (1, 1, 2) cannot occur for a valid tensor
@@ -243,26 +231,17 @@ def _display_root(x: Fraction, k: int, factor: float = 1.0) -> float | Decimal:
 
 def transition_report(before: EntanglementReport, after: EntanglementReport) -> dict:
     """Templated deltas between the classifications of two states, as
-    ``demo --json`` prints them: ``susy``, ``size`` and ``rank`` texts, and
-    ``coset``, the coset chain when the FTS rank rose, else None."""
+    ``demo --json`` prints them: ``susy``, ``size`` and ``rank`` read ``unchanged``
+    or ``old → new`` (``none`` for a missing side; the new SUSY fraction as its
+    phrase, a new attractor marked); ``coset`` is the coset chain when the FTS
+    rank rose, else None."""
     b, a = before, after
-    if b.susy_fraction == a.susy_fraction:
-        susy = "unchanged"
-    else:
-        susy = (f"{b.susy_fraction or 'none'} → "
-                f"{SUSY_PHRASE.get(a.susy_fraction, 'none')}")
-    if b.size_class == a.size_class:
-        size = "unchanged"
-    else:
-        after_size = (a.size_class or "none").lower()
-        if a.attractor:
-            after_size += " (attractor)"
-        size = f"{(b.size_class or 'none').lower()} → {after_size}"
-    if b.fts_rank == a.fts_rank:
-        rank = "unchanged"
-    else:
-        rank = f"{b.fts_rank or 'none'} → {a.fts_rank or 'none'}"
+    size_b, size_a = (r.size_class and r.size_class.lower() for r in (b, a))
+    fields = {"susy": (b.susy_fraction, a.susy_fraction, a.susy_phrase),
+              "size": (size_b, size_a, f"{size_a} (attractor)" if a.attractor else size_a),
+              "rank": (b.fts_rank, a.fts_rank, a.fts_rank)}
+    report = {key: "unchanged" if old == new else f"{old or 'none'} → {shown or 'none'}"
+              for key, (old, new, shown) in fields.items()}
     rb, ra = b.fts_rank, a.fts_rank
-    increased = rb is not None and ra is not None and ra[0] > rb[0]  # "2a" has level 2
-    return {"susy": susy, "size": size, "rank": rank,
-            "coset": COSET_CHAIN if increased else None}
+    report["coset"] = COSET_CHAIN if rb and ra and ra[0] > rb[0] else None  # "2a": level 2
+    return report

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -154,6 +155,29 @@ class TestClassifyTwoQubits:
         assert classify(Ket.zero(2)).slocc_class == "NULL"
 
 
+# one state per row of README's dictionary table
+TABLE_STATES = {"NULL": Ket.zero(3), "SEPARABLE": Ket.basis("000"),
+                "BISEPARABLE": Ket(3, {"101": 1, "110": 1}), "W": W, "GHZ": GHZ,
+                "ENTANGLED": Ket(2, {"00": 1, "11": 1})}
+
+
+def test_each_readme_dictionary_row_is_what_classify_prints():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    keys = ("fts_rank", "susy", "size", "attractor", "brane")
+    header = f"| class | {' | '.join(keys)} |\n|---|---|---|---|---|---|\n"
+    rows = readme.split(header)[1].split("\n\n")[0].splitlines()
+    assert [row.split("`")[1] for row in rows] == list(TABLE_STATES)
+    for row in rows:
+        slocc, *cells = (cell.strip().strip("`") for cell in row.split("|")[1:-1])
+        printed = dict(line.split(": ", 1) for line in classify(TABLE_STATES[slocc]).lines())
+        assert len(cells) == len(keys)
+        for key, cell in zip(keys, cells):
+            if cell:  # a biseparable rank lists its three forms
+                assert printed[key] in cell.split("`, `"), (slocc, key)
+            else:
+                assert key not in printed, (slocc, key)
+
+
 class TestTransitions:
     def test_separable_to_biseparable(self):
         after = Ket(3, {"101": 1, "110": 1})
@@ -173,6 +197,21 @@ class TestTransitions:
         t = transition_report(classify(GHZ), classify(GHZ))
         assert t == {"susy": "unchanged", "size": "unchanged", "rank": "unchanged",
                      "coset": None}
+
+    @pytest.mark.parametrize("before, after, expected", [
+        (GHZ, Ket(3, {"000": 1, "011": 1}),
+         ("1/8-or-broken → 1/4 preserved", "large → small", "4 → 2a", None)),
+        (GHZ, Ket.zero(3), ("1/8-or-broken → none", "large → none", "4 → 0", None)),
+        (Ket.zero(3), W, ("none → 1/8 preserved", "none → small", "0 → 3", COSET_CHAIN)),
+        (W, GHZ, ("1/8 → 1/8 preserved or completely broken", "small → large (attractor)",
+                  "3 → 4", COSET_CHAIN)),
+        (Ket.basis("00"), Ket(2, {"00": 1, "11": 1}),
+         ("1/2 → none", "small → none", "1 → none", None)),
+        (Ket(2, {"00": 1, "11": 1}), Ket.zero(2), ("unchanged", "unchanged", "none → 0", None)),
+    ])
+    def test_each_field_reads_old_and_new(self, before, after, expected):
+        t = transition_report(classify(before), classify(after))
+        assert (t["susy"], t["size"], t["rank"], t["coset"]) == expected
 
     def test_coset_chain_text(self):
         assert COSET_CHAIN.startswith("SL(2,C)×SL(2,C)×SL(2,C)")

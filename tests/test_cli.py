@@ -616,7 +616,7 @@ class TestImports:
     def test_the_exported_names(self):
         # a new public name must show up here as an edit
         assert sorted(bhqc.__all__) == [
-            "ApplyGate", "CLAIMS", "COSET_CHAIN", "Circuit", "DslError", "Expect", "GATES",
+            "ApplyGate", "CLAIMS", "Circuit", "DslError", "Expect", "GATES",
             "GaussianRational", "KNOWN_MISMATCHES", "KNOWN_SCALAR_MATCHES", "Ket", "MATCH",
             "MATCH_UP_TO_SCALAR", "MAX_QUBITS", "MISMATCH", "Operator", "Project",
             "SymbolicAmplitude", "amp", "apply", "classify", "compare_kets",
