@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .operators import GATES, act
 from .scalars import GaussianRational
-from .states import Ket, OperandError, check_projection, check_targets, check_type
+from .states import Ket, OperandError, check_projection, check_targets, check_type, counted
 
 MATCH = "MATCH"
 MATCH_UP_TO_SCALAR = "MATCH_UP_TO_SCALAR"
@@ -88,7 +88,7 @@ def check_instruction(ins: Instruction, n_qubits: int) -> None:
         if op is None:
             raise OperandError(f"unknown gate '{ins.gate}'")
         check_targets(ins.targets, n_qubits, op.arity,
-                      lambda: f"gate {ins.gate} needs {op.arity} targets")
+                      lambda: f"gate {ins.gate} needs {counted(op.arity, 'target')}")
     elif isinstance(ins, Project):
         check_projection(ins.bits, ins.targets, n_qubits)
     elif isinstance(ins, Expect):

@@ -17,6 +17,8 @@ fills the first time it meets the pair and reads with one lookup per term
 after that.  Each move carries its entry's sign, so a term moves through a
 +1 or -1 entry (every entry of a registry gate) as itself or its negation,
 and only another value, such as the 2 in ``LL2 @ LL1``, costs a multiply.
+``act`` builds its result in one pass, with one sort, and tests for zero
+only where two contributions meet.
 ``apply`` is ``act`` behind the target check; a checked circuit step calls
 ``act`` itself.  Composition ``a @ b`` is ``a`` acting on each column of ``b``.
 """
@@ -27,7 +29,7 @@ from itertools import product
 from collections.abc import Mapping, Sequence
 
 from .scalars import MINUS_ONE, ONE, Amplitude, GaussianRational
-from .states import MAX_QUBITS, Ket, check_bits, check_targets, check_type
+from .states import MAX_QUBITS, Ket, check_bits, check_targets, check_type, counted
 
 # one move of a basis term: (output bitstring, entry value, entry sign)
 _Move = tuple[str, GaussianRational, int]
@@ -120,15 +122,22 @@ def apply(op: Operator, state: Ket, targets: Sequence[int] | None = None) -> Ket
     n = state.n_qubits
     targets = tuple(range(n)) if targets is None else tuple(targets)
     check_targets(targets, n, op.arity,
-                  lambda: f"an arity-{op.arity} operator needs {op.arity} targets")
+                  lambda: f"an arity-{op.arity} operator needs {counted(op.arity, 'target')}")
     return act(op, state, targets)
 
 
 def act(op: Operator, state: Ket, targets: tuple[int, ...]) -> Ket:
     """``op`` acting on the tuple ``targets``, with no check of them: the
     caller has checked that they are ``op.arity`` distinct qubits of
-    ``state``, as ``apply`` and ``Circuit`` do."""
-    moves = op._moves.setdefault(targets, {})
+    ``state``, as ``apply`` and ``Circuit`` do.
+
+    One pass over the terms: only a sum of two contributions is tested for
+    zero, since with no zero divisors a nonzero term moved by a nonzero
+    entry stays nonzero, and the result is sorted once.
+    """
+    moves = op._moves.get(targets)
+    if moves is None:
+        moves = op._moves[targets] = {}
     out: dict[str, Amplitude] = {}
     for bits, a in state.terms.items():
         entries = moves.get(bits)
@@ -137,8 +146,15 @@ def act(op: Operator, state: Ket, targets: tuple[int, ...]) -> Ket:
         for key, v, sign in entries:
             x = a if sign > 0 else -a if sign else a * v
             prev = out.get(key)
-            out[key] = x if prev is None else prev + x
-    return Ket._canonical(state.n_qubits, out)
+            if prev is None:
+                out[key] = x
+            else:
+                x = prev + x
+                if x:
+                    out[key] = x
+                else:
+                    del out[key]
+    return Ket._wrap(state.n_qubits, dict(sorted(out.items())) if len(out) > 1 else out)
 
 
 def _fill(op: Operator, moves: dict[str, tuple[_Move, ...]], bits: str,

@@ -20,15 +20,20 @@ there are no zero divisors.  Every value is canonical when it is built, and
 equality is structural.
 
 Scalars and amplitudes are immutable, so results share them freely: an
-amplitude added to zero is the other operand.  Every entry of the
-registry's gates is +1 or -1, and ``operators.act`` moves a term through
-such an entry by its sign, so amplitudes pass from one circuit step to the
-next unchanged or negated, with no multiply.  An amplitude caches its text
-on the first ``str``, so a shared amplitude renders once per run, and a
-negation holds its operand, so ``-(-a) is a``: a term that one -1 entry
-flips and a later one flips back keeps its polynomial and its text.
-Scaling and negation keep the terms in order, so their results skip the
-sort.
+amplitude added to zero is the other operand.  The scalars +1 and -1 are
+single shared objects, ``ONE`` and ``MINUS_ONE``: ``amp`` and the
+arithmetic operators coerce 1 and -1 to them, and negation maps each to
+the other, so negating a unit allocates nothing, and two kets of units
+compare by identity before ``__eq__``.  Equality and hashing stay
+structural: ``GaussianRational(1)`` is another object equal to ``ONE``.
+Every entry of the registry's gates is +1 or -1, and ``operators.act``
+moves a term through such an entry by its sign, so amplitudes pass from
+one circuit step to the next unchanged or negated, with no multiply.  An
+amplitude caches its text on the first ``str``, so a shared amplitude
+renders once per run, and a negation holds its operand, so ``-(-a) is a``:
+a term that one -1 entry flips and a later one flips back keeps its
+polynomial and its text.  Scaling and negation keep the terms in order, so
+their results skip the sort.
 """
 
 from __future__ import annotations
@@ -148,6 +153,10 @@ class GaussianRational:
         return self * w.inverse()
 
     def __neg__(self) -> GaussianRational:
+        if self is ONE:
+            return MINUS_ONE
+        if self is MINUS_ONE:
+            return ONE
         return _gr(-self._a, -self._b, self._d)
 
     def __bool__(self) -> bool:
@@ -208,10 +217,12 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
 
 
 def _coerce(x: object) -> GaussianRational | None:
+    """``x`` as a scalar, the shared ``ONE`` or ``MINUS_ONE`` for 1 or -1;
+    None for a value of another type."""
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, Rational) and type(x) is not bool:
-        return GaussianRational(x)
+        return ONE if x == 1 else MINUS_ONE if x == -1 else GaussianRational(x)
     return None
 
 

@@ -34,6 +34,11 @@ def check_bits(bits: str, n: int) -> None:
         raise ValueError(f"bitstring {bits!r} must be {n} characters over {{0,1}}")
 
 
+def counted(n: int, noun: str) -> str:
+    """``n`` and ``noun``, plural unless ``n`` is 1: ``1 target``, ``2 targets``."""
+    return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
+
+
 class OperandError(ValueError):
     """A bad gate, projection or target list.
 
@@ -67,7 +72,8 @@ def check_projection(bits: str, targets: Sequence[int], n_qubits: int) -> None:
     if type(bits) is not str or not bits or any(c not in "01" for c in bits):
         raise OperandError("projection bits must be 0/1")
     check_targets(targets, n_qubits, len(bits),
-                  lambda: f"expected {len(bits)} targets for {len(bits)} projection bits")
+                  lambda: f"expected {counted(len(bits), 'target')} for "
+                          f"{counted(len(bits), 'projection bit')}")
 
 
 class Ket:
@@ -97,10 +103,15 @@ class Ket:
         """Wrap valid ``n_qubits``-bit keys and canonical amplitudes, dropping
         zeros and putting the bits in order.  For results built from kets;
         outside input goes through ``__init__``."""
+        items = sorted(terms.items()) if len(terms) > 1 else terms.items()
+        return cls._wrap(n_qubits, {b: a for b, a in items if a})
+
+    @classmethod
+    def _wrap(cls, n_qubits: int, terms: dict[str, Amplitude]) -> Ket:
+        """Wrap terms ``_canonical`` accepts that are already nonzero and in bit order."""
         k = object.__new__(cls)
         k.n_qubits = n_qubits
-        items = sorted(terms.items()) if len(terms) > 1 else terms.items()
-        k.terms = {b: a for b, a in items if a}
+        k.terms = terms
         k._text = None
         return k
 

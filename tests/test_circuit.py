@@ -58,6 +58,11 @@ _VALIDATION_ERRORS = [
     pytest.param("location must be str, not list",
                  lambda: Circuit(Ket.basis("0"), (Expect(Ket.basis("0"), None, ["x"]),)),
                  id="location list"),
+    # a count of one takes the singular
+    pytest.param("^gate STAR needs 1 target$", _two_qubit(ApplyGate("STAR", ())),
+                 id="one target"),
+    pytest.param("^expected 1 target for 1 projection bit$", _two_qubit(Project("0", (0, 1))),
+                 id="one projection bit"),
 ]
 
 

@@ -684,7 +684,7 @@ class TestCircuitParsing:
                      id="qubits 2\nproject 01 0 7\n-where17"),
         pytest.param("qubits 3\napply CNOT 2 2\n", (2, 14, "duplicate target qubit 2"),
                      id="qubits 3\napply CNOT 2 2\n-where18"),
-        pytest.param("qubits 2\napply STAR\n", (2, 7, "gate STAR needs 1 targets"),
+        pytest.param("qubits 2\napply STAR\n", (2, 7, "gate STAR needs 1 target"),
                      id="qubits 2\napply STAR\n-where19"),
         pytest.param("qubits 2\napply CNOT 0 x\n", (2, 14, "target must be an integer"),
                      id="qubits 2\napply CNOT 0 x\n-where20"),

@@ -242,6 +242,8 @@ class TestEmbedAndApply:
             apply(STAR, state, [3])
         with pytest.raises(ValueError, match="target qubit 0.0 is not an int"):
             apply(CNOT, Ket.basis("10"), [0.0, 1.0])
+        with pytest.raises(ValueError, match="^an arity-1 operator needs 1 target$"):
+            apply(STAR, state, [0, 1])
 
     def test_apply_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -258,6 +260,9 @@ class TestEmbedAndApply:
         assert all(out.terms.values())
         assert vector(out) == exact.apply_gate("HPLUS", (0,), 3, vector(state))
         assert str(out) == "((2)*alpha)|100> + ((2)*beta)|101> + ((2)*gamma~)|111>"
+        # and scalars: |0> + |1> goes to 2|1>, with no |0> term left
+        out = apply(HPLUS, K0 + K1)
+        assert out == 2 * K1 and list(out.terms) == ["1"]
 
     def test_the_move_table_is_bounded_by_the_register(self):
         # one entry per basis bitstring of each register size at each target tuple
@@ -350,6 +355,47 @@ class TestRegistry:
             m = exact.GATES[name]
             for c, column in enumerate(columns(op)):
                 assert vector(column) == [{(): row[c]} if row[c] else {} for row in m], name
+
+
+# +-1 most often, as in the catalog, so that contributions often cancel
+_MIXED = st.sampled_from([1, -1, 1, -1, 2, Fraction(-1, 2), GaussianRational(0, 1),
+                          GaussianRational(2, -1), amp("alpha"), -amp("alpha"),
+                          amp("alpha") + 2, amp("alpha") * amp("beta~") - 1])
+
+
+@st.composite
+def _gate_steps(draw):
+    """A registry gate, ordered targets for it and a 1-6 qubit ket to act on."""
+    name = draw(st.sampled_from(sorted(GATES)))
+    arity = GATES[name].arity
+    n = draw(st.integers(arity, MAX_QUBITS))
+    targets = tuple(draw(st.permutations(range(n)))[:arity])
+    # terms that share a base's bits off the targets can meet in one output
+    # and cancel there, so a few bases hold them all
+    bases = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
+    cells = draw(st.dictionaries(st.tuples(st.sampled_from(bases), st.integers(0, (1 << arity) - 1)),
+                                 _MIXED, max_size=16))
+    terms = {}
+    for (base, pattern), a in cells.items():
+        bits = list(format(base, f"0{n}b"))
+        for t, c in zip(targets, format(pattern, f"0{arity}b")):
+            bits[t] = c
+        terms["".join(bits)] = a
+    return name, targets, Ket(n, terms)
+
+
+@settings(max_examples=300)
+@given(_gate_steps(), st.booleans())
+def test_act_matches_the_dense_oracle(step, cold):
+    # a fresh copy of the gate fills its move table; the registry gate may read its own
+    name, targets, state = step
+    op = GATES[name]
+    if cold:
+        op = Operator(op.arity, op.columns)
+    out = apply(op, state, targets)
+    assert vector(out) == exact.apply_gate(name, targets, state.n_qubits, vector(state))
+    assert list(out.terms) == sorted(out.terms)
+    assert all(out.terms.values())
 
 
 _AMPLITUDES = st.sampled_from([1, -1, 3, Fraction(-1, 2), GaussianRational(2, -1),

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bhqc.operators import GATES, apply
 from bhqc.scalars import (GaussianRational, I, MINUS_ONE, ONE, SymbolicAmplitude, ZERO, amp,
                           join_terms, scaled_str)
 from bhqc.states import Ket
@@ -370,6 +371,26 @@ def test_sharing_leaves_the_operand_and_its_text_unchanged(terms, rendered):
         assert x == fresh and neg == -fresh and x != neg
         with pytest.raises(TypeError):
             hash(x)
+
+
+class TestSharedUnits:
+    """+1 and -1 are single objects, so a unit move allocates nothing."""
+
+    def test_one_and_minus_one_are_shared(self):
+        assert amp(1) is ONE and amp(-1) is MINUS_ONE
+        assert -ONE is MINUS_ONE and -MINUS_ONE is ONE
+
+    def test_a_star_move_hands_on_the_shared_unit(self):
+        assert apply(GATES["STAR"], Ket.basis("0")).terms["0"] is MINUS_ONE
+
+    @pytest.mark.parametrize("unit, other", [(ONE, 1), (MINUS_ONE, -1)])
+    def test_equality_and_hashing_do_not_depend_on_identity(self, unit, other):
+        built = GaussianRational(other)
+        assert built is not unit
+        for value in (built, Fraction(other), other):
+            assert value == unit and unit == value
+            assert hash(value) == hash(unit)
+        assert -built == -unit and hash(-built) == hash(-unit)
 
 
 def test_a_negation_pair_is_freed_without_the_cycle_collector():

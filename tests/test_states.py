@@ -109,7 +109,7 @@ class TestProjection:
             k.project([2], "0")
         with pytest.raises(ValueError, match="duplicate"):
             k.project([0, 0], "00")
-        with pytest.raises(ValueError, match="bits"):
+        with pytest.raises(ValueError, match="^expected 1 target for 1 projection bit$"):
             k.project([0, 1], "0")
         with pytest.raises(ValueError, match="target qubit 1.0 is not an int"):
             Ket.basis("01").project([1.0], "1")
