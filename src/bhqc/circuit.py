@@ -170,16 +170,6 @@ class ClaimRecord:
             head += f" (computed {self.computed})"
         return head
 
-    def to_json(self, with_states: bool = False) -> dict:
-        """The record as ``--json`` prints it; ``verify-paper`` adds both states."""
-        out = {"id": self.claim_id, "location": self.location, "verdict": self.verdict}
-        if self.verdict == MATCH_UP_TO_SCALAR:
-            out["scalar"] = str(self.scalar)
-        if with_states:
-            out["expected"] = str(self.expected)
-            out["computed"] = str(self.computed)
-        return out
-
 
 def _scalar_ratio(computed: Ket, expected: Ket) -> GaussianRational | None:
     """Nonzero scalar s with computed == s * expected, if one exists."""

@@ -11,6 +11,11 @@ owns the help and usage texts, is imported only for help, usage errors and
 the other forms it accepts (abbreviated flags, ``--``).  Each command's row
 also names what the command calls, bound from the package when it runs, so
 a process imports only the modules its command uses.
+
+Every ``--json`` text comes from one writer, ``_json_text``.  Claim records
+and run steps, whose shape is fixed, reach it as rows (``_claim_rows``,
+``_step_rows``): each record is formatted straight from its fields, with no
+dict in between.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ TYPE_CHECKING = False  # type checkers read it as true, so typing never loads
 if TYPE_CHECKING:
     import argparse
 
-    from .circuit import RunResult
+    from .circuit import ClaimRecord, Instruction, RunResult
+    from .states import Ket
 
 # demo name -> stem of its file in circuits/
 _DEMOS = {"bell": "bell_chain", "teleport": "teleport", "ghz": "ghz",
@@ -36,9 +42,12 @@ def _json_text(obj: object) -> str:
     CPython 3.10-3.13 drops to its pure-Python encoder whenever ``indent``
     is set.  This writer pads the containers itself and sends every string
     through the C escaper that ``ensure_ascii=False`` uses.  Dict keys are
-    strings.  The writer is a module-level function handed the buffer's
-    append, so no reference cycle keeps a call's pieces alive until the
-    collector runs.
+    strings.  A value may also be *rows*, a list whose shape is known in
+    advance: a callable ``rows(pad, string)`` (``_claim_rows``,
+    ``_step_rows``) that returns the list's text at that indent, escaping
+    every string with ``string``.  The writer is a module-level function
+    handed the buffer's append, so no reference cycle keeps a call's pieces
+    alive until the collector runs.
     """
     from json.encoder import encode_basestring
 
@@ -52,7 +61,8 @@ def _write(value: object, pad: str, put, string, keys: dict[str, str]) -> None:
 
     pad is the newline and indent of the line that holds value; string is
     the escaper; keys maps each dict key met so far in this call to its
-    escaped text and ``": "``.
+    escaped text and ``": "``.  A rows value writes its own text, which is
+    put as it is.
     """
     if isinstance(value, str):
         put(string(value))
@@ -86,6 +96,8 @@ def _write(value: object, pad: str, put, string, keys: dict[str, str]) -> None:
             _write(v, inner, put, string, keys)
             lead = sep
         put(pad + "]")
+    elif callable(value):
+        put(value(pad, string))
     elif type(value) is int or type(value) is float and isfinite(value):
         put(repr(value))  # the text json itself writes for them
     else:
@@ -93,11 +105,50 @@ def _write(value: object, pad: str, put, string, keys: dict[str, str]) -> None:
         put(dumps(value))  # bools, None, NaN and the infinities
 
 
+def _listed(pad: str, items: list[str]) -> str:
+    """The JSON list at ``pad`` of the texts ``items``, each already padded as a member."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return f"[{inner}" + f",{inner}".join(items) + pad + "]"
+
+
+def _claim_rows(records: list[ClaimRecord], with_states: bool = False):
+    """Rows of claim records as ``--json`` prints them, each record one
+    f-string of its fields: ``id``, ``location``, ``verdict``, ``scalar`` on
+    a MATCH_UP_TO_SCALAR record, then ``expected`` and ``computed`` if
+    ``with_states`` (verify-paper)."""
+    def rows(pad: str, string) -> str:
+        close = pad + "  "
+        field = close + "  "
+        texts = []
+        for r in records:
+            scalar = (f',{field}"scalar": {string(str(r.scalar))}'
+                      if r.verdict == MATCH_UP_TO_SCALAR else "")
+            states = (f',{field}"expected": {string(str(r.expected))}'
+                      f',{field}"computed": {string(str(r.computed))}' if with_states else "")
+            texts.append(f'{{{field}"id": {string(r.claim_id)},{field}"location": '
+                         f'{string(r.location)},{field}"verdict": {string(r.verdict)}'
+                         f'{scalar}{states}{close}}}')
+        return _listed(pad, texts)
+    return rows
+
+
+def _step_rows(steps: list[tuple[Instruction | None, Ket]]):
+    """Rows of a run's steps as ``--json`` prints them, each step one
+    f-string of ``instruction`` and ``state``."""
+    def rows(pad: str, string) -> str:
+        close = pad + "  "
+        field = close + "  "
+        return _listed(pad, [f'{{{field}"instruction": {string(instruction_text(ins))},'
+                             f'{field}"state": {string(str(state))}{close}}}'
+                             for ins, state in steps])
+    return rows
+
+
 def _result_json(result: RunResult) -> dict:
     """The steps and claims of a run, as ``run --json`` and ``demo --json`` print them."""
-    return {"steps": [{"instruction": instruction_text(ins), "state": str(state)}
-                      for ins, state in result.steps],
-            "claims": [c.to_json() for c in result.claims]}
+    return {"steps": _step_rows(result.steps), "claims": _claim_rows(result.claims)}
 
 
 def _print_steps(result: RunResult) -> None:
@@ -206,7 +257,7 @@ def _cmd_verify_paper(json: bool) -> int:
     n_match, n_scalar, n_mismatch = counts.values()
     if json:
         print(_json_text({
-            "claims": [r.to_json(with_states=True) for r in records],
+            "claims": _claim_rows(records, with_states=True),
             "summary": {"total": len(records), "match": n_match,
                         "match_up_to_scalar": n_scalar, "mismatch": n_mismatch},
         }))
@@ -223,10 +274,12 @@ def _cmd_verify_paper(json: bool) -> int:
 # it, called with the positional and each flag as keyword arguments
 _COMMANDS = {
     "run": ("execute a .bhqc circuit file", "path", None, ("json", "trace"),
-            ("DslError", "parse_circuit", "instruction_text", "run"), _cmd_run),
+            ("DslError", "parse_circuit", "instruction_text", "run", "MATCH_UP_TO_SCALAR"),
+            _cmd_run),
     "demo": ("run a canned circuit with classification",
              "name", "{" + ",".join(_DEMOS) + "}", ("json",),
-             ("parse_circuit", "instruction_text", "run", "classify", "transition_report"),
+             ("parse_circuit", "instruction_text", "run", "MATCH_UP_TO_SCALAR", "classify",
+              "transition_report"),
              _cmd_demo),
     "classify": ("classify an inline 2- or 3-qubit state", "state", None, ("json",),
                  ("parse_ket", "classify"), _cmd_classify),

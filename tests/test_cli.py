@@ -18,7 +18,10 @@ from hypothesis import strategies as st
 
 import bhqc
 import bhqc.cli
-from bhqc.cli import _COMMANDS, _json_text, _plain, build_parser, main
+from bhqc.circuit import (MATCH, MATCH_UP_TO_SCALAR, MISMATCH, ClaimRecord, Expect,
+                          instruction_text)
+from bhqc.cli import (_COMMANDS, _claim_rows, _json_text, _plain, _step_rows, build_parser,
+                      main)
 from bhqc.dsl import parse_ket
 
 from _shipped import CIRCUITS
@@ -149,6 +152,18 @@ class TestRun:
             "(-alpha)|00000> + (-alpha)|00100> + ((2)*alpha*beta)|01010>"
             " + ((2)*alpha*beta)|01110> + (-beta~)|10011> + (beta~)|10111>")
         assert_indented_json(out)
+
+    def test_a_scalar_match_prints_its_scalar(self, tmp_path, capsys):
+        # no golden outside verify-paper.json prints the scalar key
+        path = tmp_path / "half.bhqc"
+        path.write_text("qubits 1\nexpect (2)|0>\n")
+        code, out, err = invoke(capsys, "run", str(path), "--json")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{\n  "steps": [\n    {\n      "instruction": "init",\n      "state": "|0>"\n'
+            '    }\n  ],\n  "claims": [\n    {\n      "id": "expect-1",\n'
+            '      "location": "line 2",\n      "verdict": "MATCH_UP_TO_SCALAR",\n'
+            '      "scalar": "1/2"\n    }\n  ]\n}\n')
 
     def test_json_states_round_trip_through_the_grammar(self, capsys):
         for name in ("bell_chain.bhqc", "teleport.bhqc", "ghz.bhqc",
@@ -688,20 +703,16 @@ def test_json_text_is_json_dumps_with_indent_2(value):
     assert _json_text(value) == json.dumps(value, indent=2, ensure_ascii=False)
 
 
-def test_json_text_leaves_no_garbage():
-    # the writer's buffer and pieces must go when the call returns, without
-    # waiting in a reference cycle for the collector
-    report = bhqc.classify(parse_ket("|000> + |111>")).to_json()
-    value = {"claims": [{"id": "a", "n": 1, "states": [report, [], {}]}] * 3,
-             "summary": {"total": 3, "tau3": 0.5, "ok": None}}
-    expected = json.dumps(value, indent=2, ensure_ascii=False)
+def _garbage(call) -> tuple[list, list, list]:
+    """What ``call()``, made five times under ``gc.DEBUG_SAVEALL``, leaves in
+    ``gc.garbage``: string lists, string dicts and ``bhqc.cli`` functions."""
     enabled, debug = gc.isenabled(), gc.get_debug()
     gc.disable()
     try:
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
         for _ in range(5):
-            assert _json_text(value) == expected
+            call()
         # only a call's own objects count: the collector may also find others,
         # such as a tracer's closures
         gc.collect()
@@ -711,9 +722,87 @@ def test_json_text_leaves_no_garbage():
                 and all(type(k) is str and type(v) is str for k, v in o.items())]
         writers = [o for o in gc.garbage
                    if type(o) is types.FunctionType and o.__module__ == "bhqc.cli"]
-        assert (pieces, keys, writers) == ([], [], [])
+        return pieces, keys, writers
     finally:
         gc.set_debug(debug)
         gc.garbage.clear()
         if enabled:
             gc.enable()
+
+
+def test_json_text_leaves_no_garbage():
+    # the writer's buffer and pieces must go when the call returns, without
+    # waiting in a reference cycle for the collector
+    report = bhqc.classify(parse_ket("|000> + |111>")).to_json()
+    value = {"claims": [{"id": "a", "n": 1, "states": [report, [], {}]}] * 3,
+             "summary": {"total": 3, "tau3": 0.5, "ok": None}}
+    expected = json.dumps(value, indent=2, ensure_ascii=False)
+
+    def call():
+        assert _json_text(value) == expected
+
+    assert _garbage(call) == ([], [], [])
+
+
+@pytest.mark.parametrize("argv", [["verify-paper", "--json"],
+                                  ["run", str(CIRCUITS / "ghz.bhqc"), "--json"]])
+def test_json_rows_leave_no_garbage(argv):
+    # a row writer closes over its records, which must not hold it in a cycle
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            main(argv)
+        assert out.getvalue().startswith("{")
+
+    assert _garbage(call) == ([], [], [])
+
+
+class _Shown:
+    """Stands in for a ket or a scalar: its text is the drawn string."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def __str__(self) -> str:
+        return self.text
+
+
+def _claim_dict(record: ClaimRecord, with_states: bool) -> dict:
+    """The dict a claim record printed as, before rows wrote it from its fields."""
+    out = {"id": record.claim_id, "location": record.location, "verdict": record.verdict}
+    if record.verdict == MATCH_UP_TO_SCALAR:
+        out["scalar"] = str(record.scalar)
+    if with_states:
+        out["expected"] = str(record.expected)
+        out["computed"] = str(record.computed)
+    return out
+
+
+@st.composite
+def _claim_records(draw) -> ClaimRecord:
+    verdict = draw(st.sampled_from([MATCH, MATCH_UP_TO_SCALAR, MISMATCH]))
+    scalar = _Shown(draw(_json_strings)) if verdict == MATCH_UP_TO_SCALAR else None
+    return ClaimRecord(draw(_json_strings), draw(_json_strings), _Shown(draw(_json_strings)),
+                       _Shown(draw(_json_strings)), verdict, scalar)
+
+
+# step 0's instruction is None ("init"); an Expect's text holds its ket's
+_steps = st.lists(st.tuples(st.none() | _json_strings.map(lambda text: Expect(_Shown(text))),
+                            _json_strings.map(_Shown)), max_size=4)
+
+
+@settings(max_examples=200)
+@given(st.lists(_claim_records(), max_size=4), _steps, st.booleans())
+@example([], [], True)
+@example([], [], False)
+def test_json_rows_are_json_dumps_of_the_record_dicts(records, steps, with_states):
+    # the row writers read these as globals of bhqc.cli, which main binds on first use
+    for name in ("instruction_text", "MATCH_UP_TO_SCALAR"):
+        vars(bhqc.cli).setdefault(name, getattr(bhqc, name))
+    dicts = {"steps": [{"instruction": instruction_text(ins), "state": str(state)}
+                       for ins, state in steps],
+             "claims": [_claim_dict(r, with_states) for r in records]}
+    rows = {"steps": _step_rows(steps), "claims": _claim_rows(records, with_states)}
+    # at the top level, one level down (as the commands print them) and deeper
+    for value, want in ((rows["claims"], dicts["claims"]), (rows, dicts),
+                        ([{"x": rows}, rows["steps"]], [{"x": dicts}, dicts["steps"]])):
+        assert _json_text(value) == json.dumps(want, indent=2, ensure_ascii=False)
