@@ -12,17 +12,19 @@ the other forms it accepts (abbreviated flags, ``--``).  Each command's row
 also names what the command calls, bound from the package when it runs, so
 a process imports only the modules its command uses.
 
-Every ``--json`` text comes from one writer, ``_json_text``.  Claim records
-and run steps, whose shape is fixed, reach it as rows (``_claim_rows``,
-``_step_rows``): each record is formatted straight from its fields, with no
-dict in between.
+Every ``--json`` text has one layout, ``json.dumps(indent=2,
+ensure_ascii=False)``'s.  ``classify`` prints json.dumps itself.  The other
+commands print a top-level object (``_object``) whose values are JSON texts
+one level down: claim records and run steps (``_claim_rows``,
+``_step_rows``), each formatted straight from its fields with no dict in
+between; verify-paper's summary, one f-string of its counts; and demo's
+classification and transition, json.dumps re-indented (``_dumped``).
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from math import isfinite
 
 TYPE_CHECKING = False  # type checkers read it as true, so typing never loads
 if TYPE_CHECKING:
@@ -36,119 +38,58 @@ _DEMOS = {"bell": "bell_chain", "teleport": "teleport", "ghz": "ghz",
           "class-change": "class_change"}
 
 
-def _json_text(obj: object) -> str:
-    """``json.dumps(obj, indent=2, ensure_ascii=False)``, byte for byte.
+def _object(fields: dict[str, str]) -> str:
+    """The JSON object, at the top level, of ``fields``: each key (an ASCII
+    literal) and the JSON text of its value, already laid out one level down."""
+    return "{\n  " + ",\n  ".join(f'"{key}": {text}' for key, text in fields.items()) + "\n}"
 
-    CPython 3.10-3.13 drops to its pure-Python encoder whenever ``indent``
-    is set.  This writer pads the containers itself and sends every string
-    through the C escaper that ``ensure_ascii=False`` uses.  Dict keys are
-    strings.  A value may also be *rows*, a list whose shape is known in
-    advance: a callable ``rows(pad, string)`` (``_claim_rows``,
-    ``_step_rows``) that returns the list's text at that indent, escaping
-    every string with ``string``.  The writer is a module-level function
-    handed the buffer's append, so no reference cycle keeps a call's pieces
-    alive until the collector runs.
+
+def _dumped(value: object) -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)`` one level down.
+
+    json escapes every newline inside a string, so each newline of its text
+    is layout and takes the extra indent.
     """
+    from json import dumps
+
+    return dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n  ")
+
+
+def _listed(items: list[str]) -> str:
+    """The JSON list, one level down, of the texts ``items``, each already padded as a member."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
+def _claim_rows(records: list[ClaimRecord], string, with_states: bool = False) -> str:
+    """Claim records as ``--json`` prints them one level down, each record one
+    f-string of its fields: ``id``, ``location``, ``verdict``, ``scalar`` on a
+    MATCH_UP_TO_SCALAR record, then ``expected`` and ``computed`` if
+    ``with_states`` (verify-paper).  ``string`` is json's C escaper."""
+    texts = []
+    for r in records:
+        scalar = (f',\n      "scalar": {string(str(r.scalar))}'
+                  if r.verdict == MATCH_UP_TO_SCALAR else "")
+        states = (f',\n      "expected": {string(str(r.expected))}'
+                  f',\n      "computed": {string(str(r.computed))}' if with_states else "")
+        texts.append(f'{{\n      "id": {string(r.claim_id)},\n      "location": '
+                     f'{string(r.location)},\n      "verdict": {string(r.verdict)}'
+                     f'{scalar}{states}\n    }}')
+    return _listed(texts)
+
+
+def _step_rows(steps: list[tuple[Instruction | None, Ket]], string) -> str:
+    """A run's steps as ``--json`` prints them one level down, each step one
+    f-string of ``instruction`` and ``state``.  ``string`` is json's C escaper."""
+    return _listed([f'{{\n      "instruction": {string(instruction_text(ins))},'
+                    f'\n      "state": {string(str(state))}\n    }}' for ins, state in steps])
+
+
+def _result_json(result: RunResult) -> dict[str, str]:
+    """The texts of a run's steps and claims, as ``run --json`` and ``demo --json`` print them."""
     from json.encoder import encode_basestring
 
-    out: list[str] = []
-    _write(obj, "\n", out.append, encode_basestring, {})
-    return "".join(out)
-
-
-def _write(value: object, pad: str, put, string, keys: dict[str, str]) -> None:
-    """Append the JSON text of ``value`` to a buffer, piece by piece, with ``put``.
-
-    pad is the newline and indent of the line that holds value; string is
-    the escaper; keys maps each dict key met so far in this call to its
-    escaped text and ``": "``.  A rows value writes its own text, which is
-    put as it is.
-    """
-    if isinstance(value, str):
-        put(string(value))
-    elif isinstance(value, dict):
-        if not value:
-            put("{}")
-            return
-        inner = pad + "  "
-        lead, sep = "{" + inner, "," + inner
-        for k, v in value.items():
-            put(lead)
-            key = keys.get(k)
-            if key is None:
-                key = keys[k] = string(k) + ": "
-            put(key)
-            # a string value, the common leaf, skips a call
-            if type(v) is str:
-                put(string(v))
-            else:
-                _write(v, inner, put, string, keys)
-            lead = sep
-        put(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            put("[]")
-            return
-        inner = pad + "  "
-        lead, sep = "[" + inner, "," + inner
-        for v in value:
-            put(lead)
-            _write(v, inner, put, string, keys)
-            lead = sep
-        put(pad + "]")
-    elif callable(value):
-        put(value(pad, string))
-    elif type(value) is int or type(value) is float and isfinite(value):
-        put(repr(value))  # the text json itself writes for them
-    else:
-        from json import dumps
-        put(dumps(value))  # bools, None, NaN and the infinities
-
-
-def _listed(pad: str, items: list[str]) -> str:
-    """The JSON list at ``pad`` of the texts ``items``, each already padded as a member."""
-    if not items:
-        return "[]"
-    inner = pad + "  "
-    return f"[{inner}" + f",{inner}".join(items) + pad + "]"
-
-
-def _claim_rows(records: list[ClaimRecord], with_states: bool = False):
-    """Rows of claim records as ``--json`` prints them, each record one
-    f-string of its fields: ``id``, ``location``, ``verdict``, ``scalar`` on
-    a MATCH_UP_TO_SCALAR record, then ``expected`` and ``computed`` if
-    ``with_states`` (verify-paper)."""
-    def rows(pad: str, string) -> str:
-        close = pad + "  "
-        field = close + "  "
-        texts = []
-        for r in records:
-            scalar = (f',{field}"scalar": {string(str(r.scalar))}'
-                      if r.verdict == MATCH_UP_TO_SCALAR else "")
-            states = (f',{field}"expected": {string(str(r.expected))}'
-                      f',{field}"computed": {string(str(r.computed))}' if with_states else "")
-            texts.append(f'{{{field}"id": {string(r.claim_id)},{field}"location": '
-                         f'{string(r.location)},{field}"verdict": {string(r.verdict)}'
-                         f'{scalar}{states}{close}}}')
-        return _listed(pad, texts)
-    return rows
-
-
-def _step_rows(steps: list[tuple[Instruction | None, Ket]]):
-    """Rows of a run's steps as ``--json`` prints them, each step one
-    f-string of ``instruction`` and ``state``."""
-    def rows(pad: str, string) -> str:
-        close = pad + "  "
-        field = close + "  "
-        return _listed(pad, [f'{{{field}"instruction": {string(instruction_text(ins))},'
-                             f'{field}"state": {string(str(state))}{close}}}'
-                             for ins, state in steps])
-    return rows
-
-
-def _result_json(result: RunResult) -> dict:
-    """The steps and claims of a run, as ``run --json`` and ``demo --json`` print them."""
-    return {"steps": _step_rows(result.steps), "claims": _claim_rows(result.claims)}
+    return {"steps": _step_rows(result.steps, encode_basestring),
+            "claims": _claim_rows(result.claims, encode_basestring)}
 
 
 def _print_steps(result: RunResult) -> None:
@@ -183,7 +124,7 @@ def _cmd_run(path: str, json: bool, trace: bool) -> int:
         return 1
     result = run(circuit)
     if json:
-        print(_json_text(_result_json(result)))
+        print(_object(_result_json(result)))
         return 0
     if trace:
         _print_steps(result)
@@ -210,10 +151,10 @@ def _cmd_demo(name: str, json: bool) -> int:
         transition = transition_report(before, report)
 
     if json:
-        print(_json_text({
+        print(_object({
             **_result_json(result),
-            "classification": None if report is None else report.to_json(),
-            "transition": transition,
+            "classification": _dumped(None if report is None else report.to_json()),
+            "transition": _dumped(transition),
         }))
         return 0
 
@@ -242,7 +183,9 @@ def _cmd_classify(state: str, json: bool) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if json:
-        print(_json_text(report.to_json()))
+        from json import dumps
+
+        print(dumps(report.to_json(), indent=2, ensure_ascii=False))
     else:
         for line in report.lines():
             print(line)
@@ -256,10 +199,13 @@ def _cmd_verify_paper(json: bool) -> int:
         counts[record.verdict] += 1
     n_match, n_scalar, n_mismatch = counts.values()
     if json:
-        print(_json_text({
-            "claims": _claim_rows(records, with_states=True),
-            "summary": {"total": len(records), "match": n_match,
-                        "match_up_to_scalar": n_scalar, "mismatch": n_mismatch},
+        from json.encoder import encode_basestring
+
+        print(_object({
+            "claims": _claim_rows(records, encode_basestring, with_states=True),
+            "summary": f'{{\n    "total": {len(records)},\n    "match": {n_match},'
+                       f'\n    "match_up_to_scalar": {n_scalar},'
+                       f'\n    "mismatch": {n_mismatch}\n  }}',
         }))
     else:
         for record in records:

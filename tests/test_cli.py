@@ -10,6 +10,7 @@ import subprocess
 import sys
 import types
 from itertools import permutations
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import pytest
@@ -20,8 +21,8 @@ import bhqc
 import bhqc.cli
 from bhqc.circuit import (MATCH, MATCH_UP_TO_SCALAR, MISMATCH, ClaimRecord, Expect,
                           instruction_text)
-from bhqc.cli import (_COMMANDS, _claim_rows, _json_text, _plain, _step_rows, build_parser,
-                      main)
+from bhqc.cli import (_COMMANDS, _claim_rows, _dumped, _object, _plain, _step_rows,
+                      build_parser, main)
 from bhqc.dsl import parse_ket
 
 from _shipped import CIRCUITS
@@ -164,6 +165,17 @@ class TestRun:
             '    }\n  ],\n  "claims": [\n    {\n      "id": "expect-1",\n'
             '      "location": "line 2",\n      "verdict": "MATCH_UP_TO_SCALAR",\n'
             '      "scalar": "1/2"\n    }\n  ]\n}\n')
+
+    def test_a_run_with_no_expect_prints_an_empty_claim_list(self, tmp_path, capsys):
+        # no golden prints an empty list one level down
+        path = tmp_path / "star.bhqc"
+        path.write_text("qubits 1\napply STAR 0\n")
+        code, out, err = invoke(capsys, "run", str(path), "--json")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{\n  "steps": [\n    {\n      "instruction": "init",\n      "state": "|0>"\n'
+            '    },\n    {\n      "instruction": "apply STAR 0",\n      "state": "-|0>"\n'
+            '    }\n  ],\n  "claims": []\n}\n')
 
     def test_json_states_round_trip_through_the_grammar(self, capsys):
         for name in ("bell_chain.bhqc", "teleport.bhqc", "ghz.bhqc",
@@ -675,7 +687,7 @@ class TestImports:
         assert len(want) == 4
 
 
-# -- the JSON writer: json.dumps(indent=2, ensure_ascii=False), byte for byte --
+# -- the JSON layout: json.dumps(indent=2, ensure_ascii=False), byte for byte --
 
 # quotes, backslashes, control characters, non-ASCII and the line separators
 _json_strings = st.text(st.sampled_from('"\\/\x00\x08\t\n\r\x1b\x1f\x7f\x85\u2028\u2029\ufeff'
@@ -699,8 +711,11 @@ class _Text(str):
 @example({"a": {}, "b": [], "c": (), "d": [{}, [[]], ((),)], "e": {"f": {"g": []}}})
 @example({_Text("key"): _Text("value"), "other": [_Text("é\n")], "sub": {_Text("other"): 1}})
 @example([True, None, math.nan, -0.0, 10**80])
-def test_json_text_is_json_dumps_with_indent_2(value):
-    assert _json_text(value) == json.dumps(value, indent=2, ensure_ascii=False)
+@example(["line\nbreak\u2028separator", {"k\n": "\u2028\n"}])
+def test_a_dumped_value_one_level_down_is_json_dumps(value):
+    # json escapes the newline inside a string, so only layout newlines take the indent
+    assert _object({"x": _dumped(value)}) == json.dumps({"x": value}, indent=2,
+                                                        ensure_ascii=False)
 
 
 def _garbage(call) -> tuple[list, list, list]:
@@ -730,24 +745,13 @@ def _garbage(call) -> tuple[list, list, list]:
             gc.enable()
 
 
-def test_json_text_leaves_no_garbage():
-    # the writer's buffer and pieces must go when the call returns, without
-    # waiting in a reference cycle for the collector
-    report = bhqc.classify(parse_ket("|000> + |111>")).to_json()
-    value = {"claims": [{"id": "a", "n": 1, "states": [report, [], {}]}] * 3,
-             "summary": {"total": 3, "tau3": 0.5, "ok": None}}
-    expected = json.dumps(value, indent=2, ensure_ascii=False)
-
-    def call():
-        assert _json_text(value) == expected
-
-    assert _garbage(call) == ([], [], [])
-
-
 @pytest.mark.parametrize("argv", [["verify-paper", "--json"],
-                                  ["run", str(CIRCUITS / "ghz.bhqc"), "--json"]])
+                                  ["run", str(CIRCUITS / "ghz.bhqc"), "--json"],
+                                  ["demo", "ghz", "--json"],
+                                  ["classify", "|000>+|111>", "--json"]])
 def test_json_rows_leave_no_garbage(argv):
-    # a row writer closes over its records, which must not hold it in a cycle
+    # a --json text's pieces must go when the call returns, without waiting
+    # in a reference cycle for the collector
     def call():
         with contextlib.redirect_stdout(io.StringIO()) as out:
             main(argv)
@@ -801,8 +805,6 @@ def test_json_rows_are_json_dumps_of_the_record_dicts(records, steps, with_state
     dicts = {"steps": [{"instruction": instruction_text(ins), "state": str(state)}
                        for ins, state in steps],
              "claims": [_claim_dict(r, with_states) for r in records]}
-    rows = {"steps": _step_rows(steps), "claims": _claim_rows(records, with_states)}
-    # at the top level, one level down (as the commands print them) and deeper
-    for value, want in ((rows["claims"], dicts["claims"]), (rows, dicts),
-                        ([{"x": rows}, rows["steps"]], [{"x": dicts}, dicts["steps"]])):
-        assert _json_text(value) == json.dumps(want, indent=2, ensure_ascii=False)
+    rows = {"steps": _step_rows(steps, encode_basestring),
+            "claims": _claim_rows(records, encode_basestring, with_states)}
+    assert _object(rows) == json.dumps(dicts, indent=2, ensure_ascii=False)
