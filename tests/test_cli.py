@@ -1,7 +1,6 @@
 import contextlib
 import gc
 import importlib
-import importlib.util
 import io
 import json
 import math
@@ -25,6 +24,7 @@ from bhqc.cli import (_COMMANDS, _claim_rows, _dumped, _object, _plain, _step_ro
                       build_parser, main)
 from bhqc.dsl import parse_ket
 
+from _bench import bench_module
 from _shipped import CIRCUITS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,15 +40,6 @@ def invoke(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def bench_module(monkeypatch, stem):
-    """``bench/<stem>.py``, loaded from its file under the name its neighbours import."""
-    spec = importlib.util.spec_from_file_location(stem, ROOT / "bench" / f"{stem}.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, stem, module)  # its dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
 
 
 def assert_indented_json(out):
