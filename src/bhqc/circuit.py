@@ -229,7 +229,6 @@ def run(circuit: Circuit) -> RunResult:
     state = circuit.initial_state
     steps = [(None, state)]
     claims: list[ClaimRecord] = []
-    n_expect = 0
     for ins in circuit.instructions:
         if isinstance(ins, ApplyGate):
             state = act(GATES[ins.gate], state, ins.targets)
@@ -238,9 +237,8 @@ def run(circuit: Circuit) -> RunResult:
             state = state.project(ins.targets, ins.bits)
             steps.append((ins, state))
         else:
-            n_expect += 1
             verdict, scalar = compare_kets(ins.expected, state)
-            claims.append(ClaimRecord(ins.claim_id or f"expect-{n_expect}",
+            claims.append(ClaimRecord(ins.claim_id or f"expect-{len(claims) + 1}",
                                       ins.location or f"step {len(steps) - 1}",
                                       ins.expected,
                                       ins.expected if verdict == MATCH else state,

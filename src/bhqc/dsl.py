@@ -229,7 +229,9 @@ class _Expr:
     def _aterm(self) -> GaussianRational | SymbolicAmplitude:
         # The product is poly * term, of degree `degree`: a factor of one
         # term multiplies into term, so a chain of numbers and names
-        # multiplies poly's many terms once, not once per '*'.
+        # multiplies poly's many terms once, not once per '*'.  That bounds
+        # the work: left to right, (S * S * x * ... * x) with S a 64-name sum
+        # would re-sort 2,080 ever longer monomials per x (TestProductBound).
         poly, term = ONE, self._factor()
         degree = term.degree() if term.has_symbols else 0
         if _size(term) > 1:

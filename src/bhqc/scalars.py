@@ -3,12 +3,13 @@
 Coefficients are complex numbers with arbitrary-precision rational parts.
 A Gaussian rational (a + bi)/d is stored as three Python ints: ``a`` and
 ``b``, the numerators of the real and imaginary parts over one shared
-denominator ``d > 0``, with gcd(a, b, d) == 1.  Every operation builds its
-result with integer arithmetic and normalizes it with a single gcd; when
-both operands have ``d == 1`` (almost every value in the gate algebra) it
-skips the gcd altogether.  A pair of ``Fraction`` parts would pay a gcd and
-an object for each part of each partial product instead.  ``.re`` and
-``.im`` still read as ``Fraction``.
+denominator ``d > 0``, with gcd(d, a, b) == 1.  Every sum and product
+builds its result with integer arithmetic and brings it to lowest terms
+with one gcd, in ``_reduced``, which takes ``d`` first: a result with
+``d == 1`` (almost every value in the gate algebra) pays no gcd of its
+parts.  A pair of ``Fraction`` parts would pay a gcd and an object for
+each part of each partial product instead.  ``.re`` and ``.im`` still
+read as ``Fraction``.
 
 Amplitudes are polynomials in commuting formal symbols.  One rule holds
 for every value: it is a ``SymbolicAmplitude`` while at least one monomial
@@ -61,9 +62,8 @@ def _int_str(n: int) -> str:
 
 def rat_str(num: int, den: int = 1) -> str:
     """``num/den`` in lowest terms, or the bare numerator when it is whole."""
-    if den != 1:
-        g = gcd(num, den)
-        num, den = num // g, den // g
+    g = gcd(den, num)
+    num, den = num // g, den // g
     return _int_str(num) if den == 1 else f"{_int_str(num)}/{_int_str(den)}"
 
 
@@ -115,8 +115,6 @@ class GaussianRational:
             if other is None:
                 return NotImplemented
         d1, d2 = self._d, other._d
-        if d1 == 1 and d2 == 1:
-            return _gr(self._a + other._a, self._b + other._b, 1)
         return _reduced(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
@@ -141,8 +139,7 @@ class GaussianRational:
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
         re = a1 * a2 - b1 * b2
         im = a1 * b2 + b1 * a2
-        d = self._d * other._d
-        return _gr(re, im, 1) if d == 1 else _reduced(re, im, d)
+        return _reduced(re, im, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -209,8 +206,11 @@ def _gr(a: int, b: int, d: int) -> GaussianRational:
 
 
 def _reduced(a: int, b: int, d: int) -> GaussianRational:
-    """Bring ``(a + bi) / d`` with ``d > 0`` to lowest terms with one gcd."""
-    g = gcd(a, b, d)
+    """Bring ``(a + bi) / d`` with ``d > 0`` to lowest terms with one gcd.
+
+    ``d`` goes first: ``math.gcd`` stops computing once its running value is
+    1, so for ``d == 1`` it only checks that ``a`` and ``b`` are ints."""
+    g = gcd(d, a, b)
     if g == 1:
         return _gr(a, b, d)
     return _gr(a // g, b // g, d // g)
@@ -260,7 +260,7 @@ class SymbolicAmplitude:
         """Wrap terms whose monomials are sorted tuples, at least one of them
         nonempty, and whose coefficients are nonzero, putting them in
         monomial order.  For results built from canonical operands."""
-        return cls._wrap(dict(sorted(terms.items())) if len(terms) > 1 else terms)
+        return cls._wrap(dict(sorted(terms.items())))
 
     @classmethod
     def _wrap(cls, terms: dict[Monomial, GaussianRational]) -> SymbolicAmplitude:
@@ -332,7 +332,7 @@ class SymbolicAmplitude:
         out: dict[Monomial, GaussianRational] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                key = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
+                key = tuple(sorted(m1 + m2))
                 prev = out.get(key)
                 if prev is None:
                     # a product of nonzero Gaussian rationals is nonzero
@@ -371,7 +371,8 @@ class SymbolicAmplitude:
 
     def __str__(self) -> str:
         if self._text is None:
-            self._text = join_terms([_term_str(m, c) for m, c in self._terms.items()])
+            self._text = join_terms([scaled_str(c, _mono_str(m), "*") if m else str(c)
+                                     for m, c in self._terms.items()])
         return self._text
 
     def __repr__(self) -> str:
@@ -409,10 +410,6 @@ def _mono_str(mono: Monomial) -> str:
         k = len(tuple(run))
         parts.append(name if k == 1 else f"{name}^{k}")
     return "*".join(parts)
-
-
-def _term_str(mono: Monomial, coeff: GaussianRational) -> str:
-    return scaled_str(coeff, _mono_str(mono), "*") if mono else str(coeff)
 
 
 def scaled_str(coeff: Amplitude, body: str, sep: str = "") -> str:

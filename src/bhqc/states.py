@@ -103,8 +103,7 @@ class Ket:
         """Wrap valid ``n_qubits``-bit keys and canonical amplitudes, dropping
         zeros and putting the bits in order.  For results built from kets;
         outside input goes through ``__init__``."""
-        items = sorted(terms.items()) if len(terms) > 1 else terms.items()
-        return cls._wrap(n_qubits, {b: a for b, a in items if a})
+        return cls._wrap(n_qubits, {b: a for b, a in sorted(terms.items()) if a})
 
     @classmethod
     def _wrap(cls, n_qubits: int, terms: dict[str, Amplitude]) -> Ket:

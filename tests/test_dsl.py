@@ -578,6 +578,20 @@ class TestProductBound:
         with pytest.raises(DslError, match="past"):
             amplitude_of(f"{wide}*{wide}*{wide}")
 
+    def test_a_wide_square_times_a_top_degree_chain_parses_within_a_second(self):
+        # blanks keep it from the one-match read; the square's 2,080 terms
+        # meet the 1,022 names once, in one product at the end of the chain
+        square = "(" + "+".join(f"s{k}" for k in range(64)) + ")"
+        names = ["x"] * (MAX_EXPONENT - 2)
+        text = "(" + " * ".join([square, square, *names]) + ")|0>"
+        started = time.perf_counter()
+        ket = parse_ket(text)
+        assert time.perf_counter() - started < 1.0
+        result = ket.terms["0"]
+        assert len(result) == 64 * 65 // 2
+        assert result.coefficient(["s0", "s1", *names]) == 2
+        assert result.coefficient(["s5", "s5", *names]) == 1
+
 
 class TestCircuitParsing:
     def test_bell_example(self):

@@ -282,9 +282,19 @@ def _check(z, p):
     assert str(z) == _ref_str(p)
 
 
+# near the sizes the CLI tests render, and under the str digit limit that
+# _ref_str meets: a quotient's numerator has about 3,000 digits
+_BIG = 10**1000
+
+
 @settings(max_examples=300)
 @given(_pairs, _pairs)
 @example((Fraction(1, 2), Fraction(-3)), (Fraction(0), Fraction(0)))
+@example((Fraction(_BIG + 7), Fraction(-_BIG // 10 - 3)),
+         (Fraction(1 - _BIG), Fraction(3 * _BIG + 1)))
+@example((Fraction(_BIG + 1, 3), Fraction(-2 * _BIG)), (Fraction(_BIG - 1), Fraction(7)))
+# the sum's shared denominator 3 divides both its parts
+@example((Fraction(_BIG + 1, 3), Fraction(-2 * _BIG)), (Fraction(2 * _BIG + 2, 3), Fraction(5)))
 def test_arithmetic_matches_a_fraction_pair_reference(p, q):
     z, w = GaussianRational(*p), GaussianRational(*q)
     _check(z, p)
