@@ -86,7 +86,7 @@ def check_instruction(ins: Instruction, n_qubits: int) -> None:
     if isinstance(ins, ApplyGate):
         op = GATES.get(ins.gate) if type(ins.gate) is str else None
         if op is None:
-            raise OperandError(f"unknown gate '{ins.gate}'")
+            raise OperandError(f"unknown gate {ins.gate!r}")
         check_targets(ins.targets, n_qubits, op.arity,
                       lambda: f"gate {ins.gate} needs {counted(op.arity, 'target')}")
     elif isinstance(ins, Project):

@@ -42,23 +42,24 @@ def _build_claims() -> tuple[Circuit, ...]:
     def add(claim_id, location, input_state, steps, expected):
         claims.append(Circuit(input_state, (*steps, Expect(expected, claim_id, location))))
 
-    zero1 = Ket.zero(1)
-    k0, k1 = Ket.basis("0"), Ket.basis("1")
+    def table(name, location, steps, images):
+        """The claims ``{name}-{b}`` that ``steps`` send each basis ket |b> to ``images[b]``."""
+        for b, image in images.items():
+            add(f"{name}-{b}", location, basis[b], steps, image)
+
+    basis = {b: Ket.basis(b) for b in ("0", "1", "00", "01", "10", "11")}
+    zero1, zero2 = Ket.zero(1), Ket.zero(2)
+    k0, k1 = basis["0"], basis["1"]
     alpha, beta = amp("alpha"), amp("beta")
 
     # single-mode generator rules
-    star = "Sec.2 Hodge star action"
-    add("star-0", star, k0, _gates(("STAR", (0,))), -k0)
-    add("star-1", star, k1, _gates(("STAR", (0,))), k1)
-    add("star-plus", star,
-        Ket(1, {"1": 1, "0": 1}), _gates(("STAR", (0,))), Ket(1, {"1": 1, "0": -1}))
-    add("star-minus", star,
-        Ket(1, {"1": 1, "0": -1}), _gates(("STAR", (0,))), Ket(1, {"1": 1, "0": 1}))
+    star, star0 = "Sec.2 Hodge star action", _gates(("STAR", (0,)))
+    table("star", star, star0, {"0": -k0, "1": k1})
+    add("star-plus", star, Ket(1, {"1": 1, "0": 1}), star0, Ket(1, {"1": 1, "0": -1}))
+    add("star-minus", star, Ket(1, {"1": 1, "0": -1}), star0, Ket(1, {"1": 1, "0": 1}))
     flip = "Sec.2 covariant-derivative actions"
-    add("raise-0", flip, k0, _gates(("RAISE", (0,))), k1)
-    add("raise-1", flip, k1, _gates(("RAISE", (0,))), zero1)
-    add("lower-0", flip, k0, _gates(("LOWER", (0,))), zero1)
-    add("lower-1", flip, k1, _gates(("LOWER", (0,))), k0)
+    table("raise", flip, _gates(("RAISE", (0,))), {"0": k1, "1": zero1})
+    table("lower", flip, _gates(("LOWER", (0,))), {"0": zero1, "1": k0})
 
     # one-mode lambda action table
     lam = "Sec.2 lambda actions"
@@ -74,79 +75,59 @@ def _build_claims() -> tuple[Circuit, ...]:
 
     # Hadamard composites
     had = "Sec.2 Hadamard gates"
-    add("hplus-0", had, k0, _gates(("HPLUS", (0,))), Ket(1, {"0": 1, "1": 1}))
-    add("hplus-1", had, k1, _gates(("HPLUS", (0,))), Ket(1, {"1": 1, "0": -1}))
-    add("hminus-0", had, k0, _gates(("HMINUS", (0,))), Ket(1, {"0": 1, "1": 1}))
-    add("hminus-1", had, k1, _gates(("HMINUS", (0,))), Ket(1, {"0": 1, "1": -1}))
+    table("hplus", had, _gates(("HPLUS", (0,))),
+          {"0": Ket(1, {"0": 1, "1": 1}), "1": Ket(1, {"1": 1, "0": -1})})
+    table("hminus", had, _gates(("HMINUS", (0,))),
+          {"0": Ket(1, {"0": 1, "1": 1}), "1": Ket(1, {"0": 1, "1": -1})})
 
     # sigma2-type composites, written as the stated two-step compositions
     sig = "Sec.2 sigma2 gates"
-    add("sig2a-0", sig, k0, _gates(("STAR", (0,)), ("L4", (0,))), -k1)
-    add("sig2a-1", sig, k1, _gates(("STAR", (0,)), ("L4", (0,))), k0)
-    add("sig2b-0", sig, k0, _gates(("STAR", (0,)), ("L3", (0,))), k1)
-    add("sig2b-1", sig, k1, _gates(("STAR", (0,)), ("L3", (0,))), -k0)
+    table("sig2a", sig, _gates(("STAR", (0,)), ("L4", (0,))), {"0": -k1, "1": k0})
+    table("sig2b", sig, _gates(("STAR", (0,)), ("L3", (0,))), {"0": k1, "1": -k0})
 
-    # two-mode generator tensor tables
-    basis2 = {b: Ket.basis(b) for b in ("00", "01", "10", "11")}
-    zero2 = Ket.zero(2)
-    for b, kb in basis2.items():
-        expected = kb if b[0] == b[1] else -kb
-        add(f"starstar-{b}", "Eq.(9)", kb, _gates(("STAR", (0,)), ("STAR", (1,))), expected)
-    for b, kb in basis2.items():
-        expected = Ket.basis("11") if b == "00" else zero2
-        add(f"upup-{b}", "Eq.(10)", kb, _gates(("RAISE", (0,)), ("RAISE", (1,))), expected)
-    for b, kb in basis2.items():
-        expected = Ket.basis("00") if b == "11" else zero2
-        add(f"dndn-{b}", "Eq.(11)", kb, _gates(("LOWER", (0,)), ("LOWER", (1,))), expected)
+    # two-mode generator tensor tables; each bit-flipper tensor keeps one
+    # basis ket, flipped, and sends the other three to 0
+    pairs = ("00", "01", "10", "11")
+    table("starstar", "Eq.(9)", _gates(("STAR", (0,)), ("STAR", (1,))),
+          {b: basis[b] if b[0] == b[1] else -basis[b] for b in pairs})
     mixed = "Sec.2 mixed bit-flipper tensors"
-    for b, kb in basis2.items():
-        expected = Ket.basis("10") if b == "01" else zero2
-        add(f"updn-{b}", mixed, kb, _gates(("RAISE", (0,)), ("LOWER", (1,))), expected)
-    for b, kb in basis2.items():
-        expected = Ket.basis("01") if b == "10" else zero2
-        add(f"dnup-{b}", mixed, kb, _gates(("LOWER", (0,)), ("RAISE", (1,))), expected)
+    for name, location, gate0, gate1, kept, image in (
+            ("upup", "Eq.(10)", "RAISE", "RAISE", "00", "11"),
+            ("dndn", "Eq.(11)", "LOWER", "LOWER", "11", "00"),
+            ("updn", mixed, "RAISE", "LOWER", "01", "10"),
+            ("dnup", mixed, "LOWER", "RAISE", "10", "01")):
+        table(name, location, _gates((gate0, (0,)), (gate1, (1,))),
+              {b: basis[image] if b == kept else zero2 for b in pairs})
 
-    # two-mode lambda action table as printed; the LL4 rows duplicate LL3's
+    # two-mode lambda action table as printed; the LL4 rows repeat LL3's
     # and contradict the LL4 definition, so those four records MISMATCH
-    biglam = "Sec.2 two-mode lambda actions"
-    printed = {
-        ("LL1", "00"): Ket(2, {"01": -1, "10": -1}),
-        ("LL1", "11"): zero2,
-        ("LL1", "01"): Ket.basis("11"),
-        ("LL1", "10"): Ket.basis("11"),
-        ("LL2", "00"): zero2,
-        ("LL2", "11"): Ket(2, {"01": 1, "10": 1}),
-        ("LL2", "01"): -Ket.basis("00"),
-        ("LL2", "10"): -Ket.basis("00"),
-        ("LL3", "00"): -Ket.basis("01"),
-        ("LL3", "11"): Ket.basis("01"),
-        ("LL3", "01"): zero2,
-        ("LL3", "10"): Ket(2, {"11": 1, "00": -1}),
-        ("LL4", "00"): -Ket.basis("01"),
-        ("LL4", "11"): Ket.basis("01"),
-        ("LL4", "01"): zero2,
-        ("LL4", "10"): Ket(2, {"11": 1, "00": -1}),
-    }
-    for (gate, b), expected in printed.items():
-        add(f"{gate}-{b}", biglam, basis2[b], _gates((gate, (0, 1))), expected)
+    ll3 = {"00": -basis["01"], "11": basis["01"], "01": zero2, "10": Ket(2, {"11": 1, "00": -1})}
+    for gate, images in (
+            ("LL1", {"00": Ket(2, {"01": -1, "10": -1}), "11": zero2,
+                     "01": basis["11"], "10": basis["11"]}),
+            ("LL2", {"00": zero2, "11": Ket(2, {"01": 1, "10": 1}),
+                     "01": -basis["00"], "10": -basis["00"]}),
+            ("LL3", ll3),
+            ("LL4", ll3)):
+        table(gate, "Sec.2 two-mode lambda actions", _gates((gate, (0, 1))), images)
 
     prod = "Sec.2 two-mode lambda products"
-    add("LL2LL1-00", prod, basis2["00"],
+    add("LL2LL1-00", prod, basis["00"],
         _gates(("LL1", (0, 1)), ("LL2", (0, 1))), Ket(2, {"00": 2}))
-    add("LL1LL2-11", prod, basis2["11"],
+    add("LL1LL2-11", prod, basis["11"],
         _gates(("LL2", (0, 1)), ("LL1", (0, 1))), Ket(2, {"11": 2}))
 
     # CNOT conjugation rules
     for eq, b in (("Eq.(17)", "00"), ("Eq.(18)", "01"), ("Eq.(19)", "10"), ("Eq.(20)", "11")):
         flipped = b[0] + str(int(b[0]) ^ int(b[1]))
-        add(f"cnot-{b}", eq, basis2[b], _gates(("CNOT", (0, 1))), Ket.basis(flipped))
+        add(f"cnot-{b}", eq, basis[b], _gates(("CNOT", (0, 1))), basis[flipped])
 
     # Bell chain; each stage starts from the stated previous state
     b1 = Ket(2, {"01": 1, "10": 1})
     b2 = Ket(2, {"01": 1, "10": -1})
     b3 = Ket(2, {"00": 1, "11": -1})
     b4 = Ket(2, {"00": 1, "11": 1})
-    add("B1", "Eq.(22)", basis2["00"],
+    add("B1", "Eq.(22)", basis["00"],
         _gates(("LL1", (0, 1)), ("STAR", (0,)), ("STAR", (1,))), b1)
     add("B2", "Eq.(23)", b1, _gates(("STAR", (1,))), b2)
     add("B3", "Eq.(24)", b2, _gates(("RAISE", (1,))), b3)

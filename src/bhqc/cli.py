@@ -30,7 +30,7 @@ TYPE_CHECKING = False  # type checkers read it as true, so typing never loads
 if TYPE_CHECKING:
     import argparse
 
-    from .circuit import ClaimRecord, Instruction, RunResult
+    from .circuit import Circuit, ClaimRecord, Instruction, RunResult
     from .states import Ket
 
 # demo name -> stem of its file in circuits/
@@ -104,7 +104,9 @@ def _print_claims(result: RunResult) -> None:
             print(f"  {record.summary()}")
 
 
-def _cmd_run(path: str, json: bool, trace: bool) -> int:
+def _read_circuit(path: str) -> Circuit | None:
+    """The circuit in the file at ``path``, or None once the one line that
+    says why it cannot be read or parsed is on stderr."""
     try:
         # a leading byte-order mark is no text; decoding it as utf-8 (not
         # utf-8-sig) keeps the byte offsets of decode errors true
@@ -112,15 +114,21 @@ def _cmd_run(path: str, json: bool, trace: bool) -> int:
             text = file.read().removeprefix("\ufeff")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return None
     except UnicodeDecodeError as exc:
         print(f"error: {path}: not UTF-8 text ({exc.reason} at byte {exc.start})",
               file=sys.stderr)
-        return 1
+        return None
     try:
-        circuit = parse_circuit(text)
+        return parse_circuit(text)
     except DslError as exc:
         print(f"{path}:{exc.line}:{exc.col}: {exc.message}", file=sys.stderr)
+        return None
+
+
+def _cmd_run(path: str, json: bool, trace: bool) -> int:
+    circuit = _read_circuit(path)
+    if circuit is None:
         return 1
     result = run(circuit)
     if json:
@@ -136,12 +144,13 @@ def _cmd_run(path: str, json: bool, trace: bool) -> int:
 def _cmd_demo(name: str, json: bool) -> int:
     if name not in _DEMOS:
         known = ", ".join(sorted(_DEMOS))
-        print(f"error: unknown demo name '{name}' (choose from {known})",
+        print(f"error: unknown demo name {name!r} (choose from {known})",
               file=sys.stderr)
         return 1
-    path = os.path.join(os.path.dirname(__file__), "circuits", f"{_DEMOS[name]}.bhqc")
-    with open(path, encoding="utf-8") as file:
-        circuit = parse_circuit(file.read())
+    circuit = _read_circuit(
+        os.path.join(os.path.dirname(__file__), "circuits", f"{_DEMOS[name]}.bhqc"))
+    if circuit is None:
+        return 1
     result = run(circuit)
     try:
         before, report = classify(circuit.initial_state), classify(result.final_state)
@@ -224,8 +233,8 @@ _COMMANDS = {
             _cmd_run),
     "demo": ("run a canned circuit with classification",
              "name", "{" + ",".join(_DEMOS) + "}", ("json",),
-             ("parse_circuit", "instruction_text", "run", "MATCH_UP_TO_SCALAR", "classify",
-              "transition_report"),
+             ("DslError", "parse_circuit", "instruction_text", "run", "MATCH_UP_TO_SCALAR",
+              "classify", "transition_report"),
              _cmd_demo),
     "classify": ("classify an inline 2- or 3-qubit state", "state", None, ("json",),
                  ("parse_ket", "classify"), _cmd_classify),

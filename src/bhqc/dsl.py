@@ -499,7 +499,7 @@ def parse_circuit(text: str) -> Circuit:
             instructions.append(circuit.Expect(expected, location=f"line {lineno}"))
 
         else:
-            raise DslError(lineno, col, f"unknown directive '{word}'")
+            raise DslError(lineno, col, f"unknown directive {word!r}")
 
     if n_qubits is None:
         raise DslError(max(len(lines), 1), 1, "missing 'qubits' directive")

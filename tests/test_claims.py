@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from bhqc.circuit import MATCH, MATCH_UP_TO_SCALAR, MISMATCH
+from bhqc.circuit import MATCH, MATCH_UP_TO_SCALAR, MISMATCH, instruction_text
 from bhqc.claims import CLAIMS, KNOWN_MISMATCHES, KNOWN_SCALAR_MATCHES, verify_claims
 from bhqc.scalars import GaussianRational
 from bhqc.states import Ket
@@ -11,6 +11,7 @@ from bhqc.states import Ket
 from _exact import run, vector
 
 ROOT = Path(__file__).resolve().parents[1]
+PIN = ROOT / "tests" / "golden" / "claims.txt"
 
 
 def _by_id(records):
@@ -21,6 +22,23 @@ def test_catalog_is_exhaustive_and_ids_unique():
     ids = [c.instructions[-1].claim_id for c in CLAIMS]
     assert len(ids) == len(set(ids))
     assert len(ids) == 81
+
+
+def _catalog_text() -> str:
+    """One tab-separated line per claim: id, location, input ket, steps, stated ket."""
+    lines = []
+    for circuit in CLAIMS:
+        *steps, expect = circuit.instructions
+        lines.append("\t".join((expect.claim_id, expect.location, str(circuit.initial_state),
+                                 "; ".join(map(instruction_text, steps)), str(expect.expected))))
+    return "\n".join(lines) + "\n"
+
+
+def test_catalog_renders_to_the_pin():
+    # the verify-paper goldens pin each claim's stated and computed kets;
+    # this pin holds its input state and gate word too.  After a deliberate
+    # catalog change, write it anew with PYTHONPATH=src python tests/test_claims.py
+    assert _catalog_text() == PIN.read_text(encoding="utf-8")
 
 
 def test_verdicts_are_exactly_the_known_set():
@@ -75,3 +93,7 @@ def test_the_references_import_nothing_from_bhqc(path):
                for a in node.names]
     modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert [m for m in modules if m.split(".")[0] == "bhqc"] == []
+
+
+if __name__ == "__main__":
+    PIN.write_text(_catalog_text(), encoding="utf-8")

@@ -217,6 +217,14 @@ class TestDemo:
         assert code == 1
         assert "unknown demo name" in err
 
+    def test_a_missing_shipped_file_is_one_error_line(self, capsys, monkeypatch):
+        # as in a wheel built without its package data
+        monkeypatch.setitem(bhqc.cli._DEMOS, "ghz", "no_such_stem")
+        code, out, err = invoke(capsys, "demo", "ghz")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno 2] ") and err.count("\n") == 1
+        assert "no_such_stem.bhqc" in err
+
     def test_json_payload(self, capsys):
         code, out, _ = invoke(capsys, "demo", "ghz", "--json")
         assert code == 0

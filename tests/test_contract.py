@@ -6,7 +6,9 @@ sends each input through ``main`` in process, under a per-example deadline.
 Explicit cases pin one-line inputs that used to run for seconds or hours (a
 product of symbol sums that would expand to millions of terms, a long chain
 of top-degree powers, a 4,096-term product times thousands of one-term
-factors) or to end in a RecursionError (10,000 nested parentheses).
+factors) or to end in a RecursionError (10,000 nested parentheses).  A
+failing run's message is one printable line, whatever characters its input
+holds.
 """
 
 import contextlib
@@ -68,6 +70,10 @@ def _call(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _one_printable_line(err):
+    return err.endswith("\n") and err[:-1].isprintable()
+
+
 @pytest.fixture(scope="module")
 def work_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("contract")
@@ -87,7 +93,7 @@ def test_mutated_circuit_files(work_dir, text, junk, flags):
     code, _, err = _call(["run", str(path), *flags])
     assert code in (0, 1)
     if code:
-        assert err.count("\n") == 1
+        assert _one_printable_line(err), err
     else:
         assert err == ""
 
@@ -98,6 +104,32 @@ def test_mutated_classify_arguments(state, flags):
     code, _, err = _call(["classify", state, *flags])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+# an escape sequence, two characters that str.splitlines breaks at but a
+# circuit file does not, and a form feed, which splits no word of a line
+UNPRINTABLE = pytest.mark.parametrize("char", ["\x1b[31m", "\u2028", "\x85", "\x0c"],
+                                      ids=["escape", "U+2028", "U+0085", "form-feed"])
+
+
+@UNPRINTABLE
+@pytest.mark.parametrize("line", ["ST{}AR 0", "apply ST{}AR 0"], ids=["directive", "gate"])
+def test_an_unprintable_character_in_a_circuit_word_is_quoted(work_dir, line, char):
+    path = work_dir / "unprintable.bhqc"
+    path.write_text("qubits 2\n" + line.format(char) + "\n", encoding="utf-8")
+    code, out, err = _call(["run", str(path)])
+    assert (code, out) == (1, "")
+    assert _one_printable_line(err), err
+    assert repr(f"ST{char}AR") in err
+
+
+@UNPRINTABLE
+def test_an_unprintable_character_in_a_demo_name_is_quoted(char):
+    name = f"gh{char}z"
+    code, out, err = _call(["demo", name])
+    assert (code, out) == (1, "")
+    assert _one_printable_line(err), err
+    assert err.startswith(f"error: unknown demo name {name!r} (choose from ")
 
 
 def test_long_product_of_symbol_sums_exits_one_within_a_second():
@@ -149,7 +181,7 @@ def test_nested_parentheses_in_circuit_files(work_dir, amplitude, in_state, flag
     code, _, err = _call(["run", str(path), *flags])
     assert code in (0, 1)
     if code:
-        assert err.count("\n") == 1
+        assert _one_printable_line(err), err
     else:
         assert err == ""
 

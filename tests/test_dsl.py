@@ -712,16 +712,16 @@ class TestCircuitParsing:
                      id="qubits 2\nsymbols 2bad\n-where24"),
         pytest.param("qubits 2\nsymbols alpha~\n", (2, 9, "invalid symbol name 'alpha~'"),
                      id="qubits 2\nsymbols alpha~\n-where25"),
-        pytest.param("qubits 2\nstate\u30000\n", (2, 1, "unknown directive 'state\u30000'"),
+        pytest.param("qubits 2\nstate\u30000\n", (2, 1, "unknown directive 'state\\u30000'"),
                      id="qubits 2\nstate\u30000\n-where26"),
         pytest.param("qubits 2\nexpect 0\x0c\n", (2, 9, "expected '|'"),
                      id="qubits 2\nexpect 0\x0c\n-where27"),
         # words of a directive are split at space and tab only, as in kets
         pytest.param("qubits\u30002\n", (1, 1, "first directive must be 'qubits'"),
                      id="qubits\u30002\n-where28"),
-        pytest.param("qubits 2\napply\u3000STAR 0\n", (2, 1, "unknown directive 'apply\u3000STAR'"),
+        pytest.param("qubits 2\napply\u3000STAR 0\n", (2, 1, "unknown directive 'apply\\u3000STAR'"),
                      id="qubits 2\napply\u3000STAR 0\n-where29"),
-        pytest.param("qubits 2\napply STAR\x0c0\n", (2, 7, "unknown gate 'STAR\x0c0'"),
+        pytest.param("qubits 2\napply STAR\x0c0\n", (2, 7, "unknown gate 'STAR\\x0c0'"),
                      id="qubits 2\napply STAR\x0c0\n-where30"),
         pytest.param("qubits 2\nstate \u3000|00>\n", (2, 7, "expected a coefficient or '|'"),
                      id="qubits 2\nstate \u3000|00>\n-where31"),
