@@ -164,7 +164,7 @@ class ClaimRecord:
 
     def summary(self) -> str:
         head = f"{self.location} {self.claim_id}: {self.verdict}"
-        if self.verdict == MATCH_UP_TO_SCALAR:
+        if self.scalar is not None:
             head += f"({self.scalar})"
         elif self.verdict == MISMATCH:
             head += f" (computed {self.computed})"

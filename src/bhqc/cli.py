@@ -60,15 +60,16 @@ def _listed(items: list[str]) -> str:
     return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
-def _claim_rows(records: list[ClaimRecord], string, with_states: bool = False) -> str:
+def _claim_rows(records: list[ClaimRecord], with_states: bool = False) -> str:
     """Claim records as ``--json`` prints them one level down, each record one
-    f-string of its fields: ``id``, ``location``, ``verdict``, ``scalar`` on a
-    MATCH_UP_TO_SCALAR record, then ``expected`` and ``computed`` if
-    ``with_states`` (verify-paper).  ``string`` is json's C escaper."""
+    f-string of its fields: ``id``, ``location``, ``verdict``, ``scalar`` when
+    the record holds one, then ``expected`` and ``computed`` if
+    ``with_states`` (verify-paper)."""
+    from json.encoder import encode_basestring as string
+
     texts = []
     for r in records:
-        scalar = (f',\n      "scalar": {string(str(r.scalar))}'
-                  if r.verdict == MATCH_UP_TO_SCALAR else "")
+        scalar = f',\n      "scalar": {string(str(r.scalar))}' if r.scalar is not None else ""
         states = (f',\n      "expected": {string(str(r.expected))}'
                   f',\n      "computed": {string(str(r.computed))}' if with_states else "")
         texts.append(f'{{\n      "id": {string(r.claim_id)},\n      "location": '
@@ -77,19 +78,18 @@ def _claim_rows(records: list[ClaimRecord], string, with_states: bool = False) -
     return _listed(texts)
 
 
-def _step_rows(steps: list[tuple[Instruction | None, Ket]], string) -> str:
+def _step_rows(steps: list[tuple[Instruction | None, Ket]]) -> str:
     """A run's steps as ``--json`` prints them one level down, each step one
-    f-string of ``instruction`` and ``state``.  ``string`` is json's C escaper."""
+    f-string of ``instruction`` and ``state``."""
+    from json.encoder import encode_basestring as string
+
     return _listed([f'{{\n      "instruction": {string(instruction_text(ins))},'
                     f'\n      "state": {string(str(state))}\n    }}' for ins, state in steps])
 
 
 def _result_json(result: RunResult) -> dict[str, str]:
     """The texts of a run's steps and claims, as ``run --json`` and ``demo --json`` print them."""
-    from json.encoder import encode_basestring
-
-    return {"steps": _step_rows(result.steps, encode_basestring),
-            "claims": _claim_rows(result.claims, encode_basestring)}
+    return {"steps": _step_rows(result.steps), "claims": _claim_rows(result.claims)}
 
 
 def _print_steps(result: RunResult) -> None:
@@ -106,7 +106,9 @@ def _print_claims(result: RunResult) -> None:
 
 def _read_circuit(path: str) -> Circuit | None:
     """The circuit in the file at ``path``, or None once the one line that
-    says why it cannot be read or parsed is on stderr."""
+    says why it cannot be read or parsed is on stderr, naming the path as
+    given if it is printable, else by its repr."""
+    shown = path if path.isprintable() else repr(path)
     try:
         # a leading byte-order mark is no text; decoding it as utf-8 (not
         # utf-8-sig) keeps the byte offsets of decode errors true
@@ -116,13 +118,13 @@ def _read_circuit(path: str) -> Circuit | None:
         print(f"error: {exc}", file=sys.stderr)
         return None
     except UnicodeDecodeError as exc:
-        print(f"error: {path}: not UTF-8 text ({exc.reason} at byte {exc.start})",
+        print(f"error: {shown}: not UTF-8 text ({exc.reason} at byte {exc.start})",
               file=sys.stderr)
         return None
     try:
         return parse_circuit(text)
     except DslError as exc:
-        print(f"{path}:{exc.line}:{exc.col}: {exc.message}", file=sys.stderr)
+        print(f"{shown}:{exc.line}:{exc.col}: {exc.message}", file=sys.stderr)
         return None
 
 
@@ -208,10 +210,8 @@ def _cmd_verify_paper(json: bool) -> int:
         counts[record.verdict] += 1
     n_match, n_scalar, n_mismatch = counts.values()
     if json:
-        from json.encoder import encode_basestring
-
         print(_object({
-            "claims": _claim_rows(records, encode_basestring, with_states=True),
+            "claims": _claim_rows(records, with_states=True),
             "summary": f'{{\n    "total": {len(records)},\n    "match": {n_match},'
                        f'\n    "match_up_to_scalar": {n_scalar},'
                        f'\n    "mismatch": {n_mismatch}\n  }}',
@@ -229,12 +229,11 @@ def _cmd_verify_paper(json: bool) -> int:
 # it, called with the positional and each flag as keyword arguments
 _COMMANDS = {
     "run": ("execute a .bhqc circuit file", "path", None, ("json", "trace"),
-            ("DslError", "parse_circuit", "instruction_text", "run", "MATCH_UP_TO_SCALAR"),
-            _cmd_run),
+            ("DslError", "parse_circuit", "instruction_text", "run"), _cmd_run),
     "demo": ("run a canned circuit with classification",
              "name", "{" + ",".join(_DEMOS) + "}", ("json",),
-             ("DslError", "parse_circuit", "instruction_text", "run", "MATCH_UP_TO_SCALAR",
-              "classify", "transition_report"),
+             ("DslError", "parse_circuit", "instruction_text", "run", "classify",
+              "transition_report"),
              _cmd_demo),
     "classify": ("classify an inline 2- or 3-qubit state", "state", None, ("json",),
                  ("parse_ket", "classify"), _cmd_classify),

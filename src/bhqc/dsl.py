@@ -22,7 +22,7 @@ from __future__ import annotations
 import re as _re
 
 from .scalars import GaussianRational, I, ONE, ZERO, Monomial, SymbolicAmplitude, _gr, _reduced
-from .states import MAX_QUBITS, Ket, OperandError
+from .states import MAX_QUBITS, Ket, OperandError, counted
 
 TYPE_CHECKING = False  # type checkers read it as true, so typing never loads
 if TYPE_CHECKING:  # parse_circuit imports circuit when called
@@ -469,7 +469,7 @@ def parse_circuit(text: str) -> Circuit:
             if labels is not None:
                 raise DslError(lineno, col, "duplicate 'labels' directive")
             if len(args) != n_qubits:
-                raise DslError(lineno, col, f"expected {n_qubits} labels")
+                raise DslError(lineno, col, f"expected {counted(n_qubits, 'label')}")
             labels = tuple(name for name, _ in args)
 
         elif word == "state":

@@ -8,7 +8,7 @@ product of symbol sums that would expand to millions of terms, a long chain
 of top-degree powers, a 4,096-term product times thousands of one-term
 factors) or to end in a RecursionError (10,000 nested parentheses).  A
 failing run's message is one printable line, whatever characters its input
-holds.
+or its file name holds.
 """
 
 import contextlib
@@ -130,6 +130,19 @@ def test_an_unprintable_character_in_a_demo_name_is_quoted(char):
     assert (code, out) == (1, "")
     assert _one_printable_line(err), err
     assert err.startswith(f"error: unknown demo name {name!r} (choose from ")
+
+
+@pytest.mark.parametrize("char", ["\x1b", "\n", "\u2028", "\x85"],
+                         ids=["escape", "newline", "U+2028", "U+0085"])
+@pytest.mark.parametrize("data", [b"frob x\n", b"qubits 2\n\xff\n"],
+                         ids=["unknown-directive", "not-utf8"])
+def test_an_unprintable_character_in_a_file_name_is_quoted(work_dir, char, data):
+    path = work_dir / f"bad{char}name.bhqc"
+    path.write_bytes(data)
+    code, out, err = _call(["run", str(path)])
+    assert (code, out) == (1, "")
+    assert _one_printable_line(err), err
+    assert repr(str(path)) in err
 
 
 def test_long_product_of_symbol_sums_exits_one_within_a_second():

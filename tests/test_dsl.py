@@ -645,6 +645,7 @@ class TestCircuitParsing:
         ("qubits 2\nstate |02>\n", 2, "bitstring may only contain 0 and 1"),
         ("qubits 2\napply CNOT 0 0\n", 2, "duplicate target"),
         ("qubits 2\nlabels a\n", 2, "expected 2 labels"),
+        ("qubits 1\nlabels a b\n", 2, "expected 1 label"),
         ("qubits 2\nwiggle 1\n", 2, "unknown directive"),
         ("qubits 2\nstate |00>\nstate |11>\n", 3, "duplicate 'state'"),
         ("qubits 2\nsymbols i\n", 2, "reserved"),
@@ -684,6 +685,8 @@ class TestCircuitParsing:
                      id="qubits 2\napply CNOT 0 0\n-where10"),
         pytest.param("qubits 2\nlabels a\n", (2, 1, "expected 2 labels"),
                      id="qubits 2\nlabels a\n-where11"),
+        pytest.param("qubits 1\nlabels a b\n", (2, 1, "expected 1 label"),
+                     id="one-qubit-labels"),
         pytest.param("qubits 2\nwiggle 1\n", (2, 1, "unknown directive 'wiggle'"),
                      id="qubits 2\nwiggle 1\n-where12"),
         pytest.param("qubits 2\nstate |00>\nstate |11>\n", (3, 1, "duplicate 'state' directive"),

@@ -9,13 +9,18 @@ argparse's, wrapped to ``COLUMNS=80``.
 
 CI also runs this module from a fresh venv holding the built wheel, under
 two hash seeds, with ``-o pythonpath=`` so that bhqc and its circuit files
-come from the installed package, not from ``src``.
+come from the installed package, not from ``src``.  The one test that runs
+``python -m bhqc`` in a child gives it the bhqc this process imported.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bhqc
 from bhqc.cli import _DEMOS, main
 from bhqc.operators import GATES
 
@@ -23,8 +28,7 @@ from _shipped import CIRCUITS as SHIPPED_DIR
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CIRCUITS = sorted(SHIPPED_DIR.glob("*.bhqc"))
-# name<TAB>ket: the state behind each classify-<name> golden; the CI wheel
-# step reads the ghz line for its console-script check
+# name<TAB>ket: the state behind each classify-<name> golden
 CLASSIFY = dict(line.split("\t") for line in
                 (GOLDEN / "classify.txt").read_text(encoding="utf-8").splitlines())
 
@@ -67,10 +71,14 @@ def test_classify(capsys, name, flags, suffix):
     assert _stdout(capsys, ["classify", CLASSIFY[name], *flags], 0) == expected
 
 
-@pytest.mark.parametrize("path", CIRCUITS, ids=lambda p: p.stem)
-def test_run_json(capsys, path):
+# --json lists every step already, so --trace adds nothing to it
+@pytest.mark.parametrize("path, flags", [
+    *(pytest.param(p, [], id=p.stem) for p in CIRCUITS),
+    *(pytest.param(p, ["--trace"], id=f"{p.stem}-trace") for p in CIRCUITS),
+])
+def test_run_json(capsys, path, flags):
     expected = (GOLDEN / f"run-{path.stem}.json").read_text(encoding="utf-8")
-    assert _stdout(capsys, ["run", str(path), "--json"], 0) == expected
+    assert _stdout(capsys, ["run", str(path), "--json", *flags], 0) == expected
 
 
 @pytest.mark.parametrize("path", CIRCUITS, ids=lambda p: p.stem)
@@ -78,6 +86,22 @@ def test_run_json(capsys, path):
 def test_run_text(capsys, path, flags, suffix):
     expected = (GOLDEN / f"run-{path.stem}.{suffix}").read_text(encoding="utf-8")
     assert _stdout(capsys, ["run", str(path), *flags], 0) == expected
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "cp1252"])
+@pytest.mark.parametrize("argv, code, golden", [
+    (["verify-paper"], 2, "verify-paper.txt"),
+    (["demo", "ghz", "--json"], 0, "demo-ghz.json"),
+])
+def test_the_output_is_utf8_under_any_stdout_encoding(tmp_path, encoding, argv, code, golden):
+    # the child finds first the directory this process imported bhqc from
+    found = str(Path(bhqc.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [found, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "bhqc", *argv], capture_output=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": encoding})
+    assert (result.returncode, result.stderr) == (code, b"")
+    assert result.stdout == (GOLDEN / golden).read_bytes()
 
 
 def test_every_circuit_has_a_golden_file():
